@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .codes import (
     UnsupportedPairError,
+    _filtration_is_dual,
     code_from_generators,
     construct_duality_for_pair,
     duals_table,
@@ -20,7 +21,6 @@ from .codes import (
     mult_by_p_filtration,
     right_dual,
     search_duality_for_pair,
-    verify_filtration_duality,
 )
 from .dualities import all_dualities, congruence_classes, is_symmetric
 from .enumerators import (
@@ -221,7 +221,7 @@ def _cmd_filtration(args) -> int:
     if p is None:
         raise ValueError("group is not a p-group; pass --p")
     pairs = mult_by_p_filtration(A, p, limits)
-    ok = verify_filtration_duality(A, p, limits)
+    ok = _filtration_is_dual(A, pairs, limits)
     json_out = {
         "p": p,
         "levels": [

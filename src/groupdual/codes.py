@@ -27,6 +27,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
+    _span,
     all_subgroups,
     automorphism_group,
     is_characteristic,
@@ -135,31 +136,38 @@ def left_dual(
     C: AdditiveCode, phi: Duality, limits: Limits | None = None
 ) -> AdditiveCode:
     """L_phi(C) = {x : Phi(x, c) = 1 for all c in C}."""
-    ext = _extended(phi, C)
-    spec = C.power.spec
-    check_scan(spec.cardinality, limits)
-    gens = C.subgroup.generators
-    members = [
-        x
-        for x in spec.elements()
-        if all(inner_product_exponent(ext, x, c) == 0 for c in gens)
-    ]
-    return AdditiveCode(C.power, subgroup_from_elements(spec, members))
+    return _dual_scan(C, phi, limits, left=True)
 
 
 def right_dual(
     C: AdditiveCode, phi: Duality, limits: Limits | None = None
 ) -> AdditiveCode:
     """R_phi(C) = {x : Phi(c, x) = 1 for all c in C}."""
+    return _dual_scan(C, phi, limits, left=False)
+
+
+def _dual_scan(
+    C: AdditiveCode, phi: Duality, limits: Limits | None, left: bool
+) -> AdditiveCode:
+    """Scan A^n against a basis of C's generators: pairing trivially with
+    a generating set is pairing trivially with all of C."""
     ext = _extended(phi, C)
     spec = C.power.spec
     check_scan(spec.cardinality, limits)
-    gens = C.subgroup.generators
-    members = [
-        x
-        for x in spec.elements()
-        if all(inner_product_exponent(ext, c, x) == 0 for c in gens)
-    ]
+    basis, _ = _span(spec.orders, (g.coords for g in C.subgroup.generators))
+    gens = [spec.element(c) for c in basis]
+    if left:
+        members = [
+            x
+            for x in spec.elements()
+            if all(inner_product_exponent(ext, x, c) == 0 for c in gens)
+        ]
+    else:
+        members = [
+            x
+            for x in spec.elements()
+            if all(inner_product_exponent(ext, c, x) == 0 for c in gens)
+        ]
     return AdditiveCode(C.power, subgroup_from_elements(spec, members))
 
 
@@ -280,13 +288,10 @@ def _greedy_extend_basis(
 ) -> None:
     """Extend `basis` in place with pool vectors independent of it, taking
     the first admissible vector in canonical element order each time."""
-    for v in pool:
-        if v.is_zero():
-            continue
-        span = subgroup_closure(A, basis)
-        if v in span:
-            continue
-        basis.append(v)
+    # `basis` is independent, so the greedy kernel keeps it as its prefix.
+    coords = [b.coords for b in basis] + [v.coords for v in pool]
+    grown = _span(A.orders, coords)[0]
+    basis.extend(A.element(c) for c in grown[len(basis) :])
 
 
 def _pair_duality_elementary(
@@ -472,9 +477,17 @@ def verify_filtration_duality(
         if len(primes) != 1:
             raise ValueError("group is not a p-group")
         p = primes[0]
-    pairs = mult_by_p_filtration(A, p, limits)
-    dualities = all_dualities(A, limits)
-    for phi in dualities:
+    return _filtration_is_dual(A, mult_by_p_filtration(A, p, limits), limits)
+
+
+def _filtration_is_dual(
+    A: GroupSpec,
+    pairs: Sequence[tuple[Subgroup, Subgroup]],
+    limits: Limits | None = None,
+) -> bool:
+    """Whether every (ker, im) level of a computed filtration is a mutual
+    left/right dual pair under every duality of A."""
+    for phi in all_dualities(A, limits):
         for ker, im in pairs:
             cker = code_from_subgroup(A, 1, ker)
             cim = code_from_subgroup(A, 1, im)

@@ -74,10 +74,6 @@ def cyclotomic_poly(m: int) -> CycPoly:
     return num
 
 
-def _phi_degree(m: int) -> int:
-    return cyclotomic_poly(m).degree
-
-
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     """Canonical residue of an integer polynomial in zeta_m."""
     phi = cyclotomic_poly(m)

@@ -293,27 +293,6 @@ def poisson_check(
     return lhs == rhs
 
 
-def ft_hamming_single(A: GroupSpec, pi: Character) -> dict[tuple[int, int], int]:
-    """Fourier transform of a -> X^(1-h(a)) Y^h(a): X + (|A|-1)Y for the
-    trivial character, X - Y otherwise.  Keys are (X-degree, Y-degree)."""
-    if pi.is_trivial():
-        return {(1, 0): 1, (0, 1): A.cardinality - 1}
-    return {(1, 0): 1, (0, 1): -1}
-
-
-def hamming_value_function(
-    power: PowerGroup,
-) -> Callable[[GroupElement], Value]:
-    """x -> X^(n-h(x)) Y^h(x) as a Value with integer-free CycInt coeffs."""
-    m = power.spec.exponent
-
-    def f(x: GroupElement) -> Value:
-        h = hamming_weight(power, x)
-        return {(power.n - h, h): CycInt.from_int(m, 1)}
-
-    return f
-
-
 def complete_value_function(
     power: PowerGroup,
 ) -> Callable[[GroupElement], Value]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -172,6 +172,37 @@ class Subgroup:
         return "{" + ",".join(str(e) for e in self.elements) + "}"
 
 
+def _span(
+    orders: tuple[int, ...], gens: Iterable[tuple[int, ...]]
+) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """Greedy basis and element set of the subgroup generated by `gens`.
+
+    Coordinates must already be reduced.  A generator inside the current
+    span is skipped; any other one joins the basis and multiplies the span
+    by its cosets H + k g, k = 1, ..., until k g lands back in H.  Each
+    basis element at least doubles the span, so the basis has at most
+    Omega(|H|) members and the cost is O(|H| * #basis + #gens).
+    """
+    zero = (0,) * len(orders)
+    elems = [zero]
+    span = {zero}
+    basis = []
+    for g in gens:
+        if g in span:
+            continue
+        basis.append(g)
+        coset = elems
+        step = g
+        while step not in span:
+            coset = [
+                tuple((a + b) % d for a, b, d in zip(x, g, orders)) for x in coset
+            ]
+            span.update(coset)
+            elems.extend(coset)
+            step = tuple((a + b) % d for a, b, d in zip(step, g, orders))
+    return basis, span
+
+
 def subgroup_closure(
     parent: GroupSpec, gens: Iterable[GroupElement]
 ) -> Subgroup:
@@ -180,40 +211,34 @@ def subgroup_closure(
     for g in gens:
         if g.parent != parent:
             raise ValueError("generator does not belong to the given group")
-    seen = {parent.zero().coords}
-    frontier = [parent.zero()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x + g
-            if y.coords not in seen:
-                seen.add(y.coords)
-                frontier.append(y)
-    # Adding the generators repeatedly reaches inverses because every
-    # element has finite order.
-    elements = tuple(
-        parent.element(c) for c in sorted(seen)
-    )
+    _, span = _span(parent.orders, (g.coords for g in gens))
+    elements = tuple(parent.element(c) for c in sorted(span))
     return Subgroup(parent, gens, elements)
 
 
 def subgroup_from_elements(
     parent: GroupSpec, elements: Iterable[GroupElement]
 ) -> Subgroup:
-    """Wrap an already-closed element set as a Subgroup (closure re-checked)."""
+    """Wrap an already-closed element set as a Subgroup (closure re-checked).
+
+    The subgroup's generators are a greedy basis of the set, taken in
+    canonical element order, not the whole set."""
+    elements = tuple(elements)
+    if any(e.parent != parent for e in elements):
+        raise ValueError("element does not belong to the given group")
     elems = sorted({e.coords for e in elements})
-    sub = subgroup_closure(parent, [parent.element(c) for c in elems])
-    if len(sub.elements) != len(elems):
+    basis, span = _span(parent.orders, elems)
+    if len(span) != len(elems):
         raise ValueError("element set is not closed under addition")
-    return sub
+    return Subgroup(
+        parent,
+        tuple(parent.element(c) for c in basis),
+        tuple(parent.element(c) for c in elems),
+    )
 
 
 def trivial_subgroup(parent: GroupSpec) -> Subgroup:
     return subgroup_closure(parent, [])
-
-
-def full_subgroup(parent: GroupSpec) -> Subgroup:
-    return subgroup_closure(parent, parent.generators())
 
 
 def all_subgroups(
@@ -356,22 +381,44 @@ def automorphism_group(
 ) -> list[Automorphism]:
     """All automorphisms, in lexicographic matrix order."""
     check_enumeration(A.cardinality, limits)
-    # Row i may be any element killed by d_i; bijectivity is tested by
-    # image cardinality, which is correct for mixed moduli.
-    row_candidates: list[list[tuple[int, ...]]] = []
-    for d_i in A.orders:
-        cands = [
-            x.coords
-            for x in A.elements()
-            if all((d_i * c) % d_j == 0 for c, d_j in zip(x.coords, A.orders))
-        ]
-        row_candidates.append(sorted(cands))
-    auts = []
-    for rows in product(*row_candidates):
-        hom = Homomorphism(A, A, rows)
-        if hom.is_bijective():
-            auts.append(Automorphism(A, A, rows))
-    return auts
+    return list(_automorphisms(A))
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
+    """Aut(A) by depth-first choice of the generator images.
+
+    Row j must have order d_j and <row j> must meet the span of rows
+    0..j-1 only in 0.  Every bijection passes this test at each depth, and
+    at depth k the rows span d_1 ... d_k = |A| elements, so the leaves are
+    exactly the automorphisms.  Candidates are tried in sorted order, which
+    yields the matrices in lexicographic order."""
+    orders = A.orders
+    k = len(orders)
+    elements = list(A.elements())
+    candidates = [[x.coords for x in elements if x.order == d] for d in orders]
+    primes = [sorted(_prime_factors(d)) for d in orders]
+    auts: list[Automorphism] = []
+
+    def extend(rows: list[tuple[int, ...]], span: set[tuple[int, ...]]) -> None:
+        j = len(rows)
+        if j == k:
+            auts.append(Automorphism(A, A, tuple(rows)))
+            return
+        d = orders[j]
+        for r in candidates[j]:
+            # A nontrivial subgroup of <r> contains some (d/p) r of prime order.
+            if any(
+                tuple(d // p * c % e for c, e in zip(r, orders)) in span
+                for p in primes[j]
+            ):
+                continue
+            rows.append(r)
+            extend(rows, _span(orders, rows)[1] if j + 1 < k else span)
+            rows.pop()
+
+    extend([], {(0,) * k})
+    return tuple(auts)
 
 
 def stabilizer(

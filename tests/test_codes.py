@@ -1,5 +1,6 @@
 """Additive codes, left/right duals, pair construction, and filtrations."""
 
+import random
 from itertools import product
 
 import pytest
@@ -184,3 +185,37 @@ def test_duality_dependence_matches_stabilizer_structure():
     report = duality_dependence(l0)
     assert not report.characteristic
     assert len(report.right_classes) == 2
+
+
+def _full_scan_dual(C, phi, side):
+    """Oracle: every member of C is a constraint, not just a basis."""
+    ext = extend_duality(phi, C.power.n)
+    members = C.subgroup.elements
+    if side == "left":
+        ok = lambda x: all(inner_product_exponent(ext, x, c) == 0 for c in members)
+    else:
+        ok = lambda x: all(inner_product_exponent(ext, c, x) == 0 for c in members)
+    return frozenset(x.coords for x in C.power.spec.elements() if ok(x))
+
+
+@pytest.mark.parametrize(
+    "orders,n,seed", [([2, 4], 2, 1), ([2, 2], 3, 2), ([3], 3, 3), ([4], 2, 4), ([6], 2, 5)]
+)
+def test_duals_with_redundant_generators_match_full_scan(orders, n, seed):
+    rng = random.Random(seed)
+    A = make_group(orders)
+    spec = PowerGroup(A, n).spec
+    elems = list(spec.elements())
+    g1, g2 = rng.choice(elems), rng.choice(elems)
+    # Redundant generators: a sum, a multiple, a repeat and zero.
+    gens = [g1, g2, g1 + g2, 2 * g1, g2, spec.zero()]
+    C = code_from_generators(A, n, gens)
+    for phi in rng.sample(all_dualities(A), min(3, len(all_dualities(A)))):
+        L, R = left_dual(C, phi), right_dual(C, phi)
+        assert L.subgroup.element_set() == _full_scan_dual(C, phi, "left")
+        assert R.subgroup.element_set() == _full_scan_dual(C, phi, "right")
+        # The duals' generators are a basis, so their own duals scan
+        # against few constraints; they must still give back C.
+        assert right_dual(L, phi).subgroup.element_set() == _full_scan_dual(L, phi, "right")
+        assert right_dual(L, phi) == C
+        assert left_dual(R, phi) == C

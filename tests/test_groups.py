@@ -5,7 +5,7 @@ independent oracle (brute-force subset closure, element-order census).
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from groupdual import (
     Automorphism,
     Homomorphism,
+    Limits,
+    LimitExceededError,
     all_subgroups,
     automorphism_group,
     identity_automorphism,
@@ -194,3 +196,118 @@ def test_automorphism_rejects_non_bijective_matrix():
     A = make_group([2, 2])
     with pytest.raises(ValueError):
         Automorphism(A, A, ((1, 1), (1, 1)))
+
+
+def _brute_force_automorphisms(A):
+    """Oracle: every product of admissible rows, kept when its image has
+    |A| elements, in the product's lexicographic order."""
+    rows = [
+        sorted(
+            x.coords
+            for x in A.elements()
+            if all((d_i * c) % d_j == 0 for c, d_j in zip(x.coords, A.orders))
+        )
+        for d_i in A.orders
+    ]
+    return [
+        matrix
+        for matrix in product(*rows)
+        if Homomorphism(A, A, matrix).is_bijective()
+    ]
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [[2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27], [9, 3], [12, 2]],
+)
+def test_automorphism_group_matches_brute_force_in_order(orders):
+    A = make_group(orders)
+    assert [t.matrix for t in automorphism_group(A)] == _brute_force_automorphisms(A)
+
+
+def _bfs_closure(A, gens):
+    """Oracle: breadth-first closure under adding each generator."""
+    seen = {A.zero().coords}
+    frontier = [A.zero()]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x + g
+            if y.coords not in seen:
+                seen.add(y.coords)
+                frontier.append(y)
+    return seen
+
+
+CLOSURE_GROUPS = st.sampled_from(
+    [make_group(o) for o in ([2, 2], [2, 4], [3, 3], [8], [12, 2], [2, 2, 2], [4, 4], [9, 3])]
+)
+
+
+@given(CLOSURE_GROUPS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_subgroup_closure_matches_bfs_oracle(A, data):
+    elems = list(A.elements())
+    gens = data.draw(st.lists(st.sampled_from(elems), max_size=5))
+    H = subgroup_closure(A, gens)
+    assert H.element_set() == _bfs_closure(A, gens)
+    assert [e.coords for e in H.elements] == sorted(H.element_set())
+    assert H.generators == tuple(gens)
+
+
+def _big_omega(n):
+    count, d = 0, 2
+    while n > 1:
+        while n % d == 0:
+            n //= d
+            count += 1
+        d += 1
+    return count
+
+
+@given(CLOSURE_GROUPS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_subgroup_from_elements_keeps_a_small_spanning_basis(A, data):
+    elems = list(A.elements())
+    gens = data.draw(st.lists(st.sampled_from(elems), max_size=5))
+    members = sorted(_bfs_closure(A, gens), reverse=True)
+    H = subgroup_from_elements(A, [A.element(c) for c in members])
+    assert H.element_set() == frozenset(members)
+    assert _bfs_closure(A, H.generators) == set(members)
+    assert len(H.generators) <= _big_omega(H.order)
+
+
+@given(CLOSURE_GROUPS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_subgroup_from_elements_rejects_every_non_closed_set(A, data):
+    elems = list(A.elements())
+    subset = data.draw(st.lists(st.sampled_from(elems), min_size=1, max_size=6))
+    sset = {e.coords for e in subset}
+    if _bfs_closure(A, subset) == sset:
+        assert subgroup_from_elements(A, subset).element_set() == sset
+    else:
+        with pytest.raises(ValueError):
+            subgroup_from_elements(A, subset)
+
+
+def test_automorphism_group_result_is_a_fresh_list():
+    A = make_group([2, 4])
+    first = automorphism_group(A)
+    expected = list(first)
+    first.clear()
+    first.append(identity_automorphism(A))
+    assert automorphism_group(A) == expected
+
+
+def test_automorphism_group_limit_applies_to_a_cached_group():
+    A = make_group([2, 2, 2])
+    automorphism_group(A)
+    with pytest.raises(LimitExceededError):
+        automorphism_group(A, Limits(enumeration_bound=7))
+
+
+def test_automorphism_group_repeated_calls_agree():
+    A = make_group([4, 4])
+    first, second = automorphism_group(A), automorphism_group(A)
+    assert first == second
+    assert all(isinstance(t, Automorphism) for t in second)
