@@ -17,6 +17,7 @@ from .groups import (
     GroupSpec,
     Homomorphism,
     Subgroup,
+    _zero_set,
     subgroup_from_elements,
 )
 
@@ -72,31 +73,21 @@ def annihilator(H: Subgroup) -> Subgroup:
 
     The character group shares the order sequence of A, so the annihilator
     is represented as a Subgroup of the same GroupSpec whose elements are
-    exponent tuples.
+    exponent tuples.  The character pi is trivial on h exactly when the
+    form (w_i h_i) vanishes on pi's exponent tuple.
     """
     A = H.parent
-    gens = H.generators if H.generators else ()
-    members = []
-    for pi_elem in A.elements():
-        pi = Character(A, pi_elem.coords)
-        if all(pairing_exponent(pi, h) == 0 for h in gens):
-            members.append(pi_elem)
-    return subgroup_from_elements(A, members)
+    forms = [tuple(w * c for w, c in zip(A.weights, h.coords)) for h in H.generators]
+    members = _zero_set(A.orders, A.exponent, forms)
+    return subgroup_from_elements(A, [A.element(x) for x in members])
 
 
 def double_annihilator_check(H: Subgroup) -> bool:
-    """(A : (A-hat : H)) = H, with A identified with its double dual."""
-    A = H.parent
-    ann = annihilator(H)
-    back = [
-        a
-        for a in A.elements()
-        if all(
-            pairing_exponent(Character(A, pi.coords), a) == 0
-            for pi in ann.generators
-        )
-    ]
-    return subgroup_from_elements(A, back) == H
+    """(A : (A-hat : H)) = H, with A identified with its double dual.
+
+    The pairing is symmetric in the exponent tuple and the element, so
+    (A : X) is computed as the annihilator of X."""
+    return annihilator(annihilator(H)) == H
 
 
 def _solve_congruence(k: int, s: int, m: int) -> int:

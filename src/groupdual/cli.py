@@ -56,7 +56,7 @@ def _usage_error(msg: str) -> int:
 
 def _limits(args) -> Limits:
     base = Limits.from_env()
-    if getattr(args, "limit", None):
+    if getattr(args, "limit", None) is not None:
         return Limits(
             enumeration_bound=args.limit, scan_bound=args.limit
         )

@@ -1,8 +1,9 @@
 """Additive codes C in A^n and their left/right dual codes.
 
-Dual codes are computed by a full scan of the ambient group filtered by
-generator constraints; no linear-algebra shortcuts, so the golden tables
-cannot be contaminated by solver bugs.
+Dual codes are computed by a full scan of the ambient group against the
+integer pairing forms of a basis of the code's generators; no
+linear-algebra solver, so the golden tables cannot be contaminated by
+solver bugs.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from .cyclotomic import CycInt
 from .characters import Character, pairing_exponent
 from .dualities import (
     Duality,
+    _pairing_forms,
     adjoint,
     all_dualities,
-    inner_product_exponent,
     inner_product_value,
     is_symmetric,
 )
@@ -28,6 +29,7 @@ from .groups import (
     GroupSpec,
     Subgroup,
     _span,
+    _zero_set,
     all_subgroups,
     automorphism_group,
     is_characteristic,
@@ -149,26 +151,19 @@ def right_dual(
 def _dual_scan(
     C: AdditiveCode, phi: Duality, limits: Limits | None, left: bool
 ) -> AdditiveCode:
-    """Scan A^n against a basis of C's generators: pairing trivially with
-    a generating set is pairing trivially with all of C."""
-    ext = _extended(phi, C)
+    """Scan A^n against the pairing forms of a basis of C's generators:
+    pairing trivially with a generating set is pairing trivially with all
+    of C."""
     spec = C.power.spec
+    if phi.parent not in (spec, C.power.base):
+        raise ValueError("duality is neither over the base nor the power group")
     check_scan(spec.cardinality, limits)
     basis, _ = _span(spec.orders, (g.coords for g in C.subgroup.generators))
-    gens = [spec.element(c) for c in basis]
-    if left:
-        members = [
-            x
-            for x in spec.elements()
-            if all(inner_product_exponent(ext, x, c) == 0 for c in gens)
-        ]
-    else:
-        members = [
-            x
-            for x in spec.elements()
-            if all(inner_product_exponent(ext, c, x) == 0 for c in gens)
-        ]
-    return AdditiveCode(C.power, subgroup_from_elements(spec, members))
+    forms = _pairing_forms(phi, basis, left)
+    members = _zero_set(spec.orders, spec.exponent, forms)
+    return AdditiveCode(
+        C.power, subgroup_from_elements(spec, [spec.element(x) for x in members])
+    )
 
 
 class DualKind(Enum):

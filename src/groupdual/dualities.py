@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .cyclotomic import CycInt, root_power
 from .groups import (
@@ -65,6 +65,33 @@ def inner_product_exponent(
     at = phi.tau.apply(a)
     m = A.exponent
     return sum(w * x * y for w, x, y in zip(A.weights, at.coords, b.coords)) % m
+
+
+def _pairing_forms(
+    phi: Duality, words: Iterable[tuple[int, ...]], left: bool
+) -> list[tuple[int, ...]]:
+    """Integer forms f, one per word c, with Phi(x, c) = zeta_m^(f . x) when
+    `left` and Phi(c, x) = zeta_m^(f . x) otherwise.
+
+    A word longer than phi's rank is read block by block, as a word of A^n
+    under the coordinatewise extension of phi.  On each block f = M c with
+      left:  f_j = sum_i tau_ji w_i c_i;
+      right: f_i = w_i sum_j tau_ji c_j.
+    """
+    A = phi.parent
+    k, m, w, tau = A.rank, A.exponent, A.weights, phi.tau.matrix
+    if left:
+        M = [[tau[j][i] * w[i] for i in range(k)] for j in range(k)]
+    else:
+        M = [[w[i] * tau[j][i] for j in range(k)] for i in range(k)]
+    return [
+        tuple(
+            sum(a * b for a, b in zip(row, c[s : s + k])) % m
+            for s in range(0, len(c), k)
+            for row in M
+        )
+        for c in words
+    ]
 
 
 def inner_product_value(phi: Duality, a: GroupElement, b: GroupElement) -> CycInt:

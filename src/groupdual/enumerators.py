@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .cyclotomic import CycInt, root_power
-from .characters import Character, pairing_exponent
+from .characters import Character, annihilator, pairing_exponent
 from .codes import AdditiveCode, PowerGroup
 from .dualities import Duality, inner_product_exponent
 from .groups import GroupElement, GroupSpec, Subgroup
@@ -71,8 +71,9 @@ def hwe(C: AdditiveCode) -> HammingEnumerator:
     return HammingEnumerator(n, tuple(coeffs))
 
 
-def _count_key(power: PowerGroup, x: GroupElement) -> tuple[int, ...]:
-    base_index = {a.coords: i for i, a in enumerate(power.base.elements())}
+def _count_key(
+    power: PowerGroup, x: GroupElement, base_index: Mapping[tuple[int, ...], int]
+) -> tuple[int, ...]:
     counts = [0] * power.base.cardinality
     for b in power.blocks(x):
         counts[base_index[b.coords]] += 1
@@ -81,8 +82,9 @@ def _count_key(power: PowerGroup, x: GroupElement) -> tuple[int, ...]:
 
 def cwe(C: AdditiveCode) -> CompleteEnumerator:
     terms: dict[tuple[int, ...], int] = {}
+    base_index = {a.coords: i for i, a in enumerate(C.power.base.elements())}
     for c in C.subgroup.elements:
-        key = _count_key(C.power, c)
+        key = _count_key(C.power, c, base_index)
         terms[key] = terms.get(key, 0) + 1
     return CompleteEnumerator(
         C.power.base, C.power.n, tuple(sorted(terms.items()))
@@ -285,10 +287,8 @@ def poisson_check(
     fhat = fourier_transform(A, f)
     index = A.cardinality // H.order
     rhs: Value = {}
-    for pi_elem in A.elements():
-        pi = Character(A, pi_elem.coords)
-        if all(pairing_exponent(pi, h) == 0 for h in H.generators):
-            rhs = _value_add(rhs, fhat[pi_elem.coords])
+    for pi in annihilator(H).elements:
+        rhs = _value_add(rhs, fhat[pi.coords])
     rhs = {k: v.divide_exact(index) for k, v in _value_normalize(rhs).items()}
     return lhs == rhs
 
@@ -298,8 +298,9 @@ def complete_value_function(
 ) -> Callable[[GroupElement], Value]:
     """x -> prod_i Z_{x_i} as a Value keyed by count vectors."""
     m = power.spec.exponent
+    base_index = {a.coords: i for i, a in enumerate(power.base.elements())}
 
     def f(x: GroupElement) -> Value:
-        return {_count_key(power, x): CycInt.from_int(m, 1)}
+        return {_count_key(power, x, base_index): CycInt.from_int(m, 1)}
 
     return f

@@ -9,9 +9,10 @@ matrices acting on row vectors (row i = image of g_i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .limits import Limits, check_enumeration
@@ -146,13 +147,21 @@ class Subgroup:
     parent: GroupSpec
     generators: tuple[GroupElement, ...]
     elements: tuple[GroupElement, ...]
+    _element_set: frozenset[tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_element_set", frozenset(e.coords for e in self.elements)
+        )
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(e.coords for e in self.elements)
+        return self._element_set
 
     def __contains__(self, a: GroupElement) -> bool:
         return a.parent == self.parent and a.coords in self.element_set()
@@ -201,6 +210,21 @@ def _span(
             elems.extend(coset)
             step = tuple((a + b) % d for a, b, d in zip(step, g, orders))
     return basis, span
+
+
+def _zero_set(
+    orders: tuple[int, ...], m: int, forms: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Every x in prod Z/d_i with sum_i f_i x_i = 0 (mod m) for each form f,
+    in canonical (lexicographic coordinate) order.
+
+    Each f_i must satisfy d_i f_i = 0 (mod m), so that the value does not
+    depend on the representative of x_i."""
+    return [
+        x
+        for x in product(*map(range, orders))
+        if not any(sum(map(mul, f, x)) % m for f in forms)
+    ]
 
 
 def subgroup_closure(
@@ -323,7 +347,8 @@ class Homomorphism:
     def is_bijective(self) -> bool:
         if self.source.cardinality != self.target.cardinality:
             return False
-        image = {self.apply(a).coords for a in self.source.elements()}
+        # The image is the span of the row images; _span enumerates it.
+        image = _span(self.target.orders, self.matrix)[1]
         return len(image) == self.source.cardinality
 
     def map_subgroup(self, H: Subgroup) -> Subgroup:

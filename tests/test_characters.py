@@ -86,6 +86,18 @@ def test_annihilator_sizes_and_double_annihilator(orders):
         assert double_annihilator_check(H)
 
 
+@pytest.mark.parametrize("orders", [[2, 4], [3, 3], [8], [2, 2, 2]])
+def test_annihilator_matches_a_filter_over_every_element(orders):
+    A = make_group(orders)
+    for H in all_subgroups(A):
+        expected = [
+            e
+            for e in A.elements()
+            if all(pairing_exponent(Character(A, e.coords), h) == 0 for h in H.elements)
+        ]
+        assert annihilator(H).elements == tuple(expected)
+
+
 def test_extend_character_matches_exhaustive_scan_oracle():
     A = make_group([4])
     H = subgroup_closure(A, [A.element([2])])

@@ -197,3 +197,12 @@ def test_limit_flag_triggers_limit_error(capsys):
     )
     assert code == 1
     assert "exceed" in err or "limit" in err.lower()
+
+
+def test_limit_zero_is_a_bound_not_the_default(capsys):
+    code, out, err = _run(
+        capsys, "dualities", "--group", "2,2", "--count-only", "--limit", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert "bound 0" in err

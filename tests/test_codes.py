@@ -1,5 +1,6 @@
 """Additive codes, left/right duals, pair construction, and filtrations."""
 
+import math
 import random
 from itertools import product
 
@@ -219,3 +220,23 @@ def test_duals_with_redundant_generators_match_full_scan(orders, n, seed):
         assert right_dual(L, phi).subgroup.element_set() == _full_scan_dual(L, phi, "right")
         assert right_dual(L, phi) == C
         assert left_dual(R, phi) == C
+        # Dualities over A^n itself that couple the first two blocks: the
+        # oracle scans the same subgroup as a length-1 code over A^n.
+        C1 = code_from_subgroup(spec, 1, C.subgroup)
+        k = A.rank
+        for i, j in ((0, k), (k, 0)):
+            matrix = [list(r) for r in extend_duality(phi, n).tau.matrix]
+            matrix[i][j] = spec.orders[j] // math.gcd(spec.orders[i], spec.orders[j])
+            coupled = duality_from_matrix(spec, matrix)
+            for side, dual in (("left", left_dual), ("right", right_dual)):
+                D = dual(C, coupled).subgroup
+                assert D.element_set() == _full_scan_dual(C1, coupled, side)
+                assert D == dual(C1, coupled).subgroup
+
+
+def test_dual_rejects_a_duality_over_another_group():
+    C = code_from_generators(make_group([2, 4]), 2, [])
+    phi = all_dualities(make_group([2, 2]))[0]
+    for dual in (left_dual, right_dual):
+        with pytest.raises(ValueError, match="neither over the base nor the power group"):
+            dual(C, phi)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupdual import (
     adjoint,
@@ -16,6 +17,7 @@ from groupdual import (
     conjugate_duality,
     count_symmetric_invertible,
     duality_from_matrix,
+    extend_duality,
     gl_order,
     inner_product_exponent,
     is_symmetric,
@@ -28,6 +30,8 @@ from groupdual import (
     same_duals_everywhere,
     symmetric_ratio,
 )
+from groupdual.codes import PowerGroup
+from groupdual.dualities import _pairing_forms
 from groupdual.groups import automorphism_group
 
 
@@ -55,6 +59,33 @@ def test_inner_product_is_biadditive_and_nondegenerate():
                 inner_product_exponent(phi, a, b) == 0 for b in A.elements()
             )
             assert left_kernel == a.is_zero()
+
+
+FORM_GROUPS = st.sampled_from(
+    [make_group(o) for o in ([2, 2], [2, 4], [4, 2], [3, 3], [8], [6], [2, 6])]
+)
+
+
+@given(FORM_GROUPS, st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pairing_forms_agree_with_inner_product_exponent(A, n, data):
+    phi = data.draw(st.sampled_from(all_dualities(A)))
+    spec = PowerGroup(A, n).spec
+    ext = extend_duality(phi, n)
+    word = st.builds(spec.element, st.tuples(*(st.integers(0, d - 1) for d in spec.orders)))
+    cs = data.draw(st.lists(word, min_size=1, max_size=3))
+    x = data.draw(word)
+    m = A.exponent
+    for left in (True, False):
+        for duality in (phi, ext):
+            forms = _pairing_forms(duality, [c.coords for c in cs], left)
+            for c, f in zip(cs, forms):
+                expected = (
+                    inner_product_exponent(ext, x, c)
+                    if left
+                    else inner_product_exponent(ext, c, x)
+                )
+                assert sum(a * b for a, b in zip(f, x.coords)) % m == expected
 
 
 def test_adjoint_defining_identity_exhaustively():

@@ -198,9 +198,8 @@ def test_automorphism_rejects_non_bijective_matrix():
         Automorphism(A, A, ((1, 1), (1, 1)))
 
 
-def _brute_force_automorphisms(A):
-    """Oracle: every product of admissible rows, kept when its image has
-    |A| elements, in the product's lexicographic order."""
+def _admissible_endomorphisms(A):
+    """Every product of admissible rows, in the product's lexicographic order."""
     rows = [
         sorted(
             x.coords
@@ -209,11 +208,17 @@ def _brute_force_automorphisms(A):
         )
         for d_i in A.orders
     ]
-    return [
-        matrix
-        for matrix in product(*rows)
-        if Homomorphism(A, A, matrix).is_bijective()
-    ]
+    return [Homomorphism(A, A, matrix) for matrix in product(*rows)]
+
+
+def _image_has_every_element(hom):
+    A = hom.source
+    return len({hom.apply(a).coords for a in A.elements()}) == A.cardinality
+
+
+def _brute_force_automorphisms(A):
+    """Oracle: every admissible endomorphism whose image has |A| elements."""
+    return [h.matrix for h in _admissible_endomorphisms(A) if _image_has_every_element(h)]
 
 
 @pytest.mark.parametrize(
@@ -311,3 +316,20 @@ def test_automorphism_group_repeated_calls_agree():
     first, second = automorphism_group(A), automorphism_group(A)
     assert first == second
     assert all(isinstance(t, Automorphism) for t in second)
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [[2, 2], [2, 4], [4, 2], [3, 3], [2, 8], [4, 4], [6], [2, 6], [3, 9], [2, 2, 2], [2, 2, 4]],
+)
+def test_is_bijective_matches_the_brute_force_image(orders):
+    A = make_group(orders)
+    for hom in _admissible_endomorphisms(A):
+        assert hom.is_bijective() == _image_has_every_element(hom)
+
+
+def test_subgroup_element_set_is_computed_once():
+    A = make_group([2, 4])
+    H = subgroup_closure(A, [A.element((1, 2))])
+    assert H.element_set() is H.element_set()
+    assert H.element_set() == frozenset(e.coords for e in H.elements)
