@@ -9,7 +9,7 @@ solver bugs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -28,6 +28,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
+    _closed_subgroup,
     _span,
     _zero_set,
     all_subgroups,
@@ -47,14 +48,12 @@ class PowerGroup:
 
     base: GroupSpec
     n: int
+    spec: GroupSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("length must be at least 1")
-
-    @property
-    def spec(self) -> GroupSpec:
-        return make_group(self.base.orders * self.n)
+        object.__setattr__(self, "spec", make_group(self.base.orders * self.n))
 
     def word(self, blocks: Sequence[GroupElement]) -> GroupElement:
         if len(blocks) != self.n:
@@ -161,9 +160,7 @@ def _dual_scan(
     basis, _ = _span(spec.orders, (g.coords for g in C.subgroup.generators))
     forms = _pairing_forms(phi, basis, left)
     members = _zero_set(spec.orders, spec.exponent, forms)
-    return AdditiveCode(
-        C.power, subgroup_from_elements(spec, [spec.element(x) for x in members])
-    )
+    return AdditiveCode(C.power, _closed_subgroup(spec, members))
 
 
 class DualKind(Enum):

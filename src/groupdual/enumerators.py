@@ -3,6 +3,10 @@ transforms.
 
 Every coefficient is an integer or a cyclotomic integer; the transforms
 divide exactly and signal an internal error on any non-integral result.
+The complete transform expands over the group ring Z[x]/(x^m - 1), which
+maps onto Z[zeta_m] by x -> zeta_m, counting the powers of x per
+monomial; it reduces modulo Phi_m once per output monomial, exactly and
+with no floating point.
 """
 
 from __future__ import annotations
@@ -155,51 +159,49 @@ def mw_complete_transform(
     elements = list(A.elements())
     card = A.cardinality
 
-    # Linear form substituted for each variable Z_b: sum_a Phi(.,.) Z_a.
-    forms: list[list[CycInt]] = []
-    for b in elements:
-        row = []
-        for a in elements:
-            e = (
+    # Linear form substituted for each variable Z_b: sum_a zeta_m^e Z_a,
+    # stored as the exponents e mod m.
+    forms = [
+        [
+            (
                 inner_product_exponent(phi, b, a)
                 if b_first
                 else inner_product_exponent(phi, a, b)
             )
-            row.append(root_power(m, e))
-        forms.append(row)
+            % m
+            for a in elements
+        ]
+        for b in elements
+    ]
 
-    acc: dict[tuple[int, ...], CycInt] = {}
+    # Expand prod_b (form_b)^(counts_b) in Z[x]/(x^m - 1): poly is keyed
+    # (count vector, s) for the power x^s; acc keeps each count vector's m
+    # integer coefficients of x^0, ..., x^(m-1).
+    acc: dict[tuple[int, ...], list[int]] = {}
     for counts, coeff in E.terms:
-        # Expand prod_b (form_b)^(counts_b) into count-vector monomials.
-        poly: dict[tuple[int, ...], CycInt] = {
-            (0,) * card: CycInt.from_int(m, 1)
-        }
+        poly = {((0,) * card, 0): coeff}
         for b_idx, mult in enumerate(counts):
+            row = forms[b_idx]
             for _ in range(mult):
-                nxt: dict[tuple[int, ...], CycInt] = {}
-                for key, val in poly.items():
-                    for a_idx in range(card):
-                        cf = forms[b_idx][a_idx]
-                        if cf.is_zero():
-                            continue
-                        new_key = list(key)
-                        new_key[a_idx] += 1
-                        tk = tuple(new_key)
-                        prev = nxt.get(tk)
-                        term = val * cf
-                        nxt[tk] = term if prev is None else prev + term
+                nxt: dict[tuple[tuple[int, ...], int], int] = {}
+                for (key, s), val in poly.items():
+                    for a_idx, e in enumerate(row):
+                        tk = (
+                            key[:a_idx] + (key[a_idx] + 1,) + key[a_idx + 1 :],
+                            (s + e) % m,
+                        )
+                        nxt[tk] = nxt.get(tk, 0) + val
                 poly = nxt
-        for key, val in poly.items():
-            scaled = val * coeff
-            prev = acc.get(key)
-            acc[key] = scaled if prev is None else prev + scaled
+        for (key, s), val in poly.items():
+            acc.setdefault(key, [0] * m)[s] += val
 
+    # x -> zeta_m maps onto Z[zeta_m]; CycInt reduces modulo Phi_m once
+    # per output monomial.
     divisor = E.total
     out: dict[tuple[int, ...], int] = {}
-    for key, val in acc.items():
-        reduced = val.divide_exact(divisor)
+    for key, powers in acc.items():
         try:
-            c = reduced.as_int()
+            c = CycInt(m, tuple(powers)).divide_exact(divisor).as_int()
         except ValueError as exc:
             raise NonIntegralError(str(exc)) from exc
         if c:

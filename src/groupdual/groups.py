@@ -9,6 +9,7 @@ matrices acting on row vectors (row i = image of g_i).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
@@ -250,14 +251,22 @@ def subgroup_from_elements(
     elements = tuple(elements)
     if any(e.parent != parent for e in elements):
         raise ValueError("element does not belong to the given group")
-    elems = sorted({e.coords for e in elements})
-    basis, span = _span(parent.orders, elems)
-    if len(span) != len(elems):
+    return _closed_subgroup(parent, sorted({e.coords for e in elements}))
+
+
+def _closed_subgroup(
+    parent: GroupSpec, coords: Sequence[tuple[int, ...]]
+) -> Subgroup:
+    """The subgroup on `coords`, which must be sorted, distinct and reduced;
+    closure is checked, and each element and basis member is built once."""
+    basis, span = _span(parent.orders, coords)
+    if len(span) != len(coords):
         raise ValueError("element set is not closed under addition")
+    elements = tuple(GroupElement(parent, c) for c in coords)
     return Subgroup(
         parent,
-        tuple(parent.element(c) for c in basis),
-        tuple(parent.element(c) for c in elems),
+        tuple(elements[bisect_left(coords, c)] for c in basis),
+        elements,
     )
 
 

@@ -40,6 +40,15 @@ def test_power_group_word_and_blocks_roundtrip():
     assert P.blocks(w) == blocks
 
 
+def test_power_group_spec_is_built_once():
+    A = make_group([2, 4])
+    P = PowerGroup(A, 3)
+    assert P.spec is P.spec
+    assert P.spec == make_group([2, 4, 2, 4, 2, 4])
+    assert P == PowerGroup(A, 3) and hash(P) == hash(PowerGroup(A, 3))
+    assert "spec" not in repr(P)
+
+
 def test_size_condition_and_double_duals():
     for orders, n in [([2, 2], 2), ([2, 4], 1), ([3, 3], 1), ([8], 2)]:
         A = make_group(orders)

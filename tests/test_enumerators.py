@@ -19,7 +19,10 @@ from groupdual import (
     right_dual,
 )
 from groupdual.codes import PowerGroup
+from groupdual.cyclotomic import root_power
+from groupdual.dualities import inner_product_exponent
 from groupdual.enumerators import (
+    CompleteEnumerator,
     NonIntegralError,
     complete_value_function,
     fourier_inverse_check,
@@ -122,6 +125,105 @@ def test_non_integral_transform_is_an_error():
     fake = HammingEnumerator(1, (1, 2))
     with pytest.raises(NonIntegralError):
         mw_hamming_transform(fake, 4, 7)
+
+
+def test_non_integral_complete_transform_is_an_error():
+    # Three monomials, so the transform is divided by 3, which does not
+    # divide the coefficients that come out over (2,2).
+    A = make_group([2, 2])
+    phi = all_dualities(A)[0]
+    fake = CompleteEnumerator(
+        A, 1, (((1, 0, 0, 0), 1), ((0, 1, 0, 0), 1), ((0, 0, 1, 0), 1))
+    )
+    for side in ("left", "right"):
+        for direction in ("dual_from_code", "code_from_dual"):
+            with pytest.raises(NonIntegralError):
+                mw_complete_transform(fake, phi, side, direction)
+
+
+# Phi(b, a) (True) or Phi(a, b) (False) for the substituted index b, per
+# (direction, side); kept apart from the library's own table.
+_REFERENCE_B_FIRST = {
+    ("code_from_dual", "left"): True,
+    ("code_from_dual", "right"): False,
+    ("dual_from_code", "left"): False,
+    ("dual_from_code", "right"): True,
+}
+
+
+def _reference_complete_transform(E, phi, side, direction):
+    """The transform expanded in Z[zeta_m], one CycInt product and reduction
+    per term: the reference for the group-ring expansion."""
+    A = E.base
+    b_first = _REFERENCE_B_FIRST[(direction, side)]
+    m = A.exponent
+    elements = list(A.elements())
+    card = A.cardinality
+    forms = [
+        [
+            root_power(
+                m,
+                inner_product_exponent(phi, b, a)
+                if b_first
+                else inner_product_exponent(phi, a, b),
+            )
+            for a in elements
+        ]
+        for b in elements
+    ]
+    acc = {}
+    for counts, coeff in E.terms:
+        poly = {(0,) * card: CycInt.from_int(m, 1)}
+        for b_idx, mult in enumerate(counts):
+            for _ in range(mult):
+                nxt = {}
+                for key, val in poly.items():
+                    for a_idx in range(card):
+                        new_key = list(key)
+                        new_key[a_idx] += 1
+                        tk = tuple(new_key)
+                        term = val * forms[b_idx][a_idx]
+                        nxt[tk] = nxt[tk] + term if tk in nxt else term
+                poly = nxt
+        for key, val in poly.items():
+            scaled = val * coeff
+            acc[key] = acc[key] + scaled if key in acc else scaled
+    out = {}
+    for key, val in acc.items():
+        c = val.divide_exact(E.total).as_int()
+        if c:
+            out[key] = c
+    return CompleteEnumerator(A, E.n, tuple(sorted(out.items())))
+
+
+@pytest.mark.parametrize(
+    "orders", [[2, 4], [3, 3], [8], [9], [5], [7], [2, 6]]
+)
+def test_complete_transform_matches_cycint_reference(orders):
+    rng = random.Random(sum(orders) * 1000 + len(orders))
+    A = make_group(orders)
+    dualities = all_dualities(A)
+    for n in (1, 2, 3):
+        P = PowerGroup(A, n)
+        if P.spec.cardinality > 512:
+            continue
+        for _ in range(3):
+            gens = [
+                P.spec.element([rng.randrange(d) for d in P.spec.orders])
+                for _ in range(rng.randint(1, 2))
+            ]
+            C = code_from_generators(A, n, gens)
+            phi = rng.choice(dualities)
+            cases = [
+                (cwe(C), "left", "dual_from_code"),
+                (cwe(C), "right", "dual_from_code"),
+                (cwe(left_dual(C, phi)), "left", "code_from_dual"),
+                (cwe(right_dual(C, phi)), "right", "code_from_dual"),
+            ]
+            for E, side, direction in cases:
+                assert mw_complete_transform(
+                    E, phi, side, direction
+                ) == _reference_complete_transform(E, phi, side, direction)
 
 
 def test_fourier_inversion_on_seeded_random_functions():
