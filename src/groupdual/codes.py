@@ -17,6 +17,7 @@ from .cyclotomic import CycInt
 from .characters import Character, pairing_exponent
 from .dualities import (
     Duality,
+    _duality_from_gram,
     _pairing_forms,
     adjoint,
     all_dualities,
@@ -425,11 +426,8 @@ def _pair_duality_direct_sum(
             + factor_exp(ka, kb, basis_k, coords_k)
         ) % m
 
-    from .dualities import _duality_from_iexp_on_generators
-
     gens = A.generators()
-    exps = [[iexp(gi, gj) for gj in gens] for gi in gens]
-    return _duality_from_iexp_on_generators(A, exps)
+    return _duality_from_gram(A, [[iexp(gi, gj) for gj in gens] for gi in gens])
 
 
 def mult_by_p_filtration(

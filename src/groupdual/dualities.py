@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional
 
 from .cyclotomic import CycInt, root_power
@@ -67,6 +68,16 @@ def inner_product_exponent(
     return sum(w * x * y for w, x, y in zip(A.weights, at.coords, b.coords)) % m
 
 
+def _gram(phi: Duality) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix G of phi, G_ij = w_j tau_ij mod m, so that
+    Phi(a, b) = zeta_m^(a G b^T) and G_ij is the exponent of Phi(g_i, g_j)."""
+    A = phi.parent
+    m, w = A.exponent, A.weights
+    return tuple(
+        tuple(t * w_j % m for t, w_j in zip(row, w)) for row in phi.tau.matrix
+    )
+
+
 def _pairing_forms(
     phi: Duality, words: Iterable[tuple[int, ...]], left: bool
 ) -> list[tuple[int, ...]]:
@@ -74,16 +85,12 @@ def _pairing_forms(
     `left` and Phi(c, x) = zeta_m^(f . x) otherwise.
 
     A word longer than phi's rank is read block by block, as a word of A^n
-    under the coordinatewise extension of phi.  On each block f = M c with
-      left:  f_j = sum_i tau_ji w_i c_i;
-      right: f_i = w_i sum_j tau_ji c_j.
+    under the coordinatewise extension of phi.  On each block f = G c when
+    `left` and f = G^T c otherwise, with G = _gram(phi).
     """
-    A = phi.parent
-    k, m, w, tau = A.rank, A.exponent, A.weights, phi.tau.matrix
-    if left:
-        M = [[tau[j][i] * w[i] for i in range(k)] for j in range(k)]
-    else:
-        M = [[w[i] * tau[j][i] for j in range(k)] for i in range(k)]
+    k, m = phi.parent.rank, phi.parent.exponent
+    G = _gram(phi)
+    M = G if left else tuple(zip(*G))
     return [
         tuple(
             sum(a * b for a, b in zip(row, c[s : s + k])) % m
@@ -98,38 +105,48 @@ def inner_product_value(phi: Duality, a: GroupElement, b: GroupElement) -> CycIn
     return root_power(phi.parent.exponent, inner_product_exponent(phi, a, b))
 
 
-def _duality_from_iexp_on_generators(A: GroupSpec, exps) -> Duality:
-    """Recover the duality whose inner-product exponents on generator pairs
-    are exps[i][j]; each exps[i][j] must be divisible by w_j."""
+def _rows_from_gram(A: GroupSpec, G) -> tuple[tuple[int, ...], ...]:
+    """The tau rows of the duality with Gram matrix G (see `_gram`): tau_ij
+    = G_ij / w_j; each G_ij must be divisible by w_j modulo m."""
+    m = A.exponent
     rows = []
-    for i in range(A.rank):
-        row = []
-        for j in range(A.rank):
-            e = exps[i][j] % A.exponent
-            w_j = A.weights[j]
+    for row in G:
+        out = []
+        for g, w_j in zip(row, A.weights):
+            e = g % m
             if e % w_j != 0:
                 raise AssertionError("inner-product exponent has impossible order")
-            row.append((e // w_j) % A.orders[j])
-        rows.append(tuple(row))
-    return Duality(Automorphism(A, A, tuple(rows)))
+            out.append(e // w_j)
+        rows.append(tuple(out))
+    return tuple(rows)
 
 
-def adjoint(phi: Duality, verify: bool = True) -> Duality:
-    """phi*, the duality with <phi*(a), b> = <phi(b), a>."""
-    A = phi.parent
-    gens = A.generators()
-    exps = [
-        [inner_product_exponent(phi, gens[j], gens[i]) for j in range(A.rank)]
-        for i in range(A.rank)
-    ]
-    star = _duality_from_iexp_on_generators(A, exps)
-    if verify and A.cardinality <= 256:
-        for a in A.elements():
-            for b in A.elements():
-                if inner_product_exponent(star, a, b) != inner_product_exponent(
-                    phi, b, a
-                ):
-                    raise AssertionError("adjoint fails its defining identity")
+def _duality_from_gram(A: GroupSpec, G) -> Duality:
+    """The duality whose inner-product exponents on generator pairs are
+    G[i][j]."""
+    return Duality(Automorphism(A, A, _rows_from_gram(A, G)))
+
+
+def _conjugate_gram(G, S, m: int) -> tuple[tuple[int, ...], ...]:
+    """S G S^T mod m: the Gram matrix of Phi(a tau, b tau) when tau has
+    matrix S and Phi has Gram matrix G."""
+    SG = [[sum(map(mul, s, col)) for col in zip(*G)] for s in S]
+    return tuple(tuple(sum(map(mul, r, s)) % m for s in S) for r in SG)
+
+
+def adjoint(phi: Duality) -> Duality:
+    """phi*, the duality with <phi*(a), b> = <phi(b), a>.
+
+    With G = _gram(phi), Phi(a, b) = zeta_m^(a G b^T).  Both sides of the
+    defining identity are bi-additive in (a, b): tau is admissible and
+    w_l d_l = m, so each exponent is well defined on residues.  They
+    therefore agree on all |A|^2 pairs exactly when they agree on the k^2
+    generator pairs, i.e. when G(phi*) = G(phi)^T; that is checked on
+    every call, for every |A|."""
+    G_T = tuple(zip(*_gram(phi)))
+    star = _duality_from_gram(phi.parent, G_T)
+    if _gram(star) != G_T:
+        raise AssertionError("adjoint fails its defining identity")
     return star
 
 
@@ -140,15 +157,9 @@ def is_symmetric(phi: Duality) -> bool:
 def conjugate_duality(phi: Duality, tau: Automorphism) -> Duality:
     """tau* o phi o tau, i.e. Phi'(a, b) = Phi(a tau, b tau)."""
     A = phi.parent
-    gens = A.generators()
-    exps = [
-        [
-            inner_product_exponent(phi, tau.apply(gens[i]), tau.apply(gens[j]))
-            for j in range(A.rank)
-        ]
-        for i in range(A.rank)
-    ]
-    return _duality_from_iexp_on_generators(A, exps)
+    if tau.parent != A:
+        raise ValueError("automorphism of a different group")
+    return _duality_from_gram(A, _conjugate_gram(_gram(phi), tau.matrix, A.exponent))
 
 
 def congruent(
@@ -157,8 +168,9 @@ def congruent(
     """A witness tau with phi2 = tau* o phi1 o tau, or None."""
     if phi1.parent != phi2.parent:
         raise ValueError("dualities of different groups")
+    G1, G2, m = _gram(phi1), _gram(phi2), phi1.parent.exponent
     for tau in automorphism_group(phi1.parent, limits):
-        if conjugate_duality(phi1, tau) == phi2:
+        if _conjugate_gram(G1, tau.matrix, m) == G2:
             return tau
     return None
 
@@ -167,21 +179,24 @@ def congruence_classes(
     A: GroupSpec, limits: Limits | None = None
 ) -> list[list[Duality]]:
     """Orbit partition of all dualities under congruence; each class is
-    sorted canonically and classes are ordered by their least member."""
+    sorted canonically and classes are ordered by their least member.
+
+    Orbits are computed on Gram matrices; a conjugate whose tau matrix is
+    not in Aut(A) would be a KeyError in `index`."""
     dualities = all_dualities(A, limits)
-    auts = automorphism_group(A, limits)
     index = {phi.tau.matrix: i for i, phi in enumerate(dualities)}
+    m = A.exponent
     assigned = [False] * len(dualities)
     classes = []
     for i, phi in enumerate(dualities):
         if assigned[i]:
             continue
-        orbit = sorted(
-            {conjugate_duality(phi, tau).tau.matrix for tau in auts}
-        )
-        for mat in orbit:
-            assigned[index[mat]] = True
-        classes.append([dualities[index[mat]] for mat in orbit])
+        G = _gram(phi)
+        grams = {_conjugate_gram(G, S, m) for S in index}
+        orbit = [index[mat] for mat in sorted(_rows_from_gram(A, H) for H in grams)]
+        for j in orbit:
+            assigned[j] = True
+        classes.append([dualities[j] for j in orbit])
     return classes
 
 

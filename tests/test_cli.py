@@ -1,10 +1,14 @@
 """CLI surface: exit codes, text/JSON output, golden table stability."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from groupdual import cli
 from groupdual.cli import run
 from groupdual.tables import PAPER_TABLES, paper_table
 
@@ -183,6 +187,35 @@ def test_bad_duality_index_is_domain_error(capsys):
 def test_usage_error_exit_code(capsys):
     assert _run(capsys, "dualities")[0] == 2  # missing --group
     assert _run(capsys, "no-such-command")[0] == 2
+
+
+def test_consecutive_runs_match_separate_runs(capsys):
+    argvs = [
+        ["dualities", "--group", "3,3", "--count-only"],
+        ["dualities", "--group", "2,4", "--no-such-flag"],
+        ["congruence", "--group", "2,2", "--format", "json"],
+        ["dual", "--group", "2,4", "--code-gens", "02", "--duality-index", "0"],
+        ["group", "--group", "2,4", "--subgroups"],
+        ["macwilliams", "--help"],
+        ["dualities", "--group", "2,4", "--list"],
+    ]
+    separate = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        separate.append(_run(capsys, *argv))
+    assert [code for code, _, _ in separate] == [0, 2, 0, 2, 0, 0, 0]
+    consecutive = [_run(capsys, *argv) for argv in argvs]
+    assert consecutive == separate
+    assert cli._parser.cache_info().currsize == 1
+
+
+def test_parser_is_not_built_at_import():
+    code = "import groupdual.cli as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_limit_flag_triggers_limit_error(capsys):

@@ -30,9 +30,10 @@ from groupdual import (
     same_duals_everywhere,
     symmetric_ratio,
 )
+from groupdual import dualities as dualities_module
 from groupdual.codes import PowerGroup
 from groupdual.dualities import _pairing_forms
-from groupdual.groups import automorphism_group
+from groupdual.groups import automorphism_group, identity_automorphism
 
 
 def test_duality_count_equals_aut_count():
@@ -88,16 +89,39 @@ def test_pairing_forms_agree_with_inner_product_exponent(A, n, data):
                 assert sum(a * b for a, b in zip(f, x.coords)) % m == expected
 
 
+CENSUS_GROUPS = (
+    [2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27]
+)
+
+
 def test_adjoint_defining_identity_exhaustively():
-    for orders in ([2, 2], [2, 4], [3, 3]):
+    for orders in CENSUS_GROUPS:
         A = make_group(orders)
+        elements = list(A.elements())
         for phi in all_dualities(A):
             star = adjoint(phi)
-            for a in A.elements():
-                for b in A.elements():
+            for a in elements:
+                for b in elements:
                     assert inner_product_exponent(
                         star, a, b
                     ) == inner_product_exponent(phi, b, a)
+
+
+@pytest.mark.parametrize("orders", [[2, 4], [257]])
+def test_adjoint_rejects_a_corrupted_result(monkeypatch, orders):
+    # |A| = 257 > 256: the identity is checked for every group size.
+    A = make_group(orders)
+    dualities = all_dualities(A)[:8]
+    assert all(adjoint(adjoint(phi)) == phi for phi in dualities)
+    build = dualities_module._duality_from_gram
+    monkeypatch.setattr(
+        dualities_module,
+        "_duality_from_gram",
+        lambda A, G: negation_duality(build(A, G)),
+    )
+    for phi in dualities:
+        with pytest.raises(AssertionError, match="defining identity"):
+            adjoint(phi)
 
 
 def test_adjoint_is_an_involution():
@@ -132,26 +156,72 @@ def test_canonical_duality_is_symmetric_everywhere():
 
 
 def test_conjugation_identity():
-    A = make_group([2, 4])
-    auts = automorphism_group(A)
-    for phi in all_dualities(A)[:3]:
-        for tau in auts:
-            conj = conjugate_duality(phi, tau)
-            for a in A.elements():
-                for b in A.elements():
-                    assert inner_product_exponent(
-                        conj, a, b
-                    ) == inner_product_exponent(phi, tau.apply(a), tau.apply(b))
+    for orders in ([2, 4], [3, 3], [2, 2, 2]):
+        A = make_group(orders)
+        elements = list(A.elements())
+        auts = automorphism_group(A)
+        for phi in all_dualities(A)[:3]:
+            for tau in auts:
+                conj = conjugate_duality(phi, tau)
+                for a in elements:
+                    for b in elements:
+                        assert inner_product_exponent(
+                            conj, a, b
+                        ) == inner_product_exponent(phi, tau.apply(a), tau.apply(b))
+    phi = canonical_duality(make_group([2, 4]))
+    with pytest.raises(ValueError, match="different group"):
+        conjugate_duality(phi, identity_automorphism(make_group([4, 2])))
 
 
 def test_congruent_returns_a_valid_witness():
-    A = make_group([2, 2])
+    # (2,2,2) has 168 dualities, so only the first few are taken as phi1.
+    for orders, first in (([2, 2], 6), ([3, 3], 48), ([2, 2, 2], 4)):
+        A = make_group(orders)
+        dualities = all_dualities(A)
+        class_of = {
+            phi: i for i, cls in enumerate(congruence_classes(A)) for phi in cls
+        }
+        for phi1 in dualities[:first]:
+            for phi2 in dualities:
+                tau = congruent(phi1, phi2)
+                assert (tau is not None) == (class_of[phi1] == class_of[phi2])
+                if tau is not None:
+                    assert conjugate_duality(phi1, tau) == phi2
+
+
+def _brute_force_congruence_classes(A):
+    """Oracle: orbits of the dualities under phi -> tau* o phi o tau, each
+    conjugate identified by its exponents inner_product_exponent(phi, g_i tau,
+    g_j tau) on generator pairs; classes sorted and ordered as documented."""
+    gens = A.generators()
     dualities = all_dualities(A)
-    for phi1 in dualities:
-        for phi2 in dualities:
-            tau = congruent(phi1, phi2)
-            if tau is not None:
-                assert conjugate_duality(phi1, tau) == phi2
+
+    def exponents(phi, tau):
+        images = [tau.apply(g) for g in gens]
+        return tuple(
+            tuple(inner_product_exponent(phi, x, y) for y in images) for x in images
+        )
+
+    identity = identity_automorphism(A)
+    by_exponents = {exponents(phi, identity): phi for phi in dualities}
+    auts = automorphism_group(A)
+    seen = set()
+    classes = []
+    for phi in dualities:
+        if phi in seen:
+            continue
+        orbit = {by_exponents[exponents(phi, tau)] for tau in auts}
+        seen |= orbit
+        classes.append(sorted(orbit, key=lambda d: d.tau.matrix))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "orders", [[2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2]]
+)
+def test_congruence_classes_match_brute_force_orbits(orders):
+    A = make_group(orders)
+    assert congruence_classes(A) == _brute_force_congruence_classes(A)
 
 
 def test_klein_congruence_classes():
