@@ -183,11 +183,14 @@ def _cmd_duals_table(args) -> int:
     else:
         subs = [s for s in subs if 1 < s.order < A.cardinality]
     rows = duals_table(A, subs, limits=limits)
+    # The duals are a few distinct subgroups repeated across many rows;
+    # each is formatted once.
+    name = cache(str)
     json_rows = []
     lines = ["subgroups: " + " ".join(str(s) for s in subs)]
     for row in rows:
         duals = [
-            {"left": str(d["left"]), "right": str(d["right"])}
+            {"left": name(d["left"]), "right": name(d["right"])}
             for d in row["duals"]
         ]
         json_rows.append({"tau": row["tau"], "duals": duals})

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import CycInt
 from .characters import Character, pairing_exponent
@@ -21,6 +21,7 @@ from .dualities import (
     _pairing_forms,
     adjoint,
     all_dualities,
+    canonical_duality,
     inner_product_value,
     is_symmetric,
 )
@@ -30,6 +31,7 @@ from .groups import (
     GroupSpec,
     Subgroup,
     _closed_subgroup,
+    _image,
     _span,
     _zero_set,
     all_subgroups,
@@ -476,20 +478,21 @@ def _filtration_is_dual(
     limits: Limits | None = None,
 ) -> bool:
     """Whether every (ker, im) level of a computed filtration is a mutual
-    left/right dual pair under every duality of A."""
-    for phi in all_dualities(A, limits):
-        for ker, im in pairs:
-            cker = code_from_subgroup(A, 1, ker)
-            cim = code_from_subgroup(A, 1, im)
-            if left_dual(cker, phi).subgroup != im:
-                return False
-            if right_dual(cker, phi).subgroup != im:
-                return False
-            if left_dual(cim, phi).subgroup != ker:
-                return False
-            if right_dual(cim, phi).subgroup != ker:
-                return False
-    return True
+    left/right dual pair under every duality of A.
+
+    Every dual is L_0 of an automorphic image of the subgroup (see
+    `_duals_by_image`), so both duals of a characteristic subgroup are L_0
+    of it under every duality.  Conversely L_0 is injective on subgroups,
+    so equal duals under every tau force H tau = H.  The test is therefore
+    that every level is characteristic and that L_0 swaps ker and im."""
+    if not all(is_characteristic(H, limits) for level in pairs for H in level):
+        return False
+    phi0 = canonical_duality(A)
+    return all(
+        left_dual(code_from_subgroup(A, 1, H), phi0, limits).subgroup == K
+        for ker, im in pairs
+        for H, K in ((ker, im), (im, ker))
+    )
 
 
 @dataclass(frozen=True)
@@ -507,22 +510,14 @@ def duality_dependence(
 ) -> DependenceReport:
     A = H.parent
     dualities = all_dualities(A, limits)
-    CH = code_from_subgroup(A, 1, H)
-
-    def partition(side) -> list[tuple[Subgroup, tuple[int, ...]]]:
-        buckets: dict[frozenset, tuple[Subgroup, list[int]]] = {}
-        for idx, phi in enumerate(dualities):
-            dual = side(CH, phi).subgroup
-            key = dual.element_set()
-            buckets.setdefault(key, (dual, []))[1].append(idx)
-        return [
-            (sub, tuple(ids)) for sub, ids in sorted(
-                buckets.values(), key=lambda t: t[1][0]
-            )
-        ]
-
-    left = partition(left_dual)
-    right = partition(right_dual)
+    left_ids: dict[Subgroup, list[int]] = {}
+    right_ids: dict[Subgroup, list[int]] = {}
+    for idx, ((L, R),) in enumerate(_duals_by_image(A, [H], dualities, limits)):
+        left_ids.setdefault(L, []).append(idx)
+        right_ids.setdefault(R, []).append(idx)
+    # Classes come in order of their least duality index.
+    left = [(sub, tuple(ids)) for sub, ids in left_ids.items()]
+    right = [(sub, tuple(ids)) for sub, ids in right_ids.items()]
     char = is_characteristic(H, limits)
 
     stab = stabilizer(H, limits)
@@ -549,6 +544,49 @@ def duality_dependence(
     )
 
 
+def _duals_by_image(
+    A: GroupSpec,
+    subgroups: Sequence[Subgroup],
+    dualities: Iterable[Duality],
+    limits: Limits | None,
+) -> Iterator[list[tuple[Subgroup, Subgroup]]]:
+    """Per duality phi, [(L_phi(H), R_phi(H)) for H in subgroups].
+
+    With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau), and L_phi(H) =
+    R_phi*(H) = L_0(H tau*) with tau* the tau of phi*.  So every dual is
+    the canonical annihilator L_0 of an image of H, spanned by the images
+    of H's generators.  L_0 is scanned by `_dual_scan` under phi_0 once per
+    distinct image in this call, and looked up afterwards.  Many tau map
+    H's generators to the same tuple, so L_0 is also memoised by that
+    tuple, which skips spanning the image."""
+    if any(H.parent != A for H in subgroups):
+        raise ValueError("subgroup does not live in the given group")
+    phi0 = canonical_duality(A)
+    annihilators: dict[frozenset[tuple[int, ...]], Subgroup] = {}
+    by_images: dict[tuple[tuple[int, ...], ...], Subgroup] = {}
+
+    def l0(gens: list[tuple[int, ...]], matrix) -> Subgroup:
+        """L_0 of the image of <gens> under the automorphism `matrix`."""
+        images = tuple(_image(A.orders, gens, matrix))
+        dual = by_images.get(images)
+        if dual is None:
+            key = frozenset(_span(A.orders, images)[1])
+            dual = annihilators.get(key)
+            if dual is None:
+                code = code_from_subgroup(A, 1, _closed_subgroup(A, sorted(key)))
+                dual = _dual_scan(code, phi0, limits, left=True).subgroup
+                annihilators[key] = dual
+            by_images[images] = dual
+        return dual
+
+    gens = [[g.coords for g in H.generators] for H in subgroups]
+    for phi in dualities:
+        if phi.parent != A:
+            raise ValueError("duality of a different group")
+        tau, star = phi.tau.matrix, adjoint(phi).tau.matrix
+        yield [(l0(g, star), l0(g, tau)) for g in gens]
+
+
 def duals_table(
     A: GroupSpec,
     subgroups: Sequence[Subgroup],
@@ -558,16 +596,12 @@ def duals_table(
     """One row per duality: its tau matrix and the left/right dual of each
     selected subgroup, in the order given."""
     dualities = list(dualities) if dualities is not None else all_dualities(A, limits)
-    rows = []
-    for phi in dualities:
-        entry = {"tau": [list(r) for r in phi.tau.matrix], "duals": []}
-        for H in subgroups:
-            CH = code_from_subgroup(A, 1, H)
-            entry["duals"].append(
-                {
-                    "left": left_dual(CH, phi).subgroup,
-                    "right": right_dual(CH, phi).subgroup,
-                }
-            )
-        rows.append(entry)
-    return rows
+    return [
+        {
+            "tau": [list(r) for r in phi.tau.matrix],
+            "duals": [{"left": L, "right": R} for L, R in duals],
+        }
+        for phi, duals in zip(
+            dualities, _duals_by_image(A, subgroups, dualities, limits)
+        )
+    ]

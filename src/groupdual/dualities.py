@@ -151,7 +151,10 @@ def adjoint(phi: Duality) -> Duality:
 
 
 def is_symmetric(phi: Duality) -> bool:
-    return adjoint(phi) == phi
+    """phi* = phi.  G determines tau (tau_ij = G_ij / w_j) and G(phi*) =
+    G(phi)^T, so this is G = G^T; phi* itself is never built."""
+    G = _gram(phi)
+    return G == tuple(zip(*G))
 
 
 def conjugate_duality(phi: Duality, tau: Automorphism) -> Duality:

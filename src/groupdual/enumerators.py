@@ -47,9 +47,6 @@ class CompleteEnumerator:
     n: int
     terms: tuple[tuple[tuple[int, ...], int], ...]
 
-    def term_map(self) -> dict[tuple[int, ...], int]:
-        return dict(self.terms)
-
     @property
     def total(self) -> int:
         return sum(c for _, c in self.terms)

@@ -363,9 +363,10 @@ class Homomorphism:
     def map_subgroup(self, H: Subgroup) -> Subgroup:
         if H.parent != self.source:
             raise ValueError("subgroup does not live in the source group")
-        return subgroup_from_elements(
-            self.target, [self.apply(h) for h in H.elements]
-        )
+        orders = self.target.orders
+        gens = (h.coords for h in H.generators)
+        image = _span(orders, _image(orders, gens, self.matrix))[1]
+        return _closed_subgroup(self.target, sorted(image))
 
 
 @dataclass(frozen=True)
@@ -455,14 +456,32 @@ def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
     return tuple(auts)
 
 
+def _image(
+    orders: tuple[int, ...],
+    gens: Iterable[tuple[int, ...]],
+    matrix: Sequence[Sequence[int]],
+) -> list[tuple[int, ...]]:
+    """The images of the coordinate tuples `gens` under the homomorphism
+    with `matrix` (row i = image of g_i) into prod Z/d_i, d = `orders`.
+    They generate the image of <gens>, so `_span` of them is that image."""
+    cols = tuple(zip(*matrix))
+    return [
+        tuple(sum(map(mul, g, col)) % d for col, d in zip(cols, orders))
+        for g in gens
+    ]
+
+
 def stabilizer(
     H: Subgroup, limits: Limits | None = None
 ) -> list[Automorphism]:
-    target = H.element_set()
+    """Every tau with H tau = H.  tau is injective and H finite, so that
+    holds as soon as tau maps each generator of H into H."""
+    orders, target = H.parent.orders, H.element_set()
+    gens = [g.coords for g in H.generators]
     return [
         tau
         for tau in automorphism_group(H.parent, limits)
-        if {tau.apply(h).coords for h in H.elements} == target
+        if target.issuperset(_image(orders, gens, tau.matrix))
     ]
 
 

@@ -16,6 +16,7 @@ from groupdual import (
     subgroup_closure,
     trivial_character,
 )
+from groupdual import characters as characters_module
 from groupdual.groups import Homomorphism, all_subgroups
 
 SMALL_GROUPS = st.sampled_from(
@@ -148,3 +149,19 @@ def test_induced_hom_of_identity_is_identity():
     A = make_group([3, 3])
     ident = Homomorphism(A, A, ((1, 0), (0, 1)))
     assert induced_hom(ident).matrix == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("orders", [[2, 4], [257]])
+def test_induced_hom_rejects_a_corrupted_result(monkeypatch, orders):
+    # |A|^2 = 66049 > 65536 for Z/257: checked for every group size.
+    A = make_group(orders)
+    ident = Homomorphism(A, A, tuple(g.coords for g in A.generators()))
+    assert induced_hom(ident).matrix == ident.matrix
+    solve = characters_module._solve_congruence
+    # Negation keeps every entry admissible and changes the Z/4 or Z/257
+    # diagonal entry.
+    monkeypatch.setattr(
+        characters_module, "_solve_congruence", lambda k, s, m: -solve(k, s, m)
+    )
+    with pytest.raises(AssertionError, match="defining identity"):
+        induced_hom(ident)

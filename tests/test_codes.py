@@ -13,9 +13,11 @@ from groupdual import (
     all_dualities,
     all_subgroups,
     code_from_generators,
+    canonical_duality,
     code_from_subgroup,
     construct_duality_for_pair,
     duality_from_matrix,
+    duals_table,
     extend_duality,
     is_symmetric,
     left_dual,
@@ -27,7 +29,13 @@ from groupdual import (
     subgroup_closure,
     verify_filtration_duality,
 )
-from groupdual.codes import PowerGroup, dual_sum_check, duality_dependence
+from groupdual.codes import (
+    PowerGroup,
+    _duals_by_image,
+    _filtration_is_dual,
+    dual_sum_check,
+    duality_dependence,
+)
 from groupdual.dualities import inner_product_exponent
 
 
@@ -249,3 +257,77 @@ def test_dual_rejects_a_duality_over_another_group():
     for dual in (left_dual, right_dual):
         with pytest.raises(ValueError, match="neither over the base nor the power group"):
             dual(C, phi)
+
+
+CENSUS_GROUPS = (
+    [2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27]
+)
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS + ([2, 6], [3, 9]))
+def test_duals_by_image_match_the_scan(orders):
+    # Oracle: one scan per (duality, subgroup, side); the kernel must give
+    # the same subgroups, down to their generators.
+    A = make_group(orders)
+    subs = all_subgroups(A)
+    dualities = all_dualities(A)
+    rows = list(_duals_by_image(A, subs, dualities, None))
+    assert len(rows) == len(dualities)
+    for phi, row in zip(dualities, rows):
+        assert len(row) == len(subs)
+        for H, (L, R) in zip(subs, row):
+            CH = code_from_subgroup(A, 1, H)
+            for got, want in (
+                (L, left_dual(CH, phi).subgroup),
+                (R, right_dual(CH, phi).subgroup),
+            ):
+                assert got.elements == want.elements
+                assert got.generators == want.generators
+
+
+def _filtration_dual_under_every_duality(A, pairs):
+    """Oracle: the four duals of every level, scanned under every duality."""
+    for phi in all_dualities(A):
+        for ker, im in pairs:
+            for H, K in ((ker, im), (im, ker)):
+                CH = code_from_subgroup(A, 1, H)
+                if left_dual(CH, phi).subgroup != K:
+                    return False
+                if right_dual(CH, phi).subgroup != K:
+                    return False
+    return True
+
+
+def test_filtration_test_needs_characteristic_levels():
+    A = make_group([2, 2])
+    H = subgroup_closure(A, [A.element([1, 0])])
+    L0 = left_dual(code_from_subgroup(A, 1, H), canonical_duality(A)).subgroup
+    pairs = [(H, L0)]
+    # The pair passes under phi_0 alone, but <10> is not characteristic.
+    assert right_dual(code_from_subgroup(A, 1, H), canonical_duality(A)).subgroup == L0
+    assert left_dual(code_from_subgroup(A, 1, L0), canonical_duality(A)).subgroup == H
+    assert not _filtration_is_dual(A, pairs)
+    assert not _filtration_dual_under_every_duality(A, pairs)
+
+
+@pytest.mark.parametrize("orders", [[2, 2], [2, 4], [3, 3], [2, 8], [2, 2, 2]])
+def test_filtration_test_matches_every_duality_on_every_pair(orders):
+    A = make_group(orders)
+    subs = all_subgroups(A)
+    pairs = [(H, K) for H in subs for K in subs if H.order * K.order == A.cardinality]
+    verdicts = set()
+    for pair in pairs:
+        verdict = _filtration_is_dual(A, [pair])
+        assert verdict == _filtration_dual_under_every_duality(A, [pair])
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    levels = mult_by_p_filtration(A, A.primes()[0])
+    assert _filtration_is_dual(A, levels) == _filtration_dual_under_every_duality(A, levels)
+
+
+def test_duals_table_rejects_another_group():
+    A, B = make_group([2, 4]), make_group([2, 2])
+    with pytest.raises(ValueError, match="different group"):
+        duals_table(A, all_subgroups(A), all_dualities(B))
+    with pytest.raises(ValueError, match="does not live"):
+        duals_table(A, all_subgroups(B))

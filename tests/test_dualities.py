@@ -130,6 +130,12 @@ def test_adjoint_is_an_involution():
         assert adjoint(adjoint(phi)) == phi
 
 
+@pytest.mark.parametrize("orders", CENSUS_GROUPS + ([2, 4, 4],))
+def test_is_symmetric_agrees_with_the_adjoint(orders):
+    symmetric = [phi for phi in all_dualities(make_group(orders)) if adjoint(phi) == phi]
+    assert [phi for phi in all_dualities(make_group(orders)) if is_symmetric(phi)] == symmetric
+
+
 def test_symmetric_iff_matrix_symmetric_on_elementary_abelian():
     for orders in ([2, 2], [3, 3], [2, 2, 2]):
         A = make_group(orders)

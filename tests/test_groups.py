@@ -27,6 +27,10 @@ from groupdual import (
     subgroup_from_elements,
 )
 
+CENSUS_GROUPS = (
+    [2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27]
+)
+
 SMALL_GROUPS = st.sampled_from(
     [make_group(o) for o in ([2, 2], [2, 4], [3, 3], [8], [9], [6], [2, 2, 2])]
 )
@@ -333,3 +337,17 @@ def test_subgroup_element_set_is_computed_once():
     H = subgroup_closure(A, [A.element((1, 2))])
     assert H.element_set() is H.element_set()
     assert H.element_set() == frozenset(e.coords for e in H.elements)
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS)
+def test_stabilizer_matches_the_brute_force_filter(orders):
+    A = make_group(orders)
+    auts = automorphism_group(A)
+    for H in all_subgroups(A):
+        target = H.element_set()
+        images = [{tau.apply(h).coords for h in H.elements} for tau in auts]
+        assert stabilizer(H) == [tau for tau, im in zip(auts, images) if im == target]
+        for tau, im in zip(auts, images):
+            got = tau.map_subgroup(H)
+            want = subgroup_from_elements(A, [A.element(c) for c in im])
+            assert (got.elements, got.generators) == (want.elements, want.generators)
