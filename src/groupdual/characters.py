@@ -17,8 +17,8 @@ from .groups import (
     GroupSpec,
     Homomorphism,
     Subgroup,
+    _closed_subgroup,
     _zero_set,
-    subgroup_from_elements,
 )
 
 
@@ -78,8 +78,7 @@ def annihilator(H: Subgroup) -> Subgroup:
     """
     A = H.parent
     forms = [tuple(w * c for w, c in zip(A.weights, h.coords)) for h in H.generators]
-    members = _zero_set(A.orders, A.exponent, forms)
-    return subgroup_from_elements(A, [A.element(x) for x in members])
+    return _closed_subgroup(A, _zero_set(A.orders, A.exponent, forms))
 
 
 def double_annihilator_check(H: Subgroup) -> bool:

@@ -13,9 +13,10 @@ from functools import cache
 from typing import Sequence
 
 from .codes import (
+    AdditiveCode,
+    PowerGroup,
     UnsupportedPairError,
-    _filtration_is_dual,
-    code_from_generators,
+    _swapped_by_l0,
     construct_duality_for_pair,
     duals_table,
     left_dual,
@@ -133,28 +134,17 @@ def _duality_by_index(A: GroupSpec, index: int, limits: Limits):
     return dualities[index]
 
 
-def _parse_code(A: GroupSpec, n: int, gen_words: Sequence[str]):
-    gens = [
-        PowerParse(A, n).parse(word) for word in gen_words
-    ]
-    return code_from_generators(A, n, gens)
-
-
-class PowerParse:
-    """Parse a length-n codeword as n base-group element words joined by ':'
-    (or a single word when n = 1)."""
-
-    def __init__(self, A: GroupSpec, n: int) -> None:
-        from .codes import PowerGroup
-
-        self.power = PowerGroup(A, n)
-
-    def parse(self, word: str):
-        A = self.power.base
-        parts = word.split(":") if self.power.n > 1 else [word]
-        if len(parts) != self.power.n:
-            raise ValueError(f"expected {self.power.n} blocks in {word!r}")
-        return self.power.word([A.parse_element(p) for p in parts])
+def _parse_code(A: GroupSpec, n: int, gen_words: Sequence[str]) -> AdditiveCode:
+    """The code generated by length-n codewords, each written as n
+    base-group element words joined by ':' (or a single word when n = 1)."""
+    power = PowerGroup(A, n)
+    gens = []
+    for word in gen_words:
+        parts = word.split(":") if n > 1 else [word]
+        if len(parts) != n:
+            raise ValueError(f"expected {n} blocks in {word!r}")
+        gens.append(power.word([A.parse_element(p) for p in parts]))
+    return AdditiveCode(power, subgroup_closure(power.spec, gens))
 
 
 def _cmd_dual(args) -> int:
@@ -178,7 +168,7 @@ def _cmd_duals_table(args) -> int:
     A = _parse_group(args.group)
     limits = _limits(args)
     subs = all_subgroups(A, limits)
-    if args.order:
+    if args.order is not None:
         subs = [s for s in subs if s.order == args.order]
     else:
         subs = [s for s in subs if 1 < s.order < A.cardinality]
@@ -221,11 +211,12 @@ def _cmd_filtration(args) -> int:
     A = _parse_group(args.group)
     limits = _limits(args)
     primes = A.primes()
-    p = args.p or (primes[0] if len(primes) == 1 else None)
+    p = args.p if args.p is not None else (primes[0] if len(primes) == 1 else None)
     if p is None:
         raise ValueError("group is not a p-group; pass --p")
+    # mult_by_p_filtration has checked that every level is characteristic.
     pairs = mult_by_p_filtration(A, p, limits)
-    ok = _filtration_is_dual(A, pairs, limits)
+    ok = _swapped_by_l0(A, pairs, limits)
     json_out = {
         "p": p,
         "levels": [

@@ -1,9 +1,12 @@
 """Additive codes C in A^n and their left/right dual codes.
 
-Dual codes are computed by a full scan of the ambient group against the
-integer pairing forms of a basis of the code's generators; no
+Every dual code is the zero set of the integer pairing forms of the
+code's generators, found by a full scan of the ambient group; no
 linear-algebra solver, so the golden tables cannot be contaminated by
-solver bugs.
+solver bugs.  With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau) and
+L_phi(H) = L_0(H tau*): every dual is the canonical annihilator L_0 of an
+automorphic image, and `_duals_by_image` shares one scan among all the
+dualities that give the same image.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import CycInt
@@ -19,7 +23,6 @@ from .dualities import (
     Duality,
     _duality_from_gram,
     _pairing_forms,
-    adjoint,
     all_dualities,
     canonical_duality,
     inner_product_value,
@@ -31,7 +34,6 @@ from .groups import (
     GroupSpec,
     Subgroup,
     _closed_subgroup,
-    _image,
     _span,
     _zero_set,
     all_subgroups,
@@ -237,30 +239,23 @@ def construct_duality_for_pair(
 def search_duality_for_pair(
     H: Subgroup, K: Subgroup, limits: Limits | None = None
 ) -> Optional[Duality]:
-    """Exhaustive fallback: scan all dualities for one pairing H with K."""
-    A = H.parent
-    for phi in all_dualities(A, limits):
-        if _pair_holds(phi, H, K):
+    """Exhaustive fallback: the first duality, in Aut(A) order, pairing H
+    with K.  One `_duals_by_image` call serves every duality."""
+    dualities = all_dualities(H.parent, limits)
+    rows = _duals_by_image(H.parent, [H], dualities, None)
+    for phi, ((L, R),) in zip(dualities, rows):
+        if L == R == K:
             return phi
     return None
 
 
-def _pair_holds(phi: Duality, H: Subgroup, K: Subgroup) -> bool:
-    A = H.parent
-    CH = code_from_subgroup(A, 1, H)
-    CK = code_from_subgroup(A, 1, K)
-    return (
-        left_dual(CH, phi).subgroup == K
-        and right_dual(CH, phi).subgroup == K
-        and left_dual(CK, phi).subgroup == H
-        and right_dual(CK, phi).subgroup == H
-    )
-
-
 def _assert_pair_duality(phi: Duality, H: Subgroup, K: Subgroup) -> None:
+    """phi must be symmetric with L_phi(H) = R_phi(H) = K; then also
+    L_phi(K) = L_phi(R_phi(H)) = H and R_phi(K) = H, as double duals."""
     if not is_symmetric(phi):
         raise AssertionError("constructed duality is not symmetric")
-    if not _pair_holds(phi, H, K):
+    ((L, R),) = next(_duals_by_image(H.parent, [H], [phi], None))
+    if not L == R == K:
         raise AssertionError("constructed duality does not pair H with K")
 
 
@@ -469,7 +464,8 @@ def verify_filtration_duality(
         if len(primes) != 1:
             raise ValueError("group is not a p-group")
         p = primes[0]
-    return _filtration_is_dual(A, mult_by_p_filtration(A, p, limits), limits)
+    # mult_by_p_filtration has checked that every level is characteristic.
+    return _swapped_by_l0(A, mult_by_p_filtration(A, p, limits), limits)
 
 
 def _filtration_is_dual(
@@ -487,12 +483,17 @@ def _filtration_is_dual(
     that every level is characteristic and that L_0 swaps ker and im."""
     if not all(is_characteristic(H, limits) for level in pairs for H in level):
         return False
-    phi0 = canonical_duality(A)
-    return all(
-        left_dual(code_from_subgroup(A, 1, H), phi0, limits).subgroup == K
-        for ker, im in pairs
-        for H, K in ((ker, im), (im, ker))
-    )
+    return _swapped_by_l0(A, pairs, limits)
+
+
+def _swapped_by_l0(
+    A: GroupSpec, pairs: Sequence[tuple[Subgroup, Subgroup]], limits: Limits | None
+) -> bool:
+    """Whether L_0 maps ker to im and im to ker on every level; for
+    characteristic levels this is `_filtration_is_dual`."""
+    levels = [H for level in pairs for H in level]
+    (row,) = _duals_by_image(A, levels, [canonical_duality(A)], limits)
+    return [L for L, _ in row] == [K for ker, im in pairs for K in (im, ker)]
 
 
 @dataclass(frozen=True)
@@ -550,41 +551,48 @@ def _duals_by_image(
     dualities: Iterable[Duality],
     limits: Limits | None,
 ) -> Iterator[list[tuple[Subgroup, Subgroup]]]:
-    """Per duality phi, [(L_phi(H), R_phi(H)) for H in subgroups].
+    """Per duality phi, [(L_phi(H), R_phi(H)) for H in subgroups], each the
+    zero set of the pairing forms of H's generators (`_pairing_forms`).
 
-    With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau), and L_phi(H) =
-    R_phi*(H) = L_0(H tau*) with tau* the tau of phi*.  So every dual is
-    the canonical annihilator L_0 of an image of H, spanned by the images
-    of H's generators.  L_0 is scanned by `_dual_scan` under phi_0 once per
-    distinct image in this call, and looked up afterwards.  Many tau map
-    H's generators to the same tuple, so L_0 is also memoised by that
-    tuple, which skips spanning the image."""
+    With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau) and L_phi(H) =
+    R_phi*(H) = L_0(H tau*): the forms of H under phi are phi_0's forms
+    (w_i y_i) of the generators y of H tau (right) or H tau* (left).  Zero
+    sets are memoised by the tuple of forms and then by their span in
+    (Z/m)^k; y -> (w_i y_i) is injective, so equal spans mean equal images,
+    and A is scanned once per distinct image in this call."""
     if any(H.parent != A for H in subgroups):
         raise ValueError("subgroup does not live in the given group")
-    phi0 = canonical_duality(A)
-    annihilators: dict[frozenset[tuple[int, ...]], Subgroup] = {}
-    by_images: dict[tuple[tuple[int, ...], ...], Subgroup] = {}
+    orders, m = A.orders, A.exponent
+    form_orders = (m,) * A.rank
+    by_forms: dict[tuple[tuple[int, ...], ...], Subgroup] = {}
+    by_span: dict[frozenset[tuple[int, ...]], Subgroup] = {}
 
-    def l0(gens: list[tuple[int, ...]], matrix) -> Subgroup:
-        """L_0 of the image of <gens> under the automorphism `matrix`."""
-        images = tuple(_image(A.orders, gens, matrix))
-        dual = by_images.get(images)
+    def zero_set(forms: tuple[tuple[int, ...], ...]) -> Subgroup:
+        dual = by_forms.get(forms)
         if dual is None:
-            key = frozenset(_span(A.orders, images)[1])
-            dual = annihilators.get(key)
+            key = frozenset(_span(form_orders, forms)[1])
+            dual = by_span.get(key)
             if dual is None:
-                code = code_from_subgroup(A, 1, _closed_subgroup(A, sorted(key)))
-                dual = _dual_scan(code, phi0, limits, left=True).subgroup
-                annihilators[key] = dual
-            by_images[images] = dual
+                check_scan(A.cardinality, limits)
+                dual = _closed_subgroup(A, _zero_set(orders, m, forms))
+                by_span[key] = dual
+            by_forms[forms] = dual
         return dual
 
-    gens = [[g.coords for g in H.generators] for H in subgroups]
+    # One `_pairing_forms` call per side and duality, since each call
+    # builds the Gram matrix; H's forms are its slice `cuts` of the result.
+    words = [g.coords for H in subgroups for g in H.generators]
+    ends = list(accumulate(len(H.generators) for H in subgroups))
+    cuts = list(zip([0] + ends, ends))
     for phi in dualities:
         if phi.parent != A:
             raise ValueError("duality of a different group")
-        tau, star = phi.tau.matrix, adjoint(phi).tau.matrix
-        yield [(l0(g, star), l0(g, tau)) for g in gens]
+        left = _pairing_forms(phi, words, True)
+        right = _pairing_forms(phi, words, False)
+        yield [
+            (zero_set(tuple(left[i:j])), zero_set(tuple(right[i:j])))
+            for i, j in cuts
+        ]
 
 
 def duals_table(

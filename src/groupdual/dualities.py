@@ -93,7 +93,7 @@ def _pairing_forms(
     M = G if left else tuple(zip(*G))
     return [
         tuple(
-            sum(a * b for a, b in zip(row, c[s : s + k])) % m
+            sum(map(mul, row, c[s : s + k])) % m
             for s in range(0, len(c), k)
             for row in M
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .limits import Limits, check_enumeration
 
@@ -471,22 +471,24 @@ def _image(
     ]
 
 
-def stabilizer(
-    H: Subgroup, limits: Limits | None = None
-) -> list[Automorphism]:
-    """Every tau with H tau = H.  tau is injective and H finite, so that
+def _fixes(H: Subgroup) -> Callable[[Automorphism], bool]:
+    """The test tau -> (H tau = H).  tau is injective and H finite, so that
     holds as soon as tau maps each generator of H into H."""
     orders, target = H.parent.orders, H.element_set()
     gens = [g.coords for g in H.generators]
-    return [
-        tau
-        for tau in automorphism_group(H.parent, limits)
-        if target.issuperset(_image(orders, gens, tau.matrix))
-    ]
+    return lambda tau: target.issuperset(_image(orders, gens, tau.matrix))
+
+
+def stabilizer(
+    H: Subgroup, limits: Limits | None = None
+) -> list[Automorphism]:
+    """Every tau with H tau = H."""
+    return list(filter(_fixes(H), automorphism_group(H.parent, limits)))
 
 
 def is_characteristic(H: Subgroup, limits: Limits | None = None) -> bool:
-    return len(stabilizer(H, limits)) == len(automorphism_group(H.parent, limits))
+    """Whether H tau = H for every tau; stops at the first tau that moves H."""
+    return all(map(_fixes(H), automorphism_group(H.parent, limits)))
 
 
 def primary_decomposition(A: GroupSpec) -> dict[int, GroupSpec]:

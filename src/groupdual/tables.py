@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .codes import code_from_subgroup, left_dual, right_dual
+from .codes import _duals_by_image
 from .dualities import adjoint, duality_from_matrix
 from .groups import GroupSpec, Subgroup, make_group, subgroup_closure
 
@@ -170,15 +170,11 @@ def _dual_table(
     for cname in columns:
         header += [f"L({cname})", f"R({cname})"]
     rows = [header]
-    for i, mat in enumerate(matrices):
-        phi = duality_from_matrix(A, mat)
-        label = row_labels[i] if row_labels else _matrix_str(mat)
-        out = [label]
-        for cname in columns:
-            CH = code_from_subgroup(A, 1, named[cname])
-            out.append(_name_of(left_dual(CH, phi).subgroup, named))
-            out.append(_name_of(right_dual(CH, phi).subgroup, named))
-        rows.append(out)
+    dualities = [duality_from_matrix(A, mat) for mat in matrices]
+    subgroups = [named[cname] for cname in columns]
+    labels = row_labels or [_matrix_str(mat) for mat in matrices]
+    for label, duals in zip(labels, _duals_by_image(A, subgroups, dualities, None)):
+        rows.append([label] + [_name_of(D, named) for pair in duals for D in pair])
     return _render(rows)
 
 
@@ -194,12 +190,11 @@ def table_4_4() -> str:
 def table_4_5() -> str:
     A = F2_3
     phi = duality_from_matrix(A, F2_3_EXAMPLE_MATRIX)
-    C = code_from_subgroup(A, 1, _sub(A, ["100"]))
-    left = left_dual(C, phi).subgroup
-    right = right_dual(C, phi).subgroup
+    C = _sub(A, ["100"])
+    ((left, right),) = next(_duals_by_image(A, [C], [phi], None))
     rows = [
         ["P", _matrix_str(F2_3_EXAMPLE_MATRIX)],
-        ["C", str(C.subgroup)],
+        ["C", str(C)],
         ["L(C)", str(left)],
         ["R(C)", str(right)],
     ]

@@ -92,6 +92,22 @@ def test_filtration_subcommand(capsys):
     assert len(data["levels"]) == 4
 
 
+def test_filtration_p_zero_is_not_the_default(capsys):
+    code, out, err = _run(capsys, "filtration", "--group", "4", "--p", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: group is not a 0-group\n"
+
+
+def test_duals_table_order_zero_selects_no_subgroup(capsys):
+    code, out, err = _run(capsys, "duals-table", "--group", "2,2", "--order", "0")
+    assert code == 0 and err == ""
+    assert (code, out, err) == _run(
+        capsys, "duals-table", "--group", "2,2", "--order", "3"
+    )
+    assert out.splitlines()[0] == "subgroups: "
+
+
 def test_macwilliams_verify(capsys):
     code, out, _ = _run(
         capsys,

@@ -267,7 +267,10 @@ CENSUS_GROUPS = (
 @pytest.mark.parametrize("orders", CENSUS_GROUPS + ([2, 6], [3, 9]))
 def test_duals_by_image_match_the_scan(orders):
     # Oracle: one scan per (duality, subgroup, side); the kernel must give
-    # the same subgroups, down to their generators.
+    # the same subgroups, down to their generators.  Both share
+    # _pairing_forms, so on groups of order <= 8 the duals are also checked
+    # against the full scan, which pairs every member through
+    # inner_product_exponent.
     A = make_group(orders)
     subs = all_subgroups(A)
     dualities = all_dualities(A)
@@ -283,6 +286,40 @@ def test_duals_by_image_match_the_scan(orders):
             ):
                 assert got.elements == want.elements
                 assert got.generators == want.generators
+            if A.cardinality <= 8:
+                assert L.element_set() == _full_scan_dual(CH, phi, "left")
+                assert R.element_set() == _full_scan_dual(CH, phi, "right")
+
+
+def _search_by_scans(H, K):
+    """Oracle: the first duality in Aut order under which the left and the
+    right dual of H are K and those of K are H, else None."""
+    A = H.parent
+    CH, CK = code_from_subgroup(A, 1, H), code_from_subgroup(A, 1, K)
+    for phi in all_dualities(A):
+        if (
+            left_dual(CH, phi).subgroup == K
+            and right_dual(CH, phi).subgroup == K
+            and left_dual(CK, phi).subgroup == H
+            and right_dual(CK, phi).subgroup == H
+        ):
+            return phi
+    return None
+
+
+def test_search_duality_for_pair_matches_the_scans():
+    unpaired = []
+    for orders in ([2, 4], [2, 8], [4, 4], [2, 2, 3]):
+        A = make_group(orders)
+        subs = all_subgroups(A)
+        for H in subs:
+            for K in subs:
+                if H.order * K.order == A.cardinality:
+                    got = search_duality_for_pair(H, K)
+                    assert got == _search_by_scans(H, K)
+                    unpaired.append(got is None)
+    # Some size-condition pairs of (2,4), (2,8) and (4,4) have no duality.
+    assert any(unpaired) and not all(unpaired)
 
 
 def _filtration_dual_under_every_duality(A, pairs):
