@@ -245,7 +245,8 @@ def _cmd_macwilliams(args) -> int:
     D = fn(C, phi, limits)
     if args.enumerator == "hamming":
         expected = hwe(D)
-        got = mw_hamming_transform(hwe(C), A.cardinality, hwe(C).total)
+        code_hwe = hwe(C)
+        got = mw_hamming_transform(code_hwe, A.cardinality, code_hwe.total)
         ok = got == expected
         json_out = {
             "enumerator": "hamming",
@@ -254,7 +255,7 @@ def _cmd_macwilliams(args) -> int:
             "match": ok,
         }
         lines = [
-            f"hwe(C)          = {list(hwe(C).coeffs)}",
+            f"hwe(C)          = {list(code_hwe.coeffs)}",
             f"transform       = {list(got.coeffs)}",
             f"hwe({args.side} dual) = {list(expected.coeffs)}",
             "match" if ok else "MISMATCH",

@@ -3,9 +3,9 @@ transforms.
 
 Every coefficient is an integer or a cyclotomic integer; the transforms
 divide exactly and signal an internal error on any non-integral result.
-The complete transform expands over the group ring Z[x]/(x^m - 1), which
-maps onto Z[zeta_m] by x -> zeta_m, counting the powers of x per
-monomial; it reduces modulo Phi_m once per output monomial, exactly and
+The complete transform expands over Z[x], which maps onto Z[zeta_m] by
+x -> zeta_m, summing the powers of x per monomial unreduced; it folds them
+modulo m and reduces modulo Phi_m once per output monomial, exactly and
 with no floating point.
 """
 
@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .cyclotomic import CycInt, root_power
 from .characters import Character, annihilator, pairing_exponent
 from .codes import AdditiveCode, PowerGroup
-from .dualities import Duality, inner_product_exponent
+from .dualities import Duality, _pairing_forms
 from .groups import GroupElement, GroupSpec, Subgroup
 
 
@@ -60,8 +62,14 @@ class CompleteEnumerator:
         return HammingEnumerator(self.n, tuple(coeffs))
 
 
+def _letters(A: GroupSpec) -> list[tuple[int, ...]]:
+    """The coordinate tuples of A, in canonical element order."""
+    return list(product(*map(range, A.orders)))
+
+
 def hamming_weight(power: PowerGroup, x: GroupElement) -> int:
-    return sum(1 for b in power.blocks(x) if not b.is_zero())
+    k, coords = power.base.rank, x.coords
+    return sum(1 for i in range(0, len(coords), k) if any(coords[i : i + k]))
 
 
 def hwe(C: AdditiveCode) -> HammingEnumerator:
@@ -75,15 +83,16 @@ def hwe(C: AdditiveCode) -> HammingEnumerator:
 def _count_key(
     power: PowerGroup, x: GroupElement, base_index: Mapping[tuple[int, ...], int]
 ) -> tuple[int, ...]:
-    counts = [0] * power.base.cardinality
-    for b in power.blocks(x):
-        counts[base_index[b.coords]] += 1
+    k, coords = power.base.rank, x.coords
+    counts = [0] * len(base_index)
+    for i in range(0, len(coords), k):
+        counts[base_index[coords[i : i + k]]] += 1
     return tuple(counts)
 
 
 def cwe(C: AdditiveCode) -> CompleteEnumerator:
     terms: dict[tuple[int, ...], int] = {}
-    base_index = {a.coords: i for i, a in enumerate(C.power.base.elements())}
+    base_index = {a: i for i, a in enumerate(_letters(C.power.base))}
     for c in C.subgroup.elements:
         key = _count_key(C.power, c, base_index)
         terms[key] = terms.get(key, 0) + 1
@@ -131,6 +140,22 @@ _ORIENTATION: dict[tuple[str, str], bool] = {
 }
 
 
+def _times(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """Product of two polynomials in the Z_a over Z[x], each keyed by
+    monomial key with its x-polynomial packed into one int: adding keys
+    multiplies monomials, and one int product convolves the x-parts."""
+    out: dict[int, int] = {}
+    inner = list(p.items())
+    for k2, v2 in q.items():
+        for k1, v1 in inner:
+            k = k1 + k2
+            if k in out:
+                out[k] += v1 * v2
+            else:
+                out[k] = v1 * v2
+    return out
+
+
 def mw_complete_transform(
     E: CompleteEnumerator,
     phi: Duality,
@@ -152,58 +177,88 @@ def mw_complete_transform(
     if phi.parent != A:
         raise ValueError("duality is not over the enumerator's base group")
     b_first = _ORIENTATION[(direction, side)]
-    m = A.exponent
-    elements = list(A.elements())
-    card = A.cardinality
+    m, card = A.exponent, A.cardinality
+    terms = E.terms
+    if any(len(counts) != card for counts, _ in terms):
+        raise ValueError("a count vector needs one entry per base element")
+    if not terms:
+        return CompleteEnumerator(A, E.n, ())
 
-    # Linear form substituted for each variable Z_b: sum_a zeta_m^e Z_a,
-    # stored as the exponents e mod m.
-    forms = [
-        [
-            (
-                inner_product_exponent(phi, b, a)
-                if b_first
-                else inner_product_exponent(phi, a, b)
-            )
-            % m
-            for a in elements
-        ]
-        for b in elements
-    ]
+    # A monomial prod_a Z_a^(k_a) is keyed by its count vector read in base
+    # `radix`, k_0 the most significant digit, so that keys add as monomials
+    # multiply and sort as the count vectors do.  Its coefficient, a
+    # polynomial in x with exponents summed unreduced, is packed into one int
+    # with `width`-bit signed slots.  Every partial result is a sum of
+    # +-coefficient products of at most `deg` linear forms of |A| unit terms,
+    # so no slot exceeds `mass` in absolute value.
+    deg = max(sum(counts) for counts, _ in terms)
+    radix = deg + 1
+    mass = max(1, sum(abs(c) for _, c in terms)) * card**deg
+    width = mass.bit_length() + 1
+    letters = _letters(A)
+    z_key = [radix ** (card - 1 - a) for a in range(card)]
 
-    # Expand prod_b (form_b)^(counts_b) in Z[x]/(x^m - 1): poly is keyed
-    # (count vector, s) for the power x^s; acc keeps each count vector's m
-    # integer coefficients of x^0, ..., x^(m-1).
-    acc: dict[tuple[int, ...], list[int]] = {}
-    for counts, coeff in E.terms:
-        poly = {((0,) * card, 0): coeff}
-        for b_idx, mult in enumerate(counts):
-            row = forms[b_idx]
-            for _ in range(mult):
-                nxt: dict[tuple[tuple[int, ...], int], int] = {}
-                for (key, s), val in poly.items():
-                    for a_idx, e in enumerate(row):
-                        tk = (
-                            key[:a_idx] + (key[a_idx] + 1,) + key[a_idx + 1 :],
-                            (s + e) % m,
-                        )
-                        nxt[tk] = nxt.get(tk, 0) + val
-                poly = nxt
-        for (key, s), val in poly.items():
-            acc.setdefault(key, [0] * m)[s] += val
+    # form_b = sum_a x^e(b, a) Z_a with zeta_m^e(b, a) = Phi(b, a) when
+    # b_first and Phi(a, b) otherwise; rows only for letters that occur.
+    used = sorted({b for counts, _ in terms for b, k in enumerate(counts) if k})
+    forms = {
+        b: {
+            z_key[a]: 1 << width * (sum(map(mul, f, x)) % m)
+            for a, x in enumerate(letters)
+        }
+        for b, f in zip(
+            used, _pairing_forms(phi, (letters[b] for b in used), left=not b_first)
+        )
+    }
 
-    # x -> zeta_m maps onto Z[zeta_m]; CycInt reduces modulo Phi_m once
-    # per output monomial.
+    # Horner walk over the count-vector trie, deepest letter first.  The
+    # terms under each prefix counts[:b] are summed first: with S_j the sum
+    # under counts[:b] + (j,), their node holds sum_j S_j form_b^j, taken by
+    # Horner's rule as (..(S_J form_b + S_(J-1)) form_b + ..) form_b + S_0.
+    level: dict[tuple[int, ...], dict[int, int]] = {}
+    for counts, coeff in terms:
+        leaf = level.setdefault(counts, {0: 0})
+        leaf[0] += coeff
+    for b in reversed(range(card)):
+        children: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
+        for prefix, poly in level.items():
+            children.setdefault(prefix[:b], {})[prefix[b]] = poly
+        level = {}
+        for prefix, sums in children.items():
+            top = max(sums)
+            acc = sums[top]
+            for j in reversed(range(top)):
+                acc = _times(acc, forms[b])
+                for k, v in sums.get(j, {}).items():
+                    acc[k] = acc.get(k, 0) + v
+            level[prefix] = acc
+    (expansion,) = level.values()
+
+    # x -> zeta_m maps Z[x] onto Z[zeta_m]: fold the exponents modulo m, then
+    # CycInt reduces modulo Phi_m once per output monomial.
     divisor = E.total
-    out: dict[tuple[int, ...], int] = {}
-    for key, powers in acc.items():
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    for key in sorted(expansion):
+        packed, s = expansion[key], 0
+        powers = [0] * m
+        while packed:
+            slot = packed & mask
+            if slot >= half:
+                slot -= mask + 1
+            powers[s % m] += slot
+            packed = (packed - slot) >> width
+            s += 1
         try:
             c = CycInt(m, tuple(powers)).divide_exact(divisor).as_int()
         except ValueError as exc:
             raise NonIntegralError(str(exc)) from exc
         if c:
-            out[key] = c
-    return CompleteEnumerator(A, E.n, tuple(sorted(out.items())))
+            counts = [0] * card
+            for a in reversed(range(card)):
+                key, counts[a] = divmod(key, radix)
+            out.append((tuple(counts), c))
+    return CompleteEnumerator(A, E.n, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +352,7 @@ def complete_value_function(
 ) -> Callable[[GroupElement], Value]:
     """x -> prod_i Z_{x_i} as a Value keyed by count vectors."""
     m = power.spec.exponent
-    base_index = {a.coords: i for i, a in enumerate(power.base.elements())}
+    base_index = {a: i for i, a in enumerate(_letters(power.base))}
 
     def f(x: GroupElement) -> Value:
         return {_count_key(power, x, base_index): CycInt.from_int(m, 1)}

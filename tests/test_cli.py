@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from groupdual import cli
+from groupdual import cli, hwe
 from groupdual.cli import run
 from groupdual.tables import PAPER_TABLES, paper_table
 
@@ -128,6 +128,24 @@ def test_macwilliams_verify(capsys):
     )
     assert code == 0
     assert json.loads(out)["match"] is True
+
+
+def test_macwilliams_hamming_enumerates_each_code_once(capsys, monkeypatch):
+    codes = []
+
+    def counting(C):
+        codes.append(C)
+        return hwe(C)
+
+    monkeypatch.setattr(cli, "hwe", counting)
+    code, out, _ = _run(
+        capsys,
+        "macwilliams", "verify", "--group", "2,4", "--n", "2",
+        "--code-gens", "12:01", "--duality-index", "3",
+        "--enumerator", "hamming", "--side", "left",
+    )
+    assert code == 0 and out.endswith("match\n")
+    assert len(codes) == len(set(codes)) == 2
 
 
 def test_construct_pair(capsys):

@@ -19,6 +19,7 @@ from groupdual import (
     duality_from_matrix,
     duals_table,
     extend_duality,
+    is_characteristic,
     is_symmetric,
     left_dual,
     make_group,
@@ -29,6 +30,7 @@ from groupdual import (
     subgroup_closure,
     verify_filtration_duality,
 )
+from groupdual import codes as codes_module
 from groupdual.codes import (
     PowerGroup,
     _duals_by_image,
@@ -184,6 +186,29 @@ def test_filtration_of_z2xz4():
 @pytest.mark.parametrize("orders", [[8], [9], [2, 2, 2]])
 def test_filtration_duality_more_groups(orders):
     assert verify_filtration_duality(make_group(orders))
+
+
+@pytest.mark.parametrize("orders,passes", [([2, 2, 2, 2], 0), ([2, 4], 2), ([4, 4], 1)])
+def test_filtration_tests_each_proper_level_once(monkeypatch, orders, passes):
+    # {0} and A are characteristic in every group; (2,4) has the distinct
+    # proper levels A[2] and 2A, (4,4) only A[2] = 2A.
+    tested = []
+
+    def counting(H, limits=None):
+        tested.append(H)
+        return is_characteristic(H, limits)
+
+    monkeypatch.setattr(codes_module, "is_characteristic", counting)
+    A = make_group(orders)
+    mult_by_p_filtration(A, 2)
+    assert len(tested) == passes == len(set(tested))
+    assert all(1 < H.order < A.cardinality for H in tested)
+
+
+def test_filtration_rejects_a_level_that_is_not_characteristic(monkeypatch):
+    monkeypatch.setattr(codes_module, "is_characteristic", lambda H, limits=None: False)
+    with pytest.raises(AssertionError, match="not characteristic"):
+        mult_by_p_filtration(make_group([2, 4]), 2)
 
 
 def test_filtration_rejects_non_p_groups():

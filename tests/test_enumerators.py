@@ -8,6 +8,7 @@ from groupdual import (
     CycInt,
     all_dualities,
     all_subgroups,
+    canonical_duality,
     code_from_generators,
     code_from_subgroup,
     cwe,
@@ -194,6 +195,153 @@ def _reference_complete_transform(E, phi, side, direction):
         if c:
             out[key] = c
     return CompleteEnumerator(A, E.n, tuple(sorted(out.items())))
+
+
+def _group_ring_complete_transform(E, phi, side, direction):
+    """The transform expanded term by term in Z[x]/(x^m - 1), one linear
+    factor at a time, keyed by (count vector, power of x): the second
+    reference, with the library's NonIntegralError on a non-integral
+    result."""
+    A = E.base
+    b_first = _REFERENCE_B_FIRST[(direction, side)]
+    m = A.exponent
+    elements = list(A.elements())
+    card = A.cardinality
+    forms = [
+        [
+            (
+                inner_product_exponent(phi, b, a)
+                if b_first
+                else inner_product_exponent(phi, a, b)
+            )
+            % m
+            for a in elements
+        ]
+        for b in elements
+    ]
+    acc = {}
+    for counts, coeff in E.terms:
+        poly = {((0,) * card, 0): coeff}
+        for b_idx, mult in enumerate(counts):
+            row = forms[b_idx]
+            for _ in range(mult):
+                nxt = {}
+                for (key, s), val in poly.items():
+                    for a_idx, e in enumerate(row):
+                        tk = (
+                            key[:a_idx] + (key[a_idx] + 1,) + key[a_idx + 1 :],
+                            (s + e) % m,
+                        )
+                        nxt[tk] = nxt.get(tk, 0) + val
+                poly = nxt
+        for (key, s), val in poly.items():
+            acc.setdefault(key, [0] * m)[s] += val
+    out = {}
+    for key, powers in acc.items():
+        try:
+            c = CycInt(m, tuple(powers)).divide_exact(E.total).as_int()
+        except ValueError as exc:
+            raise NonIntegralError(str(exc)) from exc
+        if c:
+            out[key] = c
+    return CompleteEnumerator(A, E.n, tuple(sorted(out.items())))
+
+
+_SIDES_AND_DIRECTIONS = [
+    ("left", "dual_from_code"),
+    ("right", "dual_from_code"),
+    ("left", "code_from_dual"),
+    ("right", "code_from_dual"),
+]
+
+
+def _richest_code(rng, A, n, draws=8):
+    """Of `draws` seeded codes with one or two random generators, the one
+    whose complete enumerator has the most terms."""
+    P = PowerGroup(A, n)
+    best, best_terms = None, -1
+    for _ in range(draws):
+        gens = [
+            P.spec.element([rng.randrange(d) for d in P.spec.orders])
+            for _ in range(rng.randint(1, 2))
+        ]
+        C = code_from_generators(A, n, gens)
+        terms = len(cwe(C).terms)
+        if terms > best_terms:
+            best, best_terms = C, terms
+    return best
+
+
+@pytest.mark.parametrize("orders", [[9], [8], [7], [5], [3, 3], [2, 4]])
+def test_complete_transform_matches_group_ring_reference_on_rich_codes(orders):
+    rng = random.Random(sum(orders) * 7 + len(orders))
+    A = make_group(orders)
+    C = _richest_code(rng, A, 3)
+    phi = rng.choice(all_dualities(A))
+    for side, direction in _SIDES_AND_DIRECTIONS:
+        if direction == "dual_from_code":
+            E = cwe(C)
+        else:
+            E = cwe((left_dual if side == "left" else right_dual)(C, phi))
+        got = mw_complete_transform(E, phi, side, direction)
+        assert got == _group_ring_complete_transform(E, phi, side, direction)
+        assert got.total * E.total == A.cardinality**3
+
+
+def _edge_enumerators():
+    """Hand-built enumerators that the constructor accepts but that `cwe`
+    never returns."""
+    A = make_group([2, 4])
+    P = PowerGroup(A, 2)
+    E1 = cwe(code_from_generators(A, 2, [P.word([A.element([1, 2]), A.element([0, 1])])]))
+    E2 = cwe(code_from_generators(A, 2, [P.word([A.element([0, 2]), A.element([1, 3])])]))
+    # 2 cwe(C1) - cwe(C2): a total of |C1| = |C2| and negative coefficients.
+    difference = {k: 2 * c for k, c in E1.terms}
+    for k, c in E2.terms:
+        difference[k] = difference.get(k, 0) - c
+    short = cwe(code_from_generators(A, 1, [A.element([1, 1])]))
+    return {
+        "unsorted": CompleteEnumerator(A, 2, tuple(reversed(E1.terms))),
+        "repeated-counts": CompleteEnumerator(A, 2, E1.terms + E1.terms),
+        "negative-coefficient": CompleteEnumerator(A, 2, tuple(difference.items())),
+        "counts-below-n": CompleteEnumerator(A, 2, short.terms),
+        "non-integral": CompleteEnumerator(
+            make_group([3]), 1, (((1, 0, 0), 1), ((0, 1, 0), 1))
+        ),
+    }
+
+
+@pytest.mark.parametrize("label", list(_edge_enumerators()))
+def test_complete_transform_edge_enumerators_match_group_ring_reference(label):
+    E = _edge_enumerators()[label]
+    for phi in all_dualities(E.base)[:3]:
+        for side, direction in _SIDES_AND_DIRECTIONS:
+            try:
+                expected = _group_ring_complete_transform(E, phi, side, direction)
+            except NonIntegralError:
+                assert label == "non-integral"
+                with pytest.raises(NonIntegralError):
+                    mw_complete_transform(E, phi, side, direction)
+                continue
+            assert mw_complete_transform(E, phi, side, direction) == expected
+
+
+def test_complete_transform_rejects_count_vectors_of_the_wrong_length():
+    A = make_group([2, 2])
+    bad = CompleteEnumerator(A, 1, (((1, 0, 0), 1),))
+    with pytest.raises(ValueError, match="one entry per base element"):
+        mw_complete_transform(bad, canonical_duality(A), "left")
+
+
+def test_complete_transform_of_zero_code_over_a_large_base():
+    # 1,024 letters: a walk that recursed once per letter would pass
+    # Python's default recursion limit.
+    A = make_group([2] * 10)
+    zero = CompleteEnumerator(A, 1, (((1,) + (0,) * 1023, 1),))
+    got = mw_complete_transform(zero, canonical_duality(A), "left")
+    assert got.terms == tuple(
+        (tuple(int(a == b) for b in range(1024)), 1) for a in reversed(range(1024))
+    )
 
 
 @pytest.mark.parametrize(
