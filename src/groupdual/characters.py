@@ -17,8 +17,7 @@ from .groups import (
     GroupSpec,
     Homomorphism,
     Subgroup,
-    _closed_subgroup,
-    _zero_set,
+    _zero_subgroup,
 )
 
 
@@ -78,7 +77,7 @@ def annihilator(H: Subgroup) -> Subgroup:
     """
     A = H.parent
     forms = [tuple(w * c for w, c in zip(A.weights, h.coords)) for h in H.generators]
-    return _closed_subgroup(A, _zero_set(A.orders, A.exponent, forms))
+    return _zero_subgroup(A, forms, H.order)
 
 
 def double_annihilator_check(H: Subgroup) -> bool:

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain
 from typing import Sequence
 
 from .codes import (
@@ -34,6 +35,8 @@ from .enumerators import (
 )
 from .groups import (
     GroupSpec,
+    _closed_subgroup,
+    _span,
     all_subgroups,
     make_group,
     primary_decomposition,
@@ -143,8 +146,9 @@ def _parse_code(A: GroupSpec, n: int, gen_words: Sequence[str]) -> AdditiveCode:
         parts = word.split(":") if n > 1 else [word]
         if len(parts) != n:
             raise ValueError(f"expected {n} blocks in {word!r}")
-        gens.append(power.word([A.parse_element(p) for p in parts]))
-    return AdditiveCode(power, subgroup_closure(power.spec, gens))
+        gens.append(tuple(chain.from_iterable(map(A.parse_coords, parts))))
+    span = _span(power.spec.orders, gens)[1]
+    return AdditiveCode(power, _closed_subgroup(power.spec, sorted(span)))
 
 
 def _cmd_dual(args) -> int:

@@ -1,12 +1,15 @@
 """Additive codes C in A^n and their left/right dual codes.
 
 Every dual code is the zero set of the integer pairing forms of the
-code's generators, found by a full scan of the ambient group; no
-linear-algebra solver, so the golden tables cannot be contaminated by
-solver bugs.  With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau) and
-L_phi(H) = L_0(H tau*): every dual is the canonical annihilator L_0 of an
-automorphic image, and `_duals_by_image` shares one scan among all the
-dualities that give the same image.
+code's generators.  `groups._zero_subgroup` finds generators of it by
+extended-gcd steps on the unit vectors and enumerates only its |D|
+members.  Each result carries a certificate that is checked on every
+call: every generator zeroes every form, and |D| |C| = |A^n|, which by
+the perfect pairing makes D the whole zero set.  A solver bug therefore
+raises instead of reaching a table.  With phi(a) = phi_0(a tau),
+R_phi(H) = L_0(H tau) and L_phi(H) = L_0(H tau*): every dual is the
+canonical annihilator L_0 of an automorphic image, and `_duals_by_image`
+shares one zero set among all the dualities that give the same image.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
-    _closed_subgroup,
     _span,
-    _zero_set,
+    _zero_subgroup,
     all_subgroups,
     automorphism_group,
     is_characteristic,
@@ -142,30 +144,30 @@ def left_dual(
     C: AdditiveCode, phi: Duality, limits: Limits | None = None
 ) -> AdditiveCode:
     """L_phi(C) = {x : Phi(x, c) = 1 for all c in C}."""
-    return _dual_scan(C, phi, limits, left=True)
+    return _dual(C, phi, limits, left=True)
 
 
 def right_dual(
     C: AdditiveCode, phi: Duality, limits: Limits | None = None
 ) -> AdditiveCode:
     """R_phi(C) = {x : Phi(c, x) = 1 for all c in C}."""
-    return _dual_scan(C, phi, limits, left=False)
+    return _dual(C, phi, limits, left=False)
 
 
-def _dual_scan(
+def _dual(
     C: AdditiveCode, phi: Duality, limits: Limits | None, left: bool
 ) -> AdditiveCode:
-    """Scan A^n against the pairing forms of a basis of C's generators:
-    pairing trivially with a generating set is pairing trivially with all
-    of C."""
+    """The zero set of the pairing forms of C's generators: pairing
+    trivially with a generating set is pairing trivially with all of C.
+    phi is nondegenerate, so c -> form is injective and the forms span a
+    group of order |C|; the dual has order |A^n| / |C|, which is checked
+    against the scan bound before any member is enumerated."""
     spec = C.power.spec
     if phi.parent not in (spec, C.power.base):
         raise ValueError("duality is neither over the base nor the power group")
-    check_scan(spec.cardinality, limits)
-    basis, _ = _span(spec.orders, (g.coords for g in C.subgroup.generators))
-    forms = _pairing_forms(phi, basis, left)
-    members = _zero_set(spec.orders, spec.exponent, forms)
-    return AdditiveCode(C.power, _closed_subgroup(spec, members))
+    check_scan(spec.cardinality // C.order, limits)
+    forms = _pairing_forms(phi, (g.coords for g in C.subgroup.generators), left)
+    return AdditiveCode(C.power, _zero_subgroup(spec, forms, C.order))
 
 
 class DualKind(Enum):
@@ -561,12 +563,12 @@ def _duals_by_image(
     R_phi*(H) = L_0(H tau*): the forms of H under phi are phi_0's forms
     (w_i y_i) of the generators y of H tau (right) or H tau* (left).  Zero
     sets are memoised by the tuple of forms and then by their span in
-    (Z/m)^k; y -> (w_i y_i) is injective, so equal spans mean equal images,
-    and A is scanned once per distinct image in this call."""
+    (Z/m)^k; y -> (w_i y_i) is injective, so equal spans mean equal images
+    of order |H|, and one zero set of order |A| / |H| is computed per
+    distinct image in this call."""
     if any(H.parent != A for H in subgroups):
         raise ValueError("subgroup does not live in the given group")
-    orders, m = A.orders, A.exponent
-    form_orders = (m,) * A.rank
+    form_orders = (A.exponent,) * A.rank
     by_forms: dict[tuple[tuple[int, ...], ...], Subgroup] = {}
     by_span: dict[frozenset[tuple[int, ...]], Subgroup] = {}
 
@@ -576,8 +578,8 @@ def _duals_by_image(
             key = frozenset(_span(form_orders, forms)[1])
             dual = by_span.get(key)
             if dual is None:
-                check_scan(A.cardinality, limits)
-                dual = _closed_subgroup(A, _zero_set(orders, m, forms))
+                check_scan(A.cardinality // len(key), limits)
+                dual = _zero_subgroup(A, forms, len(key))
                 by_span[key] = dual
             by_forms[forms] = dual
         return dual

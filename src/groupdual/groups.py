@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
-from operator import mul
+from operator import add, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .limits import Limits, check_enumeration
@@ -81,13 +81,18 @@ class GroupSpec:
         return ",".join(str(c) for c in a.coords)
 
     def parse_element(self, text: str) -> "GroupElement":
-        if all(d <= 10 for d in self.orders):
-            digits = [int(ch) for ch in text.strip()]
-        else:
-            digits = [int(part) for part in text.strip().split(",")]
+        return GroupElement(self, self.parse_coords(text))
+
+    def parse_coords(self, text: str) -> tuple[int, ...]:
+        """The reduced coordinates of an element written as by
+        `format_element`: digits, or comma-separated when some d_i > 10."""
+        parts = text.strip()
+        if any(d > 10 for d in self.orders):
+            parts = parts.split(",")
+        digits = list(map(int, parts))
         if len(digits) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates in {text!r}")
-        return self.element(digits)
+        return tuple(map(mod, digits, self.orders))
 
 
 def make_group(orders: Sequence[int]) -> GroupSpec:
@@ -102,7 +107,7 @@ class GroupElement:
     def __post_init__(self) -> None:
         if len(self.coords) != self.parent.rank:
             raise ValueError("coordinate count does not match group rank")
-        reduced = tuple(c % d for c, d in zip(self.coords, self.parent.orders))
+        reduced = tuple(map(mod, self.coords, self.parent.orders))
         object.__setattr__(self, "coords", reduced)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
@@ -204,28 +209,87 @@ def _span(
         coset = elems
         step = g
         while step not in span:
-            coset = [
-                tuple((a + b) % d for a, b, d in zip(x, g, orders)) for x in coset
-            ]
+            coset = [tuple(map(mod, map(add, x, g), orders)) for x in coset]
             span.update(coset)
             elems.extend(coset)
-            step = tuple((a + b) % d for a, b, d in zip(step, g, orders))
+            step = tuple(map(mod, map(add, step, g), orders))
     return basis, span
 
 
-def _zero_set(
-    orders: tuple[int, ...], m: int, forms: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """Every x in prod Z/d_i with sum_i f_i x_i = 0 (mod m) for each form f,
-    in canonical (lexicographic coordinate) order.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b, for a, b >= 0."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, t0, s1, t1 = s1, t1, s0 - q * s1, t0 - q * t1
+    return a, s0, t0
 
-    Each f_i must satisfy d_i f_i = 0 (mod m), so that the value does not
-    depend on the representative of x_i."""
-    return [
-        x
-        for x in product(*map(range, orders))
-        if not any(sum(map(mul, f, x)) % m for f in forms)
-    ]
+
+def _kernel_generators(
+    orders: tuple[int, ...], m: int, forms: Iterable[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Generators, at most one per factor, of the x in prod Z/d_i with
+    sum_i f_i x_i = 0 (mod m) for every form f.
+
+    Each f_i must satisfy d_i f_i = 0 (mod m), so that f . x does not
+    depend on the representatives of the x_i.  The generators start as the
+    unit vectors.  For each form, the values v_j = f . z_j are gathered on
+    one pivot z_p by extended-gcd steps on pairs: with g = gcd(v_p, v_j) =
+    s v_p + t v_j, (z_p, z_j) becomes (s z_p + t z_j, (v_j/g) z_p - (v_p/g)
+    z_j), a unimodular change that keeps the span and leaves z_j the value
+    0.  On that span f . x = c v (mod m) for x = c z_p + y, so the zero set
+    of f in it is spanned by the other generators and (m / gcd(v, m)) z_p
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
+    k = len(orders)
+    gens = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    for f in forms:
+        values = [sum(map(mul, f, z)) % m for z in gens]
+        p = None
+        for j, v in enumerate(values):
+            if not v:
+                continue
+            if p is None:
+                p = j
+                continue
+            a = values[p]
+            g, s, t = _xgcd(a, v)
+            zp, zj = gens[p], gens[j]
+            gens[p] = tuple((s * x + t * y) % d for x, y, d in zip(zp, zj, orders))
+            gens[j] = tuple(
+                (v // g * x - a // g * y) % d for x, y, d in zip(zp, zj, orders)
+            )
+            values[p] = g
+        if p is not None:
+            c = m // math.gcd(values[p], m)
+            gens[p] = tuple(c * x % d for x, d in zip(gens[p], orders))
+            gens = [z for z in gens if any(z)]
+    return gens
+
+
+def _zero_subgroup(
+    parent: GroupSpec, forms: Sequence[Sequence[int]], span_order: int
+) -> Subgroup:
+    """The subgroup of `parent` on which every form (as in
+    `_kernel_generators`, modulo the exponent) vanishes, given the order
+    of the span of the forms.
+
+    The admissible forms are the characters of `parent`, and the pairing
+    between the two is perfect, so the zero set has order |parent| /
+    span_order.  Every generator is checked to zero every form and their
+    span to have that order; together these prove the result is the whole
+    zero set, and any failure raises AssertionError."""
+    orders, m = parent.orders, parent.exponent
+    gens = _kernel_generators(orders, m, forms)
+    if any(sum(map(mul, f, z)) % m for z in gens for f in forms):
+        raise AssertionError("a zero-set generator fails a form")
+    _, span = _span(orders, gens)
+    if len(span) * span_order != parent.cardinality:
+        raise AssertionError(
+            f"zero set of order {len(span)} against forms spanning "
+            f"{span_order} in a group of order {parent.cardinality}"
+        )
+    return _closed_subgroup(parent, sorted(span))
 
 
 def subgroup_closure(
@@ -277,29 +341,29 @@ def trivial_subgroup(parent: GroupSpec) -> Subgroup:
 def all_subgroups(
     A: GroupSpec, limits: Limits | None = None
 ) -> list[Subgroup]:
-    """Every subgroup of A, by breadth-first closure of one-element extensions."""
+    """Every subgroup of A, by breadth-first closure of one-element
+    extensions on coordinate tuples; only the distinct subgroups are
+    wrapped as Subgroups."""
     check_enumeration(A.cardinality, limits)
-    found: dict[frozenset[tuple[int, ...]], Subgroup] = {}
-    triv = trivial_subgroup(A)
-    found[triv.element_set()] = triv
-    frontier = [triv]
-    all_elems = list(A.elements())
+    orders = A.orders
+    all_elems = list(product(*map(range, orders)))
+    trivial = frozenset([(0,) * A.rank])
+    found = {trivial}
+    frontier = [([], trivial)]
     while frontier:
         next_frontier = []
-        for sub in frontier:
-            inside = sub.element_set()
+        for basis, inside in frontier:
             for x in all_elems:
-                if x.coords in inside:
+                if x in inside:
                     continue
-                bigger = subgroup_closure(A, sub.generators + (x,))
-                key = bigger.element_set()
+                grown, span = _span(orders, basis + [x])
+                key = frozenset(span)
                 if key not in found:
-                    found[key] = bigger
-                    next_frontier.append(bigger)
+                    found.add(key)
+                    next_frontier.append((grown, key))
         frontier = next_frontier
-    return sorted(
-        found.values(), key=lambda s: (s.order, [e.coords for e in s.elements])
-    )
+    members = sorted((sorted(key) for key in found), key=lambda c: (len(c), c))
+    return [_closed_subgroup(A, c) for c in members]
 
 
 @dataclass(frozen=True)

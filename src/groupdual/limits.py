@@ -14,7 +14,8 @@ class LimitExceededError(RuntimeError):
 class Limits:
     # Largest |A| for which subgroup/automorphism enumeration is attempted.
     enumeration_bound: int = 4096
-    # Largest |A^n| scanned element-by-element when computing dual codes.
+    # Largest dual code |A^n| / |C| whose members are enumerated; the
+    # dual's generators are found without enumerating A^n.
     scan_bound: int = 10**7
 
     @staticmethod
@@ -35,10 +36,10 @@ def check_enumeration(cardinality: int, limits: Limits | None = None) -> None:
         )
 
 
-def check_scan(cardinality: int, limits: Limits | None = None) -> None:
+def check_scan(order: int, limits: Limits | None = None) -> None:
+    """Refuse a dual code of `order` members before they are enumerated."""
     lim = limits or Limits.from_env()
-    if cardinality > lim.scan_bound:
+    if order > lim.scan_bound:
         raise LimitExceededError(
-            f"ambient space of order {cardinality} exceeds scan bound "
-            f"{lim.scan_bound}"
+            f"dual code of order {order} exceeds scan bound {lim.scan_bound}"
         )

@@ -273,3 +273,47 @@ def test_limit_zero_is_a_bound_not_the_default(capsys):
     assert code == 1
     assert out == ""
     assert "bound 0" in err
+
+
+# A code of order 8^5 * 4 = 131,072 in (Z/2 x Z/4)^10: the unit words of
+# blocks 1-5 and one word whose blocks 6-10 have order 4.  |A^10| = 8^10.
+_UNITS = [
+    ":".join(u if b == j else "00" for b in range(10))
+    for j in range(5)
+    for u in ("10", "01")
+]
+_N10_ARGS = ["dual", "--group", "2,4", "--n", "10", "--duality-index", "3",
+             "--side", "left", "--format", "json", "--code-gens",
+             *_UNITS, "11:13:02:01:12:10:03:11:02:13"]
+
+
+def test_dual_at_length_ten_is_found_without_scanning_the_space(capsys):
+    code, out, _ = _run(capsys, *_N10_ARGS)
+    assert code == 0
+    body = json.loads(out)
+    assert body["order"] == len(body["elements"]) == 8**10 // 131072 == 8192
+
+
+def test_dual_limit_counts_the_dual_before_enumerating_it(capsys, monkeypatch):
+    from groupdual import codes
+
+    def refuse(*args):
+        raise AssertionError("the dual was enumerated past its limit")
+
+    monkeypatch.setattr(codes, "_zero_subgroup", refuse)
+    code, out, err = _run(capsys, *_N10_ARGS, "--limit", "4096")
+    assert code == 1
+    assert out == ""
+    assert "order 8192" in err and "bound 4096" in err
+
+
+def test_code_words_keep_their_parse_errors(capsys):
+    base = ["dual", "--group", "2,4", "--duality-index", "0", "--side", "left"]
+    code, _, err = _run(capsys, *base, "--n", "2", "--code-gens", "01:1")
+    assert code == 1 and "expected 2 coordinates in '1'" in err
+    code, _, err = _run(capsys, *base, "--n", "2", "--code-gens", "01")
+    assert code == 1 and "expected 2 blocks in '01'" in err
+    code, _, err = _run(capsys, *base, "--code-gens", "0x")
+    assert code == 1 and "invalid literal" in err
+    # Coordinates are reduced: 35 is the word 11.
+    assert _run(capsys, *base, "--code-gens", "35") == _run(capsys, *base, "--code-gens", "11")
