@@ -178,19 +178,28 @@ def _cmd_duals_table(args) -> int:
         subs = [s for s in subs if 1 < s.order < A.cardinality]
     rows = duals_table(A, subs, limits=limits)
     # The duals are a few distinct subgroups repeated across many rows;
-    # each is formatted once.
+    # each is formatted once, and only the emitted format is built.
     name = cache(str)
-    json_rows = []
+    if args.format == "json":
+        json_rows = [
+            {
+                "tau": row["tau"],
+                "duals": [
+                    {"left": name(d["left"]), "right": name(d["right"])}
+                    for d in row["duals"]
+                ],
+            }
+            for row in rows
+        ]
+        _emit(args, "", json_rows)
+        return 0
     lines = ["subgroups: " + " ".join(str(s) for s in subs)]
     for row in rows:
-        duals = [
-            {"left": name(d["left"]), "right": name(d["right"])}
-            for d in row["duals"]
-        ]
-        json_rows.append({"tau": row["tau"], "duals": duals})
-        cells = "  ".join(f"L={d['left']} R={d['right']}" for d in duals)
+        cells = "  ".join(
+            f"L={name(d['left'])} R={name(d['right'])}" for d in row["duals"]
+        )
         lines.append(f"{row['tau']}: {cells}")
-    _emit(args, "\n".join(lines) + "\n", json_rows)
+    _emit(args, "\n".join(lines) + "\n", None)
     return 0
 
 

@@ -9,7 +9,7 @@ the perfect pairing makes D the whole zero set.  A solver bug therefore
 raises instead of reaching a table.  With phi(a) = phi_0(a tau),
 R_phi(H) = L_0(H tau) and L_phi(H) = L_0(H tau*): every dual is the
 canonical annihilator L_0 of an automorphic image, and `_duals_by_image`
-shares one zero set among all the dualities that give the same image.
+computes one zero set per group for each image, whatever duality gives it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import CycInt
@@ -25,7 +24,9 @@ from .characters import Character, pairing_exponent
 from .dualities import (
     Duality,
     _duality_from_gram,
+    _gram,
     _pairing_forms,
+    _rows_from_gram,
     all_dualities,
     canonical_duality,
     inner_product_value,
@@ -36,6 +37,8 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
+    _annihilators,
+    _image,
     _span,
     _zero_subgroup,
     all_subgroups,
@@ -71,12 +74,6 @@ class PowerGroup:
                 raise ValueError("block belongs to a different base group")
             coords.extend(b.coords)
         return self.spec.element(coords)
-
-    def blocks(self, x: GroupElement) -> list[GroupElement]:
-        k = self.base.rank
-        return [
-            self.base.element(x.coords[i * k : (i + 1) * k]) for i in range(self.n)
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,48 +553,40 @@ def _duals_by_image(
     dualities: Iterable[Duality],
     limits: Limits | None,
 ) -> Iterator[list[tuple[Subgroup, Subgroup]]]:
-    """Per duality phi, [(L_phi(H), R_phi(H)) for H in subgroups], each the
-    zero set of the pairing forms of H's generators (`_pairing_forms`).
+    """Per duality phi, [(L_phi(H), R_phi(H)) for H in subgroups].
 
-    With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau) and L_phi(H) =
-    R_phi*(H) = L_0(H tau*): the forms of H under phi are phi_0's forms
-    (w_i y_i) of the generators y of H tau (right) or H tau* (left).  Zero
-    sets are memoised by the tuple of forms and then by their span in
-    (Z/m)^k; y -> (w_i y_i) is injective, so equal spans mean equal images
-    of order |H|, and one zero set of order |A| / |H| is computed per
-    distinct image in this call."""
+    With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau): the right row of tau
+    maps each distinct generator of the subgroups through tau once and
+    reads L_0 of each image from the per-group memo `_annihilators`.
+    L_phi(H) = R_phi*(H), so the left row of phi is the right row of
+    tau* = `_rows_from_gram(A, G^T)`.  Right rows are memoised by tau's
+    matrix within the call, so on all of Aut(A) each is computed once and
+    read twice.  Every dual has order |A| / |H|, checked against the scan
+    bound for each H before any row, memoised or not, is read."""
     if any(H.parent != A for H in subgroups):
         raise ValueError("subgroup does not live in the given group")
-    form_orders = (A.exponent,) * A.rank
-    by_forms: dict[tuple[tuple[int, ...], ...], Subgroup] = {}
-    by_span: dict[frozenset[tuple[int, ...]], Subgroup] = {}
+    for H in subgroups:
+        check_scan(A.cardinality // H.order, limits)
+    words = list(dict.fromkeys(g.coords for H in subgroups for g in H.generators))
+    where = {w: i for i, w in enumerate(words)}
+    slots = [[where[g.coords] for g in H.generators] for H in subgroups]
+    annihilator_of = _annihilators(A)
+    rows: dict[tuple[tuple[int, ...], ...], list[Subgroup]] = {}
 
-    def zero_set(forms: tuple[tuple[int, ...], ...]) -> Subgroup:
-        dual = by_forms.get(forms)
-        if dual is None:
-            key = frozenset(_span(form_orders, forms)[1])
-            dual = by_span.get(key)
-            if dual is None:
-                check_scan(A.cardinality // len(key), limits)
-                dual = _zero_subgroup(A, forms, len(key))
-                by_span[key] = dual
-            by_forms[forms] = dual
-        return dual
+    def right_row(tau: tuple[tuple[int, ...], ...]) -> list[Subgroup]:
+        row = rows.get(tau)
+        if row is None:
+            images = _image(A.orders, words, tau)
+            row = rows[tau] = [
+                annihilator_of(tuple(images[i] for i in slot)) for slot in slots
+            ]
+        return row
 
-    # One `_pairing_forms` call per side and duality, since each call
-    # builds the Gram matrix; H's forms are its slice `cuts` of the result.
-    words = [g.coords for H in subgroups for g in H.generators]
-    ends = list(accumulate(len(H.generators) for H in subgroups))
-    cuts = list(zip([0] + ends, ends))
     for phi in dualities:
         if phi.parent != A:
             raise ValueError("duality of a different group")
-        left = _pairing_forms(phi, words, True)
-        right = _pairing_forms(phi, words, False)
-        yield [
-            (zero_set(tuple(left[i:j])), zero_set(tuple(right[i:j])))
-            for i, j in cuts
-        ]
+        star = _rows_from_gram(A, tuple(zip(*_gram(phi))))
+        yield list(zip(right_row(star), right_row(phi.tau.matrix)))
 
 
 def duals_table(

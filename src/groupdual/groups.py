@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from operator import add, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -19,36 +19,42 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .limits import Limits, check_enumeration
 
 
+def _derived():
+    """A field computed once from `orders` in `__post_init__`; equality,
+    hashing and repr stay on `orders`."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite abelian group prod Z/d_i with a fixed factor basis."""
+    """A finite abelian group prod Z/d_i with a fixed factor basis.
+
+    `rank`, `exponent`, `cardinality` and `weights` (w_i = exponent / d_i,
+    the pairing weight of each factor) are computed once per group."""
 
     orders: tuple[int, ...]
+    rank: int = _derived()
+    exponent: int = _derived()
+    cardinality: int = _derived()
+    weights: tuple[int, ...] = _derived()
+    # Elements are written as digit strings unless some d_i > 10.
+    _comma: bool = _derived()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", tuple(int(d) for d in self.orders))
-        if not self.orders:
+        orders = tuple(int(d) for d in self.orders)
+        if not orders:
             raise ValueError("a group needs at least one cyclic factor")
-        if any(d < 2 for d in self.orders):
+        if any(d < 2 for d in orders):
             raise ValueError("every cyclic order must be at least 2")
-
-    @property
-    def rank(self) -> int:
-        return len(self.orders)
-
-    @property
-    def exponent(self) -> int:
-        return reduce(math.lcm, self.orders)
-
-    @property
-    def cardinality(self) -> int:
-        return math.prod(self.orders)
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        """w_i = exponent / d_i, the pairing weight of each factor."""
-        m = self.exponent
-        return tuple(m // d for d in self.orders)
+        m = reduce(math.lcm, orders)
+        self.__dict__.update(
+            orders=orders,
+            rank=len(orders),
+            exponent=m,
+            cardinality=math.prod(orders),
+            weights=tuple(m // d for d in orders),
+            _comma=any(d > 10 for d in orders),
+        )
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
         return GroupElement(self, tuple(coords))
@@ -76,9 +82,7 @@ class GroupSpec:
         return len(self.primes()) == 1
 
     def format_element(self, a: "GroupElement") -> str:
-        if all(d <= 10 for d in self.orders):
-            return "".join(str(c) for c in a.coords)
-        return ",".join(str(c) for c in a.coords)
+        return ("," if self._comma else "").join(map(str, a.coords))
 
     def parse_element(self, text: str) -> "GroupElement":
         return GroupElement(self, self.parse_coords(text))
@@ -87,7 +91,7 @@ class GroupSpec:
         """The reduced coordinates of an element written as by
         `format_element`: digits, or comma-separated when some d_i > 10."""
         parts = text.strip()
-        if any(d > 10 for d in self.orders):
+        if self._comma:
             parts = parts.split(",")
         digits = list(map(int, parts))
         if len(digits) != self.rank:
@@ -178,6 +182,10 @@ class Subgroup:
         return self.parent == other.parent and self.element_set() == other.element_set()
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.parent, self.element_set()))
 
     def is_whole_group(self) -> bool:
@@ -341,10 +349,16 @@ def trivial_subgroup(parent: GroupSpec) -> Subgroup:
 def all_subgroups(
     A: GroupSpec, limits: Limits | None = None
 ) -> list[Subgroup]:
-    """Every subgroup of A, by breadth-first closure of one-element
-    extensions on coordinate tuples; only the distinct subgroups are
-    wrapped as Subgroups."""
+    """Every subgroup of A, ordered by (order, sorted members); a fresh list
+    of the subgroups enumerated once per group."""
     check_enumeration(A.cardinality, limits)
+    return list(_subgroups(A))
+
+
+@lru_cache(maxsize=None)
+def _subgroups(A: GroupSpec) -> tuple[Subgroup, ...]:
+    """Breadth-first closure of one-element extensions on coordinate
+    tuples; only the distinct subgroups are wrapped as Subgroups."""
     orders = A.orders
     all_elems = list(product(*map(range, orders)))
     trivial = frozenset([(0,) * A.rank])
@@ -363,7 +377,7 @@ def all_subgroups(
                     next_frontier.append((grown, key))
         frontier = next_frontier
     members = sorted((sorted(key) for key in found), key=lambda c: (len(c), c))
-    return [_closed_subgroup(A, c) for c in members]
+    return tuple(_closed_subgroup(A, c) for c in members)
 
 
 @dataclass(frozen=True)
@@ -491,7 +505,9 @@ def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
     0..j-1 only in 0.  Every bijection passes this test at each depth, and
     at depth k the rows span d_1 ... d_k = |A| elements, so the leaves are
     exactly the automorphisms.  Candidates are tried in sorted order, which
-    yields the matrices in lexicographic order."""
+    yields the matrices in lexicographic order.  The rows are reduced and
+    of order d_j, hence admissible, so the leaves skip the constructor's
+    checks, whose span of A would repeat what the depth-k count proves."""
     orders = A.orders
     k = len(orders)
     elements = list(A.elements())
@@ -502,7 +518,9 @@ def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
     def extend(rows: list[tuple[int, ...]], span: set[tuple[int, ...]]) -> None:
         j = len(rows)
         if j == k:
-            auts.append(Automorphism(A, A, tuple(rows)))
+            tau = object.__new__(Automorphism)
+            tau.__dict__.update(source=A, target=A, matrix=tuple(rows))
+            auts.append(tau)
             return
         d = orders[j]
         for r in candidates[j]:
@@ -518,6 +536,35 @@ def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
 
     extend([], {(0,) * k})
     return tuple(auts)
+
+
+@lru_cache(maxsize=None)
+def _annihilators(
+    A: GroupSpec,
+) -> Callable[[tuple[tuple[int, ...], ...]], Subgroup]:
+    """The lookup gens -> L_0(K) of A, kept per group like Aut(A).
+
+    L_0(K) = {x : sum_i w_i y_i x_i = 0 (mod m) for every y in K} is the
+    annihilator of K = <gens> under the canonical duality; `gens` are
+    reduced coordinate tuples.  Results are memoised by `gens` and then by
+    the element set of K.  A miss runs `_zero_subgroup` on the forms
+    (w_i y_i), which checks its certificate.  |L_0(K)| = |A| / |K|; the
+    caller bounds it beforehand."""
+    by_gens: dict[tuple[tuple[int, ...], ...], Subgroup] = {}
+    by_span: dict[frozenset[tuple[int, ...]], Subgroup] = {}
+
+    def annihilator_of(gens: tuple[tuple[int, ...], ...]) -> Subgroup:
+        dual = by_gens.get(gens)
+        if dual is None:
+            span = frozenset(_span(A.orders, gens)[1])
+            dual = by_span.get(span)
+            if dual is None:
+                forms = [tuple(map(mul, A.weights, y)) for y in gens]
+                dual = by_span[span] = _zero_subgroup(A, forms, len(span))
+            by_gens[gens] = dual
+        return dual
+
+    return annihilator_of
 
 
 def _image(

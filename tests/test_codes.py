@@ -8,6 +8,8 @@ import pytest
 
 from groupdual import (
     DualKind,
+    LimitExceededError,
+    Limits,
     UnsupportedPairError,
     adjoint,
     all_dualities,
@@ -47,7 +49,8 @@ def test_power_group_word_and_blocks_roundtrip():
     blocks = [A.element([1, 2]), A.element([0, 3]), A.element([1, 0])]
     w = P.word(blocks)
     assert w.coords == (1, 2, 0, 3, 1, 0)
-    assert P.blocks(w) == blocks
+    k = A.rank
+    assert [A.element(w.coords[i : i + k]) for i in range(0, len(w.coords), k)] == blocks
 
 
 def test_power_group_spec_is_built_once():
@@ -314,6 +317,42 @@ def test_duals_by_image_match_the_scan(orders):
             if A.cardinality <= 8:
                 assert L.element_set() == _full_scan_dual(CH, phi, "left")
                 assert R.element_set() == _full_scan_dual(CH, phi, "right")
+
+
+def _same_rows(got, want):
+    def key(rows):
+        return [[(S.elements, S.generators) for pair in row for S in pair] for row in rows]
+
+    assert key(got) == key(want)
+
+
+@pytest.mark.parametrize("orders", [[2, 4], [3, 3], [2, 8], [2, 2, 2]])
+def test_duals_by_image_rows_do_not_depend_on_the_duality_list(orders):
+    # Right rows are memoised by tau within a call and read as left rows of
+    # the adjoint; a list without phi* (one duality), in another order or
+    # with repeats must still give each duality its row over the full list.
+    A = make_group(orders)
+    subs = all_subgroups(A)
+    dualities = all_dualities(A)
+    full = list(_duals_by_image(A, subs, dualities, None))
+    assert any(not is_symmetric(phi) for phi in dualities)
+    for phi, row in zip(dualities, full):
+        _same_rows(list(_duals_by_image(A, subs, [phi], None)), [row])
+    _same_rows(list(_duals_by_image(A, subs, dualities[::-1], None)), full[::-1])
+    picks = [i for i in range(0, len(dualities), 3) for _ in range(2)] + [0, 1, 0]
+    _same_rows(
+        list(_duals_by_image(A, subs, [dualities[i] for i in picks], None)),
+        [full[i] for i in picks],
+    )
+
+
+def test_duals_table_limit_applies_after_the_duals_are_cached():
+    A = make_group([2, 2, 2])
+    subs = [H for H in all_subgroups(A) if H.order == 2]
+    # Every dual of an order-2 subgroup of (Z/2)^3 has order 4.
+    assert len(duals_table(A, subs)) == 168
+    with pytest.raises(LimitExceededError, match="dual code of order 4 exceeds scan bound 3"):
+        duals_table(A, subs, limits=Limits(scan_bound=3))
 
 
 def _search_by_scans(H, K):

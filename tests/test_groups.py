@@ -26,6 +26,7 @@ from groupdual import (
     subgroup_closure,
     subgroup_from_elements,
 )
+from groupdual.groups import _span
 
 CENSUS_GROUPS = (
     [2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27]
@@ -313,6 +314,60 @@ def test_automorphism_group_limit_applies_to_a_cached_group():
     automorphism_group(A)
     with pytest.raises(LimitExceededError):
         automorphism_group(A, Limits(enumeration_bound=7))
+
+
+def test_all_subgroups_result_is_a_fresh_list():
+    A = make_group([2, 4])
+    first = all_subgroups(A)
+    expected = list(first)
+    first.reverse()
+    first.pop()
+    assert all_subgroups(A) == expected
+
+
+def test_all_subgroups_limit_applies_to_a_cached_group():
+    A = make_group([2, 2, 2])
+    assert len(all_subgroups(A)) == 16
+    with pytest.raises(LimitExceededError, match="order 8 exceeds enumeration bound 7"):
+        all_subgroups(A, Limits(enumeration_bound=7))
+
+
+def _valuation(d, p):
+    e = 0
+    while d % p == 0:
+        d, e = d // p, e + 1
+    return e
+
+
+def _hillar_rhea_order(orders):
+    """Oracle: |Aut(A)| by the closed form over primary parts (Hillar and
+    Rhea, "Automorphisms of finite abelian groups", Amer. Math. Monthly
+    2007), with e_1 <= ... <= e_n the exponents of the p-part."""
+    total = 1
+    for p in range(2, max(orders) + 1):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        es = sorted(filter(None, (_valuation(d, p) for d in orders)))
+        n = len(es)
+        for k, e in enumerate(es):
+            d_k = max(l + 1 for l in range(n) if es[l] == e)
+            c_k = min(l + 1 for l in range(n) if es[l] == e)
+            total *= (p**d_k - p**k) * p ** (e * (n - d_k) + (e - 1) * (n - c_k + 1))
+    return total
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS + ([2, 2, 2, 2],))
+def test_automorphism_leaves_span_the_group_and_count_to_the_closed_form(orders):
+    # The enumeration builds its leaves without the constructor's checks,
+    # so each one is checked here: its rows span A, and it equals (and
+    # hashes like) the Automorphism the constructor builds from its rows.
+    A = make_group(orders)
+    auts = automorphism_group(A)
+    assert len(auts) == _hillar_rhea_order(orders)
+    for tau in auts:
+        assert len(_span(A.orders, tau.matrix)[1]) == A.cardinality
+        built = Automorphism(A, A, tau.matrix)
+        assert built == tau and hash(built) == hash(tau)
 
 
 def test_automorphism_group_repeated_calls_agree():
