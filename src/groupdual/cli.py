@@ -68,6 +68,16 @@ def _limits(args) -> Limits:
     return base
 
 
+def _write_json_list(items) -> None:
+    """Write the encoded `items` to stdout as they come, as the bytes that
+    `json.dumps` gives for the whole list."""
+    sep = "["
+    for item in items:
+        sys.stdout.write(sep + item)
+        sep = ", "
+    sys.stdout.write("]\n" if sep == ", " else "[]\n")
+
+
 def _emit(args, text_body: str, json_body) -> None:
     if args.format == "json":
         print(json.dumps(json_body, sort_keys=True))
@@ -117,14 +127,20 @@ def _cmd_dualities(args) -> int:
         line = f"{len(dualities)} total, {sum(sym)} symmetric"
         _emit(args, line + "\n", {"total": len(dualities), "symmetric": sum(sym)})
         return 0
-    rows = []
-    lines = []
-    for i, (phi, s) in enumerate(zip(dualities, sym)):
-        mat = [list(r) for r in phi.tau.matrix]
-        rows.append({"index": i, "tau": mat, "symmetric": s})
-        flag = "symmetric" if s else ""
-        lines.append(f"{i}: {mat} {flag}".rstrip())
-    _emit(args, "\n".join(lines) + "\n", rows)
+    rows = (
+        (i, [list(r) for r in phi.tau.matrix], s)
+        for i, (phi, s) in enumerate(zip(dualities, sym))
+    )
+    if args.format == "json":
+        # Keys in sorted order; an int list reads the same in Python and JSON.
+        _write_json_list(
+            f'{{"index": {i}, "symmetric": {json.dumps(s)}, "tau": {mat}}}'
+            for i, mat, s in rows
+        )
+    else:
+        sys.stdout.writelines(
+            f"{i}: {mat}{' symmetric' if s else ''}\n" for i, mat, s in rows
+        )
     return 0
 
 
@@ -169,6 +185,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_duals_table(args) -> int:
+    if args.order is not None and args.order < 0:
+        return _usage_error(f"--order must be at least 0, got {args.order}")
     A = _parse_group(args.group)
     limits = _limits(args)
     subs = all_subgroups(A, limits)
@@ -178,28 +196,26 @@ def _cmd_duals_table(args) -> int:
         subs = [s for s in subs if 1 < s.order < A.cardinality]
     rows = duals_table(A, subs, limits=limits)
     # The duals are a few distinct subgroups repeated across many rows;
-    # each is formatted once, and only the emitted format is built.
+    # each is named once and each (left, right) cell formatted once, in the
+    # emitted format.  Keys are written in sorted order, and a list of int
+    # lists reads the same in Python and JSON.
     name = cache(str)
     if args.format == "json":
-        json_rows = [
-            {
-                "tau": row["tau"],
-                "duals": [
-                    {"left": name(d["left"]), "right": name(d["right"])}
-                    for d in row["duals"]
-                ],
-            }
+        cell = cache(lambda L, R: json.dumps({"left": name(L), "right": name(R)}))
+    else:
+        cell = cache(lambda L, R: f"L={name(L)} R={name(R)}")
+
+    def cells(row: dict) -> list[str]:
+        return [cell(d["left"], d["right"]) for d in row["duals"]]
+
+    if args.format == "json":
+        _write_json_list(
+            f'{{"duals": [{", ".join(cells(row))}], "tau": {row["tau"]}}}'
             for row in rows
-        ]
-        _emit(args, "", json_rows)
-        return 0
-    lines = ["subgroups: " + " ".join(str(s) for s in subs)]
-    for row in rows:
-        cells = "  ".join(
-            f"L={name(d['left'])} R={name(d['right'])}" for d in row["duals"]
         )
-        lines.append(f"{row['tau']}: {cells}")
-    _emit(args, "\n".join(lines) + "\n", None)
+        return 0
+    sys.stdout.write("subgroups: " + " ".join(str(s) for s in subs) + "\n")
+    sys.stdout.writelines(f"{row['tau']}: {'  '.join(cells(row))}\n" for row in rows)
     return 0
 
 
@@ -221,6 +237,8 @@ def _cmd_congruence(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
+    if args.p is not None and args.p < 2:
+        return _usage_error(f"--p must be at least 2, got {args.p}")
     A = _parse_group(args.group)
     limits = _limits(args)
     primes = A.primes()

@@ -8,7 +8,8 @@ call: every generator zeroes every form, and |D| |C| = |A^n|, which by
 the perfect pairing makes D the whole zero set.  A solver bug therefore
 raises instead of reaching a table.  With phi(a) = phi_0(a tau),
 R_phi(H) = L_0(H tau) and L_phi(H) = L_0(H tau*): every dual is the
-canonical annihilator L_0 of an automorphic image, and `_duals_by_image`
+canonical annihilator L_0 of an automorphic image.  `_duals_by_image`
+reads these from the per-group lattice index `groups._lattice`, which
 computes one zero set per group for each image, whatever duality gives it.
 """
 
@@ -17,19 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cyclotomic import CycInt
-from .characters import Character, pairing_exponent
 from .dualities import (
     Duality,
     _duality_from_gram,
-    _gram,
     _pairing_forms,
-    _rows_from_gram,
-    all_dualities,
     canonical_duality,
-    inner_product_value,
     is_symmetric,
 )
 from .groups import (
@@ -37,19 +33,19 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
-    _annihilators,
-    _image,
+    _adjoint_rows,
+    _automorphisms,
+    _closed_subgroup,
+    _lattice,
     _span,
     _zero_subgroup,
-    all_subgroups,
     automorphism_group,
     is_characteristic,
     make_group,
     stabilizer,
     subgroup_closure,
-    subgroup_from_elements,
 )
-from .limits import Limits, check_scan
+from .limits import Limits, check_enumeration, check_scan
 
 
 @dataclass(frozen=True)
@@ -129,14 +125,6 @@ def extend_duality(phi: Duality, n: int) -> Duality:
     return Duality(Automorphism(spec, spec, tuple(rows)))
 
 
-def _extended(phi: Duality, C: AdditiveCode) -> Duality:
-    if phi.parent == C.power.spec:
-        return phi
-    if phi.parent != C.power.base:
-        raise ValueError("duality is neither over the base nor the power group")
-    return extend_duality(phi, C.power.n)
-
-
 def left_dual(
     C: AdditiveCode, phi: Duality, limits: Limits | None = None
 ) -> AdditiveCode:
@@ -192,17 +180,6 @@ def self_dual_kind(C: AdditiveCode, phi: Duality) -> DualKind:
     return DualKind.NONE
 
 
-def dual_sum_check(
-    C: AdditiveCode, phi: Duality, x: GroupElement
-) -> CycInt:
-    """sum_{y in C} Phi(x, y), exactly; equals |C| or 0 by membership."""
-    ext = _extended(phi, C)
-    total = CycInt.zero(C.power.spec.exponent)
-    for y in C.subgroup.elements:
-        total = total + inner_product_value(ext, x, y)
-    return total
-
-
 class UnsupportedPairError(ValueError):
     """The size condition alone does not guarantee a duality exists."""
 
@@ -240,11 +217,10 @@ def search_duality_for_pair(
 ) -> Optional[Duality]:
     """Exhaustive fallback: the first duality, in Aut(A) order, pairing H
     with K.  One `_duals_by_image` call serves every duality."""
-    dualities = all_dualities(H.parent, limits)
-    rows = _duals_by_image(H.parent, [H], dualities, None)
-    for phi, ((L, R),) in zip(dualities, rows):
+    auts = automorphism_group(H.parent, limits)
+    for tau, ((L, R),) in zip(auts, _duals_by_image(H.parent, [H], None, limits)):
         if L == R == K:
-            return phi
+            return Duality(tau)
     return None
 
 
@@ -377,11 +353,9 @@ def _factor_coordinates(
     A: GroupSpec, basis: list[GroupElement]
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Coordinates of each element of (+) <h_i> against the cyclic basis."""
-    from itertools import product as iproduct
-
     coords = {}
     ranges = [range(b.order) for b in basis]
-    for tup in iproduct(*ranges):
+    for tup in product(*ranges):
         x = A.zero()
         for ci, b in zip(tup, basis):
             x = x + ci * b
@@ -440,14 +414,14 @@ def mult_by_p_filtration(
     while m % p == 0:
         m //= p
         N += 1
+    # ker f^j and im f^j are products over the factors: x_i with q x_i = 0
+    # in Z/d_i, and the multiples of gcd(q, d_i); both come out sorted.
     pairs = []
     for j in range(N + 1):
         q = p**j
-        ker = subgroup_from_elements(
-            A, [a for a in A.elements() if (q * a).is_zero()]
-        )
-        im = subgroup_from_elements(A, [q * a for a in A.elements()])
-        pairs.append((ker, im))
+        ker = product(*(range(0, d, d // math.gcd(q, d)) for d in A.orders))
+        im = product(*(range(0, d, math.gcd(q, d)) for d in A.orders))
+        pairs.append((_closed_subgroup(A, list(ker)), _closed_subgroup(A, list(im))))
     proper = dict.fromkeys(
         H for level in pairs for H in level if 1 < H.order < A.cardinality
     )
@@ -470,29 +444,17 @@ def verify_filtration_duality(
     return _swapped_by_l0(A, mult_by_p_filtration(A, p, limits), limits)
 
 
-def _filtration_is_dual(
-    A: GroupSpec,
-    pairs: Sequence[tuple[Subgroup, Subgroup]],
-    limits: Limits | None = None,
-) -> bool:
-    """Whether every (ker, im) level of a computed filtration is a mutual
-    left/right dual pair under every duality of A.
-
-    Every dual is L_0 of an automorphic image of the subgroup (see
-    `_duals_by_image`), so both duals of a characteristic subgroup are L_0
-    of it under every duality.  Conversely L_0 is injective on subgroups,
-    so equal duals under every tau force H tau = H.  The test is therefore
-    that every level is characteristic and that L_0 swaps ker and im."""
-    if not all(is_characteristic(H, limits) for level in pairs for H in level):
-        return False
-    return _swapped_by_l0(A, pairs, limits)
-
-
 def _swapped_by_l0(
     A: GroupSpec, pairs: Sequence[tuple[Subgroup, Subgroup]], limits: Limits | None
 ) -> bool:
-    """Whether L_0 maps ker to im and im to ker on every level; for
-    characteristic levels this is `_filtration_is_dual`."""
+    """Whether L_0 maps ker to im and im to ker on every level.
+
+    Every dual is L_0 of an automorphic image of the subgroup (see
+    `_duals_by_image`), so both duals of a characteristic subgroup are L_0
+    of it under every duality; conversely L_0 is injective on subgroups,
+    so equal duals under every tau force H tau = H.  The (ker, im) levels
+    are therefore mutual left/right duals under every duality exactly when
+    every level is characteristic and this holds."""
     levels = [H for level in pairs for H in level]
     (row,) = _duals_by_image(A, levels, [canonical_duality(A)], limits)
     return [L for L, _ in row] == [K for ker, im in pairs for K in (im, ker)]
@@ -512,10 +474,10 @@ def duality_dependence(
     H: Subgroup, limits: Limits | None = None
 ) -> DependenceReport:
     A = H.parent
-    dualities = all_dualities(A, limits)
+    auts = automorphism_group(A, limits)
     left_ids: dict[Subgroup, list[int]] = {}
     right_ids: dict[Subgroup, list[int]] = {}
-    for idx, ((L, R),) in enumerate(_duals_by_image(A, [H], dualities, limits)):
+    for idx, ((L, R),) in enumerate(_duals_by_image(A, [H], None, limits)):
         left_ids.setdefault(L, []).append(idx)
         right_ids.setdefault(R, []).append(idx)
     # Classes come in order of their least duality index.
@@ -524,17 +486,15 @@ def duality_dependence(
     char = is_characteristic(H, limits)
 
     stab = stabilizer(H, limits)
-    auts = automorphism_group(A, limits)
     expected_classes = len(auts) // len(stab)
     if len(right) != expected_classes or len(left) != expected_classes:
         raise AssertionError("dual-value classes do not match stabilizer cosets")
     stab_set = {t.matrix for t in stab}
     for _, ids in right:
         # Every class of equal right duals must be a coset phi_1 o stab(H).
-        base = dualities[ids[0]].tau
-        base_inv = base.inverse()
+        base_inv = auts[ids[0]].inverse()
         for idx in ids[1:]:
-            witness = dualities[idx].tau.compose(base_inv)
+            witness = auts[idx].compose(base_inv)
             if witness.matrix not in stab_set:
                 raise AssertionError("right-dual class is not a stabilizer coset")
     if char != (len(right) == 1):
@@ -550,60 +510,62 @@ def duality_dependence(
 def _duals_by_image(
     A: GroupSpec,
     subgroups: Sequence[Subgroup],
-    dualities: Iterable[Duality],
+    dualities: Iterable[Duality] | None,
     limits: Limits | None,
 ) -> Iterator[list[tuple[Subgroup, Subgroup]]]:
-    """Per duality phi, [(L_phi(H), R_phi(H)) for H in subgroups].
+    """Per duality phi (all of Aut(A) in order when `dualities` is None),
+    [(L_phi(H), R_phi(H)) for H in subgroups].
 
-    With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau): the right row of tau
-    maps each distinct generator of the subgroups through tau once and
-    reads L_0 of each image from the per-group memo `_annihilators`.
-    L_phi(H) = R_phi*(H), so the left row of phi is the right row of
-    tau* = `_rows_from_gram(A, G^T)`.  Right rows are memoised by tau's
-    matrix within the call, so on all of Aut(A) each is computed once and
-    read twice.  Every dual has order |A| / |H|, checked against the scan
-    bound for each H before any row, memoised or not, is read."""
+    With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau) and L_phi(H) =
+    L_0(H tau*), read from `groups._lattice`: on Aut(A) through the
+    columns and `star`, for a given list by mapping through tau and tau*.
+    The parents, and each dual's order |A| / |H| against the scan bound,
+    are checked at the call, before any row, cached or not, is read."""
     if any(H.parent != A for H in subgroups):
         raise ValueError("subgroup does not live in the given group")
     for H in subgroups:
         check_scan(A.cardinality // H.order, limits)
-    words = list(dict.fromkeys(g.coords for H in subgroups for g in H.generators))
-    where = {w: i for i, w in enumerate(words)}
-    slots = [[where[g.coords] for g in H.generators] for H in subgroups]
-    annihilator_of = _annihilators(A)
-    rows: dict[tuple[tuple[int, ...], ...], list[Subgroup]] = {}
-
-    def right_row(tau: tuple[tuple[int, ...], ...]) -> list[Subgroup]:
-        row = rows.get(tau)
-        if row is None:
-            images = _image(A.orders, words, tau)
-            row = rows[tau] = [
-                annihilator_of(tuple(images[i] for i in slot)) for slot in slots
-            ]
-        return row
-
-    for phi in dualities:
-        if phi.parent != A:
+    if dualities is None:
+        check_enumeration(A.cardinality, limits)
+    else:
+        dualities = list(dualities)
+        if any(phi.parent != A for phi in dualities):
             raise ValueError("duality of a different group")
-        star = _rows_from_gram(A, tuple(zip(*_gram(phi))))
-        yield list(zip(right_row(star), right_row(phi.tau.matrix)))
+    return _dual_rows(_lattice(A), subgroups, dualities)
+
+
+def _dual_rows(lattice, subgroups, dualities):
+    """The rows of `_duals_by_image`, once its checks have passed."""
+    ids = [lattice.id_of(H) for H in subgroups]
+    if dualities is None:
+        cols = lattice.columns(ids)
+        dual = {i: lattice.l0(i) for i in set().union(*cols)}
+        for i, j in enumerate(lattice.star()):
+            yield [(dual[col[j]], dual[col[i]]) for col in cols]
+        return
+    images = lattice.mapper(ids)
+    for phi in dualities:
+        tau = phi.tau.matrix
+        left, right = images(_adjoint_rows(lattice.A, tau)), images(tau)
+        yield [(lattice.l0(i), lattice.l0(j)) for i, j in zip(left, right)]
 
 
 def duals_table(
     A: GroupSpec,
     subgroups: Sequence[Subgroup],
-    dualities: Sequence[Duality] | None = None,
+    dualities: Iterable[Duality] | None = None,
     limits: Limits | None = None,
-) -> list[dict]:
-    """One row per duality: its tau matrix and the left/right dual of each
-    selected subgroup, in the order given."""
-    dualities = list(dualities) if dualities is not None else all_dualities(A, limits)
-    return [
+) -> Iterator[dict]:
+    """One row per duality (all of Aut(A) when `dualities` is None), yielded
+    as it is computed: its tau matrix and the left/right dual of each
+    subgroup, in the order given.  The checks raise at the call."""
+    dualities = None if dualities is None else list(dualities)
+    rows = _duals_by_image(A, subgroups, dualities, limits)
+    taus = _automorphisms(A) if dualities is None else [phi.tau for phi in dualities]
+    return (
         {
-            "tau": [list(r) for r in phi.tau.matrix],
-            "duals": [{"left": L, "right": R} for L, R in duals],
+            "tau": [list(r) for r in tau.matrix],
+            "duals": [{"left": L, "right": R} for L, R in row],
         }
-        for phi, duals in zip(
-            dualities, _duals_by_image(A, subgroups, dualities, limits)
-        )
-    ]
+        for tau, row in zip(taus, rows)
+    )

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 from .cyclotomic import CycInt, root_power
 from .characters import Character, annihilator, pairing_exponent
@@ -52,14 +52,6 @@ class CompleteEnumerator:
     @property
     def total(self) -> int:
         return sum(c for _, c in self.terms)
-
-    def hamming_specialization(self) -> HammingEnumerator:
-        """Z_0 -> X, Z_a -> Y for a != 0."""
-        coeffs = [0] * (self.n + 1)
-        for counts, c in self.terms:
-            weight = self.n - counts[0]
-            coeffs[weight] += c
-        return HammingEnumerator(self.n, tuple(coeffs))
 
 
 def _letters(A: GroupSpec) -> list[tuple[int, ...]]:
@@ -304,28 +296,6 @@ def fourier_transform(
     return out
 
 
-def fourier_inverse_check(
-    A: GroupSpec, f: Mapping[tuple[int, ...], Value]
-) -> bool:
-    """f(a) = (1/|A|) sum_pi <pi, -a> f-hat(pi), checked exactly."""
-    m = A.exponent
-    fhat = fourier_transform(A, f)
-    for a in A.elements():
-        total: Value = {}
-        for pi_elem in A.elements():
-            pi = Character(A, pi_elem.coords)
-            scalar = root_power(m, pairing_exponent(pi, -a))
-            total = _value_add(total, _value_scale(fhat[pi_elem.coords], scalar))
-        recovered = {
-            k: v.divide_exact(A.cardinality)
-            for k, v in _value_normalize(total).items()
-        }
-        expected = _value_normalize(dict(f.get(a.coords, {})))
-        if recovered != expected:
-            return False
-    return True
-
-
 def poisson_check(
     H: Subgroup, f: Mapping[tuple[int, ...], Value]
 ) -> bool:
@@ -345,16 +315,3 @@ def poisson_check(
         rhs = _value_add(rhs, fhat[pi.coords])
     rhs = {k: v.divide_exact(index) for k, v in _value_normalize(rhs).items()}
     return lhs == rhs
-
-
-def complete_value_function(
-    power: PowerGroup,
-) -> Callable[[GroupElement], Value]:
-    """x -> prod_i Z_{x_i} as a Value keyed by count vectors."""
-    m = power.spec.exponent
-    base_index = {a: i for i, a in enumerate(_letters(power.base))}
-
-    def f(x: GroupElement) -> Value:
-        return {_count_key(power, x, base_index): CycInt.from_int(m, 1)}
-
-    return f

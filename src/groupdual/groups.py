@@ -9,10 +9,11 @@ matrices acting on row vectors (row i = image of g_i).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import product
+from itertools import product, repeat
 from operator import add, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -342,10 +343,6 @@ def _closed_subgroup(
     )
 
 
-def trivial_subgroup(parent: GroupSpec) -> Subgroup:
-    return subgroup_closure(parent, [])
-
-
 def all_subgroups(
     A: GroupSpec, limits: Limits | None = None
 ) -> list[Subgroup]:
@@ -437,14 +434,6 @@ class Homomorphism:
         # The image is the span of the row images; _span enumerates it.
         image = _span(self.target.orders, self.matrix)[1]
         return len(image) == self.source.cardinality
-
-    def map_subgroup(self, H: Subgroup) -> Subgroup:
-        if H.parent != self.source:
-            raise ValueError("subgroup does not live in the source group")
-        orders = self.target.orders
-        gens = (h.coords for h in H.generators)
-        image = _span(orders, _image(orders, gens, self.matrix))[1]
-        return _closed_subgroup(self.target, sorted(image))
 
 
 @dataclass(frozen=True)
@@ -538,68 +527,138 @@ def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
     return tuple(auts)
 
 
+def _adjoint_rows(A: GroupSpec, matrix) -> tuple[tuple[int, ...], ...]:
+    """The tau rows of phi* when phi has tau rows `matrix`: phi has Gram
+    matrix G_ij = w_j tau_ij mod m and phi* has G^T (`dualities.adjoint`),
+    so tau*_ij = (w_i tau_ji mod m) / w_j."""
+    m, w = A.exponent, A.weights
+    return tuple(
+        tuple(w_i * t % m // w_j for t, w_j in zip(col, w))
+        for w_i, col in zip(w, zip(*matrix))
+    )
+
+
+class _Lattice:
+    """The subgroups of one group A met so far, numbered as they are met,
+    and the maps on those ids that the dual tables read.  Aut(A) maps
+    subgroups to subgroups, so ids never outnumber the subgroups of A.
+
+    An id stands for an element set and keeps a generating set.  `l0` maps
+    an id to its annihilator L_0 under the canonical duality; a miss runs
+    `_zero_subgroup`, which checks its certificate.  The column of an id
+    holds the id of H tau for every tau in Aut(A) order, and `star` is
+    tau -> tau* on Aut(A) indices.  Callers check the limits."""
+
+    def __init__(self, A: GroupSpec) -> None:
+        self.A = A
+        self._ids: dict[frozenset[tuple[int, ...]], int] = {}
+        self._sets: list[frozenset[tuple[int, ...]]] = []
+        self._gens: list[tuple[tuple[int, ...], ...]] = []
+        # The id of the span of a tuple of generators, keyed by the tuple.
+        self._by_gens: dict[tuple[tuple[int, ...], ...], int] = {}
+        self._l0: dict[int, Subgroup] = {}
+        self._columns: dict[int, array] = {}
+        self._star: array | None = None
+
+    def _intern(self, elements, gens) -> int:
+        if elements not in self._ids:
+            self._ids[elements] = len(self._sets)
+            self._sets.append(elements)
+            self._gens.append(tuple(gens))
+        return self._ids[elements]
+
+    def id_of(self, H: Subgroup) -> int:
+        return self._intern(H.element_set(), (g.coords for g in H.generators))
+
+    def l0(self, i: int) -> Subgroup:
+        if i not in self._l0:
+            forms = [tuple(map(mul, self.A.weights, y)) for y in self._gens[i]]
+            self._l0[i] = _zero_subgroup(self.A, forms, len(self._sets[i]))
+        return self._l0[i]
+
+    def mapper(self, ids: Sequence[int]) -> Callable[..., list[int]]:
+        """The map matrix -> [id of H tau for H in ids].
+
+        Each distinct generator word is mapped once per matrix, by one
+        vector sum: a word is an earlier word plus c g_i, c its last
+        nonzero coordinate, so its image is that word's image plus c row_i.
+        `steps` holds (earlier word's step or None, i, c)."""
+        orders, by_gens = self.A.orders, self._by_gens
+        index: dict[tuple[int, ...], int] = {}
+        steps: list[tuple[int | None, int, int]] = []
+
+        def step(w: tuple[int, ...]) -> int:
+            if w not in index:
+                i = max((j for j, c in enumerate(w) if c), default=0)
+                prefix = w[:i] + (0,) * (len(w) - i)
+                steps.append((step(prefix) if any(prefix) else None, i, w[i]))
+                index[w] = len(steps) - 1
+            return index[w]
+
+        slots = [[step(w) for w in self._gens[i]] for i in ids]
+
+        def images(matrix: Sequence[tuple[int, ...]]) -> list[int]:
+            values: list[tuple[int, ...]] = []
+            for p, i, c in steps:
+                row = matrix[i] if c == 1 else map(mul, matrix[i], repeat(c))
+                if p is not None:
+                    row = map(add, values[p], row)
+                reduced = c == 1 and p is None
+                values.append(row if reduced else tuple(map(mod, row, orders)))
+            keys = [tuple(map(values.__getitem__, slot)) for slot in slots]
+            out = list(map(by_gens.get, keys))
+            if None in out:
+                for j, key in enumerate(keys):
+                    if out[j] is None:
+                        basis, span = _span(orders, key)
+                        out[j] = by_gens[key] = self._intern(frozenset(span), basis)
+            return out
+
+        return images
+
+    def columns(self, ids: Sequence[int]) -> list[array]:
+        """The column of each id; the missing ones are built in one pass
+        over Aut(A)."""
+        missing = [i for i in dict.fromkeys(ids) if i not in self._columns]
+        if missing:
+            cols = [array("I") for _ in missing]
+            appends = [col.append for col in cols]
+            images = self.mapper(missing)
+            for tau in _automorphisms(self.A):
+                for append, i in zip(appends, images(tau.matrix)):
+                    append(i)
+            self._columns.update(zip(missing, cols))
+        return [self._columns[i] for i in ids]
+
+    def star(self) -> array:
+        if self._star is None:
+            auts = _automorphisms(self.A)
+            index = {tau.matrix: i for i, tau in enumerate(auts)}
+            star = (index[_adjoint_rows(self.A, tau.matrix)] for tau in auts)
+            self._star = array("I", star)
+        return self._star
+
+
 @lru_cache(maxsize=None)
-def _annihilators(
-    A: GroupSpec,
-) -> Callable[[tuple[tuple[int, ...], ...]], Subgroup]:
-    """The lookup gens -> L_0(K) of A, kept per group like Aut(A).
-
-    L_0(K) = {x : sum_i w_i y_i x_i = 0 (mod m) for every y in K} is the
-    annihilator of K = <gens> under the canonical duality; `gens` are
-    reduced coordinate tuples.  Results are memoised by `gens` and then by
-    the element set of K.  A miss runs `_zero_subgroup` on the forms
-    (w_i y_i), which checks its certificate.  |L_0(K)| = |A| / |K|; the
-    caller bounds it beforehand."""
-    by_gens: dict[tuple[tuple[int, ...], ...], Subgroup] = {}
-    by_span: dict[frozenset[tuple[int, ...]], Subgroup] = {}
-
-    def annihilator_of(gens: tuple[tuple[int, ...], ...]) -> Subgroup:
-        dual = by_gens.get(gens)
-        if dual is None:
-            span = frozenset(_span(A.orders, gens)[1])
-            dual = by_span.get(span)
-            if dual is None:
-                forms = [tuple(map(mul, A.weights, y)) for y in gens]
-                dual = by_span[span] = _zero_subgroup(A, forms, len(span))
-            by_gens[gens] = dual
-        return dual
-
-    return annihilator_of
-
-
-def _image(
-    orders: tuple[int, ...],
-    gens: Iterable[tuple[int, ...]],
-    matrix: Sequence[Sequence[int]],
-) -> list[tuple[int, ...]]:
-    """The images of the coordinate tuples `gens` under the homomorphism
-    with `matrix` (row i = image of g_i) into prod Z/d_i, d = `orders`.
-    They generate the image of <gens>, so `_span` of them is that image."""
-    cols = tuple(zip(*matrix))
-    return [
-        tuple(sum(map(mul, g, col)) % d for col, d in zip(cols, orders))
-        for g in gens
-    ]
-
-
-def _fixes(H: Subgroup) -> Callable[[Automorphism], bool]:
-    """The test tau -> (H tau = H).  tau is injective and H finite, so that
-    holds as soon as tau maps each generator of H into H."""
-    orders, target = H.parent.orders, H.element_set()
-    gens = [g.coords for g in H.generators]
-    return lambda tau: target.issuperset(_image(orders, gens, tau.matrix))
+def _lattice(A: GroupSpec) -> _Lattice:
+    """The subgroup lattice index of A, kept per group like Aut(A)."""
+    return _Lattice(A)
 
 
 def stabilizer(
     H: Subgroup, limits: Limits | None = None
 ) -> list[Automorphism]:
-    """Every tau with H tau = H."""
-    return list(filter(_fixes(H), automorphism_group(H.parent, limits)))
+    """Every tau with H tau = H: the fixed points of H's column."""
+    check_enumeration(H.parent.cardinality, limits)
+    lattice = _lattice(H.parent)
+    h = lattice.id_of(H)
+    (col,) = lattice.columns([h])
+    return [tau for tau, i in zip(_automorphisms(H.parent), col) if i == h]
 
 
 def is_characteristic(H: Subgroup, limits: Limits | None = None) -> bool:
-    """Whether H tau = H for every tau; stops at the first tau that moves H."""
-    return all(map(_fixes(H), automorphism_group(H.parent, limits)))
+    """Whether H tau = H for every tau."""
+    return len(stabilizer(H, limits)) == len(_automorphisms(H.parent))
 
 
 def primary_decomposition(A: GroupSpec) -> dict[int, GroupSpec]:

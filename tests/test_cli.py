@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from groupdual import cli, hwe
+from groupdual import (
+    all_dualities,
+    all_subgroups,
+    cli,
+    duals_table,
+    hwe,
+    is_symmetric,
+    make_group,
+)
 from groupdual.cli import run
 from groupdual.tables import PAPER_TABLES, paper_table
 
@@ -93,10 +101,78 @@ def test_filtration_subcommand(capsys):
 
 
 def test_filtration_p_zero_is_not_the_default(capsys):
+    # --p 0 is refused as a usage error, not read as "no --p given".
     code, out, err = _run(capsys, "filtration", "--group", "4", "--p", "0")
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert err == "error: group is not a 0-group\n"
+    assert err == "error: --p must be at least 2, got 0\n"
+
+
+@pytest.mark.parametrize("order", ["-1", "-8"])
+def test_duals_table_negative_order_is_a_usage_error(capsys, order):
+    code, out, err = _run(capsys, "duals-table", "--group", "2,2", "--order", order)
+    assert (code, out) == (2, "")
+    assert err == f"error: --order must be at least 0, got {order}\n"
+
+
+@pytest.mark.parametrize("p", ["1", "-2"])
+def test_filtration_p_below_two_is_a_usage_error(capsys, p):
+    code, out, err = _run(capsys, "filtration", "--group", "4", "--p", p)
+    assert (code, out) == (2, "")
+    assert err == f"error: --p must be at least 2, got {p}\n"
+
+
+def _duals_table_in_memory(A, subs, fmt):
+    """Oracle: the whole duals table rendered at once, as the CLI rendered
+    it before it streamed rows."""
+    rows = [
+        {
+            "tau": row["tau"],
+            "duals": [{"left": str(d["left"]), "right": str(d["right"])} for d in row["duals"]],
+        }
+        for row in duals_table(A, subs)
+    ]
+    if fmt == "json":
+        return json.dumps(rows, sort_keys=True) + "\n"
+    lines = ["subgroups: " + " ".join(str(s) for s in subs)]
+    for row in rows:
+        cells = "  ".join(f"L={d['left']} R={d['right']}" for d in row["duals"])
+        lines.append(f"{row['tau']}: {cells}")
+    return "\n".join(lines) + "\n"
+
+
+def _dualities_list_in_memory(A, fmt):
+    """Oracle: `dualities --list` rendered at once."""
+    rows = [
+        {"index": i, "tau": [list(r) for r in phi.tau.matrix], "symmetric": is_symmetric(phi)}
+        for i, phi in enumerate(all_dualities(A))
+    ]
+    if fmt == "json":
+        return json.dumps(rows, sort_keys=True) + "\n"
+    lines = [
+        f"{r['index']}: {r['tau']} {'symmetric' if r['symmetric'] else ''}".rstrip()
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+CENSUS_GROUPS = ("2", "2,2", "2,4", "3,3", "2,8", "4,4", "2,2,2", "2,2,3", "27")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("group,order", [(g, None) for g in CENSUS_GROUPS] + [("2,4,4", 4)])
+def test_streamed_tables_match_the_in_memory_rendering(capsys, fmt, group, order):
+    A = make_group([int(d) for d in group.split(",")])
+    subs = [
+        s
+        for s in all_subgroups(A)
+        if (s.order == order if order is not None else 1 < s.order < A.cardinality)
+    ]
+    argv = ["duals-table", "--group", group, "--format", fmt]
+    argv += ["--order", str(order)] if order is not None else []
+    assert _run(capsys, *argv) == (0, _duals_table_in_memory(A, subs, fmt), "")
+    argv = ["dualities", "--group", group, "--list", "--format", fmt]
+    assert _run(capsys, *argv) == (0, _dualities_list_in_memory(A, fmt), "")
 
 
 def test_duals_table_order_zero_selects_no_subgroup(capsys):

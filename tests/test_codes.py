@@ -36,11 +36,11 @@ from groupdual import codes as codes_module
 from groupdual.codes import (
     PowerGroup,
     _duals_by_image,
-    _filtration_is_dual,
-    dual_sum_check,
+    _swapped_by_l0,
     duality_dependence,
 )
-from groupdual.dualities import inner_product_exponent
+from groupdual.cyclotomic import CycInt
+from groupdual.dualities import inner_product_exponent, inner_product_value
 
 
 def test_power_group_word_and_blocks_roundtrip():
@@ -87,6 +87,15 @@ def test_left_dual_under_adjoint_is_right_dual():
             assert right_dual(C, star) == left_dual(C, phi)
 
 
+def _dual_sum(C, phi, x):
+    """Oracle: sum_{y in C} Phi(x, y), exactly; |C| or 0 by membership."""
+    ext = extend_duality(phi, C.power.n)
+    total = CycInt.zero(C.power.spec.exponent)
+    for y in C.subgroup.elements:
+        total = total + inner_product_value(ext, x, y)
+    return total
+
+
 def test_dual_sum_oracle():
     # sum_{y in C} Phi(x, y) = |C| when x is in the left dual, else 0.
     A = make_group([2, 4])
@@ -94,7 +103,7 @@ def test_dual_sum_oracle():
     for phi in all_dualities(A):
         L = left_dual(C, phi)
         for x in A.elements():
-            total = dual_sum_check(C, phi, x)
+            total = _dual_sum(C, phi, x)
             if x in L.subgroup:
                 assert total.as_int() == C.order
             else:
@@ -350,9 +359,12 @@ def test_duals_table_limit_applies_after_the_duals_are_cached():
     A = make_group([2, 2, 2])
     subs = [H for H in all_subgroups(A) if H.order == 2]
     # Every dual of an order-2 subgroup of (Z/2)^3 has order 4.
-    assert len(duals_table(A, subs)) == 168
+    assert len(list(duals_table(A, subs))) == 168
+    # The rows are yielded lazily; the checks raise at the call, before any row.
     with pytest.raises(LimitExceededError, match="dual code of order 4 exceeds scan bound 3"):
         duals_table(A, subs, limits=Limits(scan_bound=3))
+    with pytest.raises(LimitExceededError, match="exceeds enumeration bound 7"):
+        duals_table(A, subs, limits=Limits(enumeration_bound=7))
 
 
 def _search_by_scans(H, K):
@@ -384,6 +396,14 @@ def test_search_duality_for_pair_matches_the_scans():
                     unpaired.append(got is None)
     # Some size-condition pairs of (2,4), (2,8) and (4,4) have no duality.
     assert any(unpaired) and not all(unpaired)
+
+
+def _filtration_is_dual(A, pairs):
+    """Whether every level is characteristic and L_0 swaps ker and im: by
+    `_swapped_by_l0`, the filtration test the library runs."""
+    if not all(is_characteristic(H) for level in pairs for H in level):
+        return False
+    return _swapped_by_l0(A, pairs, None)
 
 
 def _filtration_dual_under_every_duality(A, pairs):

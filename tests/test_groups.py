@@ -15,6 +15,8 @@ from groupdual import (
     Homomorphism,
     Limits,
     LimitExceededError,
+    adjoint,
+    all_dualities,
     all_subgroups,
     automorphism_group,
     identity_automorphism,
@@ -26,7 +28,7 @@ from groupdual import (
     subgroup_closure,
     subgroup_from_elements,
 )
-from groupdual.groups import _span
+from groupdual.groups import _closed_subgroup, _lattice, _span
 
 CENSUS_GROUPS = (
     [2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27]
@@ -394,15 +396,40 @@ def test_subgroup_element_set_is_computed_once():
     assert H.element_set() == frozenset(e.coords for e in H.elements)
 
 
+def _map_subgroup(hom, H):
+    """Oracle for the lattice's image map: the span of hom.apply of H's
+    generators, wrapped canonically."""
+    if H.parent != hom.source:
+        raise ValueError("subgroup does not live in the source group")
+    image = _span(hom.target.orders, (hom.apply(h).coords for h in H.generators))[1]
+    return _closed_subgroup(hom.target, sorted(image))
+
+
 @pytest.mark.parametrize("orders", CENSUS_GROUPS)
 def test_stabilizer_matches_the_brute_force_filter(orders):
     A = make_group(orders)
     auts = automorphism_group(A)
+    lattice = _lattice(A)
     for H in all_subgroups(A):
         target = H.element_set()
         images = [{tau.apply(h).coords for h in H.elements} for tau in auts]
-        assert stabilizer(H) == [tau for tau, im in zip(auts, images) if im == target]
-        for tau, im in zip(auts, images):
-            got = tau.map_subgroup(H)
+        fixed = [tau for tau, im in zip(auts, images) if im == target]
+        assert stabilizer(H) == fixed
+        assert is_characteristic(H) == (len(fixed) == len(auts))
+        (column,) = lattice.columns([lattice.id_of(H)])
+        assert len(column) == len(auts)
+        for tau, im, i in zip(auts, images, column):
+            got = _map_subgroup(tau, H)
             want = subgroup_from_elements(A, [A.element(c) for c in im])
             assert (got.elements, got.generators) == (want.elements, want.generators)
+            assert lattice.id_of(want) == i
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS)
+def test_lattice_star_is_the_adjoint_on_aut_indices(orders):
+    A = make_group(orders)
+    dualities = all_dualities(A)
+    star = _lattice(A).star()
+    assert sorted(star) == list(range(len(dualities)))
+    for phi, j in zip(dualities, star):
+        assert dualities[j] == adjoint(phi)

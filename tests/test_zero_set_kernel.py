@@ -229,6 +229,7 @@ def test_scan_bound_applies_to_the_order_of_the_dual():
     with pytest.raises(LimitExceededError, match="dual code of order 128 exceeds scan bound 127"):
         right_dual(C, phi, Limits(scan_bound=127))
     H = subgroup_closure(A, [A.element((0, 1))])
-    assert duals_table(A, [H], [phi], Limits(scan_bound=2))[0]["duals"][0]["left"].order == 2
+    (row,) = duals_table(A, [H], [phi], Limits(scan_bound=2))
+    assert row["duals"][0]["left"].order == 2
     with pytest.raises(LimitExceededError, match="dual code of order 2 exceeds scan bound 1"):
         duals_table(A, [H], [phi], Limits(scan_bound=1))
