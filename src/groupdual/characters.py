@@ -42,9 +42,6 @@ class Character:
     def inverse(self) -> "Character":
         return Character(self.parent, tuple(-e for e in self.etuple))
 
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.etuple)
-
 
 def trivial_character(A: GroupSpec) -> Character:
     return Character(A, (0,) * A.rank)

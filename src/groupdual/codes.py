@@ -483,19 +483,19 @@ def duality_dependence(
     # Classes come in order of their least duality index.
     left = [(sub, tuple(ids)) for sub, ids in left_ids.items()]
     right = [(sub, tuple(ids)) for sub, ids in right_ids.items()]
-    char = is_characteristic(H, limits)
-
     stab = stabilizer(H, limits)
+    char = len(stab) == len(auts)
     expected_classes = len(auts) // len(stab)
     if len(right) != expected_classes or len(left) != expected_classes:
         raise AssertionError("dual-value classes do not match stabilizer cosets")
     stab_set = {t.matrix for t in stab}
     for _, ids in right:
-        # Every class of equal right duals must be a coset phi_1 o stab(H).
-        base_inv = auts[ids[0]].inverse()
+        # Every class of equal right duals must be a coset: tau_idx
+        # tau_base^-1 in stab(H), read row by row from a table of tau_base^-1.
+        base = auts[ids[0]]
+        inverse = {base.apply(a).coords: a.coords for a in A.elements()}
         for idx in ids[1:]:
-            witness = auts[idx].compose(base_inv)
-            if witness.matrix not in stab_set:
+            if tuple(map(inverse.__getitem__, auts[idx].matrix)) not in stab_set:
                 raise AssertionError("right-dual class is not a stabilizer coset")
     if char != (len(right) == 1):
         raise AssertionError("characteristic test disagrees with dual dependence")

@@ -20,10 +20,10 @@ from .groups import (
     GroupElement,
     GroupSpec,
     automorphism_group,
+    identity_automorphism,
     scalar_automorphism,
 )
-from .characters import Character
-from .limits import Limits
+from .limits import Limits, check_enumeration
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,11 @@ class Duality:
     def parent(self) -> GroupSpec:
         return self.tau.parent
 
-    def character_of(self, a: GroupElement) -> Character:
-        """phi(a), as an explicit character."""
-        return Character(self.parent, self.tau.apply(a).coords)
-
     def __str__(self) -> str:
         return f"Duality(tau={list(map(list, self.tau.matrix))})"
 
 
 def canonical_duality(A: GroupSpec) -> Duality:
-    from .groups import identity_automorphism
-
     return Duality(identity_automorphism(A))
 
 
@@ -165,16 +159,74 @@ def conjugate_duality(phi: Duality, tau: Automorphism) -> Duality:
     return _duality_from_gram(A, _conjugate_gram(_gram(phi), tau.matrix, A.exponent))
 
 
+def _elementary_generators(A: GroupSpec) -> list[tuple[int, int, int]]:
+    """Generators (i, j, c) of Aut(A), each the matrix I + c E_ij: every
+    transvection g_i -> g_i + c g_j (i != j) with the least admissible c =
+    d_j / gcd(d_i, d_j) != 0 mod d_j, and the scalings g_i -> (1 + c) g_i
+    by the units of Z/d_i that the smaller ones do not generate.  They
+    generate Aut(A): CRT splits the primes, as a power of a generator acts
+    as it on one primary part A_p and trivially on the rest.  On A_p, each
+    block of equal-order factors is invertible mod p (Hillar and Rhea 2007),
+    so elimination with unit pivots, by transvections and scalings, reduces
+    an automorphism to 1; admissibility makes the other entries of a pivot
+    column multiples of the least c, which powers of transvections clear."""
+    gens = []
+    for i, d in enumerate(A.orders):
+        gens += [(i, j, e // math.gcd(d, e)) for j, e in enumerate(A.orders)
+                 if i != j and math.gcd(d, e) > 1]
+        reached = {1}
+        for u in range(2, d):
+            if math.gcd(u, d) == 1 and u not in reached:
+                gens.append((i, i, u - 1))
+                reached = {h * pow(u, e, d) % d for h in reached for e in range(d)}
+    return gens
+
+
+def _flat_gram(phi: Duality) -> tuple[int, ...]:
+    m, w = phi.parent.exponent, phi.parent.weights
+    return tuple(t * w_j % m for row in phi.tau.matrix for t, w_j in zip(row, w))
+
+
+def _walk(A: GroupSpec, G: tuple[int, ...]):
+    """Breadth-first walk of the orbit of G = `_flat_gram(phi)`: yields (G,
+    None, None), then (H, parent, (i, j, c)) for each new H = E parent E^T
+    mod m, E = I + c E_ij: row i += c row j, then column i += c column j."""
+    k, m = A.rank, A.exponent
+    steps = [([(i * k + l, j * k + l) for l in range(k)]
+              + [(l * k + i, l * k + j) for l in range(k)], (i, j, c))
+             for i, j, c in _elementary_generators(A)]
+    seen, queue = {G}, [G]
+    yield G, None, None
+    for H in queue:
+        for pairs, step in steps:
+            g = list(H)
+            for p, q in pairs:
+                g[p] = (g[p] + step[2] * g[q]) % m
+            if (t := tuple(g)) not in seen:
+                seen.add(t)
+                queue.append(t)
+                yield t, H, step
+
+
 def congruent(
     phi1: Duality, phi2: Duality, limits: Limits | None = None
 ) -> Optional[Automorphism]:
-    """A witness tau with phi2 = tau* o phi1 o tau, or None."""
+    """A witness tau with phi2 = tau* o phi1 o tau, or None when the walk of
+    G(phi1)'s orbit ends first.  For each H met it carries the S with H =
+    S G(phi1) S^T, one row operation (mod d_j) on the parent's S a step."""
     if phi1.parent != phi2.parent:
         raise ValueError("dualities of different groups")
-    G1, G2, m = _gram(phi1), _gram(phi2), phi1.parent.exponent
-    for tau in automorphism_group(phi1.parent, limits):
-        if _conjugate_gram(G1, tau.matrix, m) == G2:
-            return tau
+    A = phi1.parent
+    check_enumeration(A.cardinality, limits)
+    target, witness = _flat_gram(phi2), {None: [g.coords for g in A.generators()]}
+    for H, parent, step in _walk(A, _flat_gram(phi1)):
+        S = list(witness[parent])
+        if step:
+            i, j, c = step
+            S[i] = tuple((a + c * b) % d for a, b, d in zip(S[i], S[j], A.orders))
+        witness[H] = S = tuple(S)
+        if H == target:
+            return Automorphism(A, A, S)
     return None
 
 
@@ -184,22 +236,15 @@ def congruence_classes(
     """Orbit partition of all dualities under congruence; each class is
     sorted canonically and classes are ordered by their least member.
 
-    Orbits are computed on Gram matrices; a conjugate whose tau matrix is
-    not in Aut(A) would be a KeyError in `index`."""
+    Each class is one `_walk` from its least member, popped from `index`:
+    |Aut| x #generators steps in all.  Indices sort as members do."""
     dualities = all_dualities(A, limits)
-    index = {phi.tau.matrix: i for i, phi in enumerate(dualities)}
-    m = A.exponent
-    assigned = [False] * len(dualities)
+    index = {_flat_gram(phi): i for i, phi in enumerate(dualities)}
     classes = []
-    for i, phi in enumerate(dualities):
-        if assigned[i]:
-            continue
-        G = _gram(phi)
-        grams = {_conjugate_gram(G, S, m) for S in index}
-        orbit = [index[mat] for mat in sorted(_rows_from_gram(A, H) for H in grams)]
-        for j in orbit:
-            assigned[j] = True
-        classes.append([dualities[j] for j in orbit])
+    for G in list(index):
+        if G in index:
+            orbit = sorted(index.pop(H) for H, _, _ in _walk(A, G))
+            classes.append([dualities[j] for j in orbit])
     return classes
 
 

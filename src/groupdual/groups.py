@@ -79,9 +79,6 @@ class GroupSpec:
     def primes(self) -> list[int]:
         return sorted(_prime_factors(self.cardinality))
 
-    def is_p_group(self) -> bool:
-        return len(self.primes()) == 1
-
     def format_element(self, a: "GroupElement") -> str:
         return ("," if self._comma else "").join(map(str, a.coords))
 

@@ -242,6 +242,41 @@ def test_duality_dependence_matches_stabilizer_structure():
     assert len(report.right_classes) == 2
 
 
+def _stabilizer_cosets(H, auts):
+    """Oracle: Aut(A) indices partitioned into the cosets stab(H) o tau,
+    with stab(H) found from element sets and each coset by `compose`;
+    cosets in order of their least index, each sorted."""
+    members = H.element_set()
+    stab = [
+        s for s in auts if {s.apply(h).coords for h in H.elements} == members
+    ]
+    index = {tau.matrix: i for i, tau in enumerate(auts)}
+    assigned, cosets = set(), []
+    for tau in auts:
+        if index[tau.matrix] in assigned:
+            continue
+        coset = sorted(index[s.compose(tau).matrix] for s in stab)
+        assigned.update(coset)
+        cosets.append(tuple(coset))
+    return cosets
+
+
+@pytest.mark.parametrize("orders", [[2, 2, 2], [4, 4]])
+def test_duality_dependence_classes_are_stabilizer_cosets(orders):
+    # Right duals R_phi(H) = L_0(H tau) are equal exactly on the cosets
+    # stab(H) o tau; left duals L_phi(H) = L_0(H tau*) on those of tau*.
+    # Index i is the duality with tau_i, so the cosets of the list of the
+    # tau_i* give the left classes as sets of duality indices.
+    A = make_group(orders)
+    dualities = all_dualities(A)
+    auts = [phi.tau for phi in dualities]
+    stars = [adjoint(phi).tau for phi in dualities]
+    for H in all_subgroups(A):
+        report = duality_dependence(H)
+        assert [ids for _, ids in report.right_classes] == _stabilizer_cosets(H, auts)
+        assert [ids for _, ids in report.left_classes] == _stabilizer_cosets(H, stars)
+
+
 def _full_scan_dual(C, phi, side):
     """Oracle: every member of C is a constraint, not just a basis."""
     ext = extend_duality(phi, C.power.n)

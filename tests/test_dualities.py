@@ -32,7 +32,12 @@ from groupdual import (
 )
 from groupdual import dualities as dualities_module
 from groupdual.codes import PowerGroup
-from groupdual.dualities import _pairing_forms
+from groupdual.dualities import (
+    _conjugate_gram,
+    _gram,
+    _pairing_forms,
+    _rows_from_gram,
+)
 from groupdual.groups import automorphism_group, identity_automorphism
 
 
@@ -181,7 +186,7 @@ def test_conjugation_identity():
 
 def test_congruent_returns_a_valid_witness():
     # (2,2,2) has 168 dualities, so only the first few are taken as phi1.
-    for orders, first in (([2, 2], 6), ([3, 3], 48), ([2, 2, 2], 4)):
+    for orders, first in (([2, 2], 6), ([3, 3], 48), ([2, 2, 2], 4), ([4, 4], 96)):
         A = make_group(orders)
         dualities = all_dualities(A)
         class_of = {
@@ -223,11 +228,42 @@ def _brute_force_congruence_classes(A):
 
 
 @pytest.mark.parametrize(
-    "orders", [[2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2]]
+    "orders",
+    [[2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27], [2, 6]],
 )
 def test_congruence_classes_match_brute_force_orbits(orders):
     A = make_group(orders)
     assert congruence_classes(A) == _brute_force_congruence_classes(A)
+
+
+def _gram_scan_congruence_classes(A):
+    """Oracle: each class representative's Gram matrix conjugated by every
+    automorphism, #classes x |Aut| products S G S^T mod m."""
+    dualities = all_dualities(A)
+    index = {phi.tau.matrix: i for i, phi in enumerate(dualities)}
+    m = A.exponent
+    assigned = [False] * len(dualities)
+    classes = []
+    for i, phi in enumerate(dualities):
+        if assigned[i]:
+            continue
+        G = _gram(phi)
+        grams = {_conjugate_gram(G, S, m) for S in index}
+        orbit = [index[mat] for mat in sorted(_rows_from_gram(A, H) for H in grams)]
+        for j in orbit:
+            assigned[j] = True
+        classes.append([dualities[j] for j in orbit])
+    return classes
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [[2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27],
+     [3, 3, 3], [2, 2, 6], [6, 6], [2, 12], [4, 8], [5, 5]],
+)
+def test_congruence_classes_match_the_gram_scan(orders):
+    A = make_group(orders)
+    assert congruence_classes(A) == _gram_scan_congruence_classes(A)
 
 
 def test_klein_congruence_classes():

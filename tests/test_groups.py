@@ -5,7 +5,7 @@ independent oracle (brute-force subset closure, element-order census).
 """
 
 import math
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +28,7 @@ from groupdual import (
     subgroup_closure,
     subgroup_from_elements,
 )
+from groupdual.dualities import _elementary_generators
 from groupdual.groups import _closed_subgroup, _lattice, _span
 
 CENSUS_GROUPS = (
@@ -370,6 +371,41 @@ def test_automorphism_leaves_span_the_group_and_count_to_the_closed_form(orders)
         assert len(_span(A.orders, tau.matrix)[1]) == A.cardinality
         built = Automorphism(A, A, tau.matrix)
         assert built == tau and hash(built) == hash(tau)
+
+
+def _generated_order(A):
+    """The order of the subgroup of Aut(A) generated by
+    `_elementary_generators(A)`: a breadth-first walk of row operations
+    row_i += c row_j (mod d) on matrices, from the identity."""
+    orders = A.orders
+    steps = _elementary_generators(A)
+    identity = tuple(g.coords for g in A.generators())
+    seen, queue = {identity}, [identity]
+    for S in queue:
+        for i, j, c in steps:
+            rows = list(S)
+            rows[i] = tuple((a + c * b) % d for a, b, d in zip(S[i], S[j], orders))
+            T = tuple(rows)
+            if T not in seen:
+                seen.add(T)
+                queue.append(T)
+    return len(seen)
+
+
+# Every group of rank at most 3 with each d_i in 2..16 (non-decreasing),
+# |A| <= 200 and |Aut(A)| <= 3000: 247 groups.
+_GENERATION_SWEEP = [
+    orders
+    for rank in (1, 2, 3)
+    for orders in combinations_with_replacement(range(2, 17), rank)
+    if math.prod(orders) <= 200 and _hillar_rhea_order(orders) <= 3000
+]
+
+
+def test_elementary_generators_generate_aut():
+    assert len(_GENERATION_SWEEP) == 247
+    for orders in _GENERATION_SWEEP + [(2, 2, 2, 2)]:
+        assert _generated_order(make_group(orders)) == _hillar_rhea_order(orders), orders
 
 
 def test_automorphism_group_repeated_calls_agree():
