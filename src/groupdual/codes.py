@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
+from itertools import chain, product
+from operator import add, mod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dualities import (
     Duality,
+    _conjugate_gram,
     _duality_from_gram,
     _pairing_forms,
     canonical_duality,
@@ -37,6 +39,7 @@ from .groups import (
     _automorphisms,
     _closed_subgroup,
     _lattice,
+    _order,
     _span,
     _zero_subgroup,
     automorphism_group,
@@ -189,26 +192,29 @@ def construct_duality_for_pair(
 ) -> Duality:
     """A symmetric duality making H and K mutual left/right duals.
 
-    Supported cases: the parent is elementary abelian (basis completion),
-    or A = H (+) K (factorwise inner products).  Anything else raises
-    UnsupportedPairError: with only the size condition such a duality can
-    fail to exist.
+    Supported cases: the parent is elementary abelian, or A = H (+) K.
+    Each picks a basis of A adapted to H and K and a symmetric Gram
+    matrix M on it, and `_pulled_back` carries M to the generators.
+    Anything else raises UnsupportedPairError: with only the size
+    condition such a duality can fail to exist.
     """
     A = H.parent
     if K.parent != A:
         raise ValueError("subgroups of different groups")
     if H.order * K.order != A.cardinality:
         raise ValueError("size condition |H| * |K| = |A| fails")
+    check_enumeration(A.cardinality, limits)
     if _is_elementary_abelian(A):
-        phi = _pair_duality_elementary(A, H, K)
+        basis, M = _elementary_basis(A, H, K)
     elif _is_direct_sum(A, H, K):
-        phi = _pair_duality_direct_sum(A, H, K)
+        basis, M = _direct_sum_basis(A, H, K)
     else:
         raise UnsupportedPairError(
             "pair is neither in an elementary abelian group nor a direct sum; "
             "a suitable duality may not exist"
         )
-    _assert_pair_duality(phi, H, K)
+    phi = _pulled_back(A, basis, M)
+    _assert_pair_duality(phi, H, K, limits)
     return phi
 
 
@@ -224,23 +230,21 @@ def search_duality_for_pair(
     return None
 
 
-def _assert_pair_duality(phi: Duality, H: Subgroup, K: Subgroup) -> None:
+def _assert_pair_duality(
+    phi: Duality, H: Subgroup, K: Subgroup, limits: Limits | None
+) -> None:
     """phi must be symmetric with L_phi(H) = R_phi(H) = K; then also
     L_phi(K) = L_phi(R_phi(H)) = H and R_phi(K) = H, as double duals."""
     if not is_symmetric(phi):
         raise AssertionError("constructed duality is not symmetric")
-    ((L, R),) = next(_duals_by_image(H.parent, [H], [phi], None))
+    ((L, R),) = next(_duals_by_image(H.parent, [H], [phi], limits))
     if not L == R == K:
         raise AssertionError("constructed duality does not pair H with K")
 
 
 def _is_elementary_abelian(A: GroupSpec) -> bool:
-    p = A.orders[0]
-    return all(d == p for d in A.orders) and _is_prime(p)
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(math.isqrt(p)) + 1))
+    # Every d_i divides the exponent, so a prime exponent is every d_i.
+    return A.primes() == [A.exponent]
 
 
 def _is_direct_sum(A: GroupSpec, H: Subgroup, K: Subgroup) -> bool:
@@ -248,156 +252,85 @@ def _is_direct_sum(A: GroupSpec, H: Subgroup, K: Subgroup) -> bool:
     return len(inter) == 1 and H.order * K.order == A.cardinality
 
 
-def _greedy_extend_basis(
-    A: GroupSpec, basis: list[GroupElement], pool: Iterable[GroupElement]
-) -> None:
-    """Extend `basis` in place with pool vectors independent of it, taking
-    the first admissible vector in canonical element order each time."""
-    # `basis` is independent, so the greedy kernel keeps it as its prefix.
-    coords = [b.coords for b in basis] + [v.coords for v in pool]
-    grown = _span(A.orders, coords)[0]
-    basis.extend(A.element(c) for c in grown[len(basis) :])
-
-
-def _pair_duality_elementary(
-    A: GroupSpec, H: Subgroup, K: Subgroup
-) -> Duality:
-    p = A.orders[0]
-    n = A.rank
-    inter = sorted(H.element_set() & K.element_set())
-    inter_elems = [A.element(c) for c in inter]
-
-    basis: list[GroupElement] = []
-    _greedy_extend_basis(A, basis, inter_elems)
-    i = len(basis)
-    _greedy_extend_basis(A, basis, H.elements)
-    h = len(basis)
-    _greedy_extend_basis(A, basis, K.elements)
-    c = len(basis)  # = h + dim K - i
-    _greedy_extend_basis(A, basis, A.elements())
-    if len(basis) != n:
+def _elementary_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
+    """A basis of (Z/p)^n through H cap K, then H, then H + K, then A, each
+    stage extended greedily in canonical element order, and the swap
+    matrix M: the first i = dim(H cap K) vectors pair with the last i, and
+    each vector between them with itself.  H is spanned by the first h
+    vectors, which M pairs with b_i, ..., b_(h-1) and the last i only, so
+    the annihilator of H on either side is spanned by the rest: the basis
+    of H cap K and the vectors from K that extend H to H + K, which span
+    K."""
+    orders = A.orders
+    h_set, k_set = H.element_set(), K.element_set()
+    pools = (sorted(h_set & k_set), sorted(h_set), sorted(k_set))
+    basis: list[tuple[int, ...]] = []
+    ends = []
+    for pool in (*pools, product(*map(range, orders))):
+        # `basis` is independent, so the greedy span keeps it as its prefix.
+        basis = _span(orders, chain(basis, pool))[0]
+        ends.append(len(basis))
+    i, _, c, n = ends
+    if n != A.rank:
         raise AssertionError("basis completion failed")
-
-    E = [list(e.coords) for e in basis]
-    Einv = _invert_mod_p(E, p)
-
-    # Index swap: the first i basis vectors (H cap K) pair with the final
-    # i completion vectors; the middle block pairs with itself.
-    def sigma(j: int) -> int:
-        if j < i:
-            return c + j
-        if j < c:
-            return j
-        return j - c
-
-    # Dual-basis character t_j is column j of Einv; phi(e_j) = t_{sigma(j)}.
-    s_rows = [
-        [Einv[r][sigma(l)] for r in range(n)] for l in range(n)
-    ]
-    tau_rows = []
-    for r in range(n):
-        row = [0] * n
-        for l in range(n):
-            for jj in range(n):
-                row[jj] = (row[jj] + Einv[r][l] * s_rows[l][jj]) % p
-        tau_rows.append(tuple(row))
-    return Duality(Automorphism(A, A, tuple(tau_rows)))
+    sigma = [c + j if j < i else j if j < c else j - c for j in range(n)]
+    return basis, [[int(s == sigma[r]) for s in range(n)] for r in range(n)]
 
 
-def _invert_mod_p(mat: list[list[int]], p: int) -> list[list[int]]:
-    n = len(mat)
-    aug = [
-        [mat[r][j] % p for j in range(n)]
-        + [1 if j == r else 0 for j in range(n)]
-        for r in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] % p)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _direct_sum_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
+    """Cyclic bases of H and K, found by backtracking with elements of
+    maximal order first, and M = diag(m / o_b): the sum of the standard
+    dualities of the cyclic factors <b> of A = H (+) K, which are
+    pairwise orthogonal, so H and K annihilate each other."""
+    orders = A.orders
+
+    def cyclic_basis(S: Subgroup) -> list[tuple[int, ...]]:
+        candidates = sorted(
+            (-_order(orders, x), x) for x in S.element_set() if any(x)
+        )
+
+        def recurse(basis, size):
+            if size == S.order:
+                return basis
+            for minus_o, x in candidates:
+                grown = len(_span(orders, basis + [x])[1])
+                if grown == -minus_o * size:
+                    out = recurse(basis + [x], grown)
+                    if out is not None:
+                        return out
+            return None
+
+        basis = recurse([], 1)
+        if basis is None:
+            raise AssertionError("cyclic decomposition not found")
+        return basis
+
+    basis = cyclic_basis(H) + cyclic_basis(K)
+    w = [A.exponent // _order(orders, b) for b in basis]
+    n = len(basis)
+    return basis, [[w[r] * (r == s) for s in range(n)] for r in range(n)]
 
 
-def _cyclic_decomposition(
-    A: GroupSpec, H: Subgroup
-) -> list[GroupElement]:
-    """Independent generators h_1, ..., h_r of H with H = (+) <h_i>,
-    found by backtracking with maximal-order elements first."""
-    candidates = sorted(H.elements, key=lambda x: (-x.order, x.coords))
-
-    def recurse(basis: list[GroupElement], size: int) -> Optional[list[GroupElement]]:
-        if size == H.order:
-            return basis
-        for x in candidates:
-            if x.is_zero():
-                continue
-            bigger = subgroup_closure(A, basis + [x])
-            if bigger.order == size * x.order:
-                out = recurse(basis + [x], bigger.order)
-                if out is not None:
-                    return out
-        return None
-
-    result = recurse([], 1)
-    if result is None:
-        raise AssertionError("cyclic decomposition not found")
-    return result
-
-
-def _factor_coordinates(
-    A: GroupSpec, basis: list[GroupElement]
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Coordinates of each element of (+) <h_i> against the cyclic basis."""
-    coords = {}
-    ranges = [range(b.order) for b in basis]
-    for tup in product(*ranges):
-        x = A.zero()
-        for ci, b in zip(tup, basis):
-            x = x + ci * b
-        coords[x.coords] = tup
-    return coords
-
-
-def _pair_duality_direct_sum(
-    A: GroupSpec, H: Subgroup, K: Subgroup
-) -> Duality:
-    m = A.exponent
-    basis_h = _cyclic_decomposition(A, H)
-    basis_k = _cyclic_decomposition(A, K)
-    coords_h = _factor_coordinates(A, basis_h)
-    coords_k = _factor_coordinates(A, basis_k)
-
-    decomp: dict[tuple[int, ...], tuple[GroupElement, GroupElement]] = {}
-    for hc in coords_h:
-        for kc in coords_k:
-            s = A.element(hc) + A.element(kc)
-            decomp[s.coords] = (A.element(hc), A.element(kc))
-    if len(decomp) != A.cardinality:
-        raise AssertionError("H and K do not decompose A")
-
-    def factor_exp(
-        x: GroupElement, y: GroupElement, basis: list[GroupElement], coords
-    ) -> int:
-        cx, cy = coords[x.coords], coords[y.coords]
-        return sum(
-            (m // b.order) * a * bb for a, bb, b in zip(cx, cy, basis)
-        ) % m
-
-    def iexp(a: GroupElement, b: GroupElement) -> int:
-        ha, ka = decomp[a.coords]
-        hb, kb = decomp[b.coords]
-        return (
-            factor_exp(ha, hb, basis_h, coords_h)
-            + factor_exp(ka, kb, basis_k, coords_k)
-        ) % m
-
-    gens = A.generators()
-    return _duality_from_gram(A, [[iexp(gi, gj) for gj in gens] for gi in gens])
+def _pulled_back(A: GroupSpec, basis, M) -> Duality:
+    """The duality with Gram matrix M on `basis`: G = P M P^T mod m, where
+    row i of P holds the coordinates of g_i in the basis.  They are read
+    from a table of every combination sum_b c_b b, 0 <= c_b < o_b, which
+    must cover A.  M_rs o_r = 0 (mod m), so G does not depend on the
+    representatives c_b."""
+    orders = A.orders
+    table: dict[tuple[int, ...], tuple[int, ...]] = {(0,) * A.rank: ()}
+    for b in basis:
+        grown = {}
+        for x, c in table.items():
+            for k in range(_order(orders, b)):
+                grown[x] = c + (k,)
+                x = tuple(map(mod, map(add, x, b), orders))
+        table = grown
+    if len(table) != A.cardinality:
+        raise AssertionError("basis does not decompose A")
+    units = (tuple(int(i == j) for j in range(A.rank)) for i in range(A.rank))
+    P = [table[g] for g in units]
+    return _duality_from_gram(A, _conjugate_gram(M, P, A.exponent))
 
 
 def mult_by_p_filtration(

@@ -135,10 +135,7 @@ class GroupElement:
 
     @property
     def order(self) -> int:
-        return reduce(
-            math.lcm,
-            (d // math.gcd(c, d) for c, d in zip(self.coords, self.parent.orders)),
-        )
+        return _order(self.parent.orders, self.coords)
 
     def _check_parent(self, other: "GroupElement") -> None:
         if self.parent != other.parent:
@@ -191,6 +188,12 @@ class Subgroup:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements) + "}"
+
+
+def _order(orders: tuple[int, ...], coords: Sequence[int]) -> int:
+    """The order of the element with reduced `coords`: the lcm of the
+    orders d_i / gcd(c_i, d_i) of its coordinates."""
+    return math.lcm(*(d // math.gcd(c, d) for c, d in zip(coords, orders)))
 
 
 def _span(
@@ -447,11 +450,6 @@ class Automorphism(Homomorphism):
     @property
     def parent(self) -> GroupSpec:
         return self.source
-
-    def inverse(self) -> "Automorphism":
-        lookup = {self.apply(a).coords: a for a in self.parent.elements()}
-        rows = tuple(lookup[g.coords].coords for g in self.parent.generators())
-        return Automorphism(self.source, self.target, rows)
 
     @property
     def order(self) -> int:

@@ -241,6 +241,15 @@ def test_construct_pair(capsys):
     assert "tau" in json.loads(out)
 
 
+def test_construct_pair_respects_limit(capsys):
+    argv = ("construct-pair", "--group", "2,2,2", "--h-gens", "100", "--k-gens", "010", "001")
+    code, out, err = _run(capsys, *argv, "--limit", "2")
+    assert code == 1 and not out
+    assert "exceeds enumeration bound 2" in err
+    code, out, _ = _run(capsys, *argv, "--limit", "8")
+    assert code == 0 and out.startswith("constructed: tau = ")
+
+
 def test_construct_pair_impossible_without_search(capsys):
     code, _, err = _run(
         capsys,

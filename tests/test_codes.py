@@ -1,5 +1,7 @@
 """Additive codes, left/right duals, pair construction, and filtrations."""
 
+import hashlib
+import json
 import math
 import random
 from itertools import product
@@ -185,6 +187,53 @@ def test_size_condition_violation_is_an_error():
     H = subgroup_closure(A, [A.element([0, 2])])
     with pytest.raises(ValueError):
         construct_duality_for_pair(H, H)
+
+
+def _size_pairs(A):
+    subs = all_subgroups(A)
+    return [(H, K) for H in subs for K in subs if H.order * K.order == A.cardinality]
+
+
+def test_construct_pair_outputs_are_pinned():
+    # Every size-condition pair of thirteen groups: the tau matrix, or None
+    # where the pair is unsupported.  The digest was recorded from the
+    # elementary basis-completion and direct-sum factor constructions that
+    # preceded the single pulled-back Gram matrix.
+    groups = [
+        (2,), (2, 2), (2, 4), (3, 3), (2, 8), (4, 4), (2, 2, 2), (2, 2, 3),
+        (27,), (2, 2, 2, 2), (2, 4, 4), (6, 6), (4, 8),
+    ]
+    out = []
+    for orders in groups:
+        for H, K in _size_pairs(make_group(orders)):
+            try:
+                tau = [list(r) for r in construct_duality_for_pair(H, K).tau.matrix]
+            except UnsupportedPairError:
+                tau = None
+            out.append([list(orders), str(H), str(K), tau])
+    assert (len(out), sum(row[3] is not None for row in out)) == (3090, 2244)
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "52dbd1d383d0dfc762d7566b4a6096954f8ecdbe547ad28d21be1a781d92a339"
+
+
+@pytest.mark.parametrize("orders", [[2, 4], [4, 4], [2, 8], [2, 2, 3], [27], [6, 6]])
+def test_direct_sum_pairs_against_kernel_and_search(orders):
+    # None of these groups is elementary abelian, so every constructed pair
+    # is a direct sum; each is checked without the construction's own
+    # lattice check: symmetry, the kernel duals, and exhaustive search.
+    A = make_group(orders)
+    built = 0
+    for H, K in _size_pairs(A):
+        try:
+            phi = construct_duality_for_pair(H, K)
+        except UnsupportedPairError:
+            continue
+        assert is_symmetric(phi)
+        CH = code_from_subgroup(A, 1, H)
+        assert left_dual(CH, phi).subgroup == right_dual(CH, phi).subgroup == K
+        assert search_duality_for_pair(H, K) is not None
+        built += 1
+    assert built > 0
 
 
 def test_filtration_of_z2xz4():
