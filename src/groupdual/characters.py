@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mod, mul
 from typing import Sequence
 
 from .cyclotomic import CycInt, root_power
@@ -17,6 +18,8 @@ from .groups import (
     GroupSpec,
     Homomorphism,
     Subgroup,
+    _kernel_generators,
+    _xgcd,
     _zero_subgroup,
 )
 
@@ -73,7 +76,7 @@ def annihilator(H: Subgroup) -> Subgroup:
     form (w_i h_i) vanishes on pi's exponent tuple.
     """
     A = H.parent
-    forms = [tuple(w * c for w, c in zip(A.weights, h.coords)) for h in H.generators]
+    forms = [tuple(map(mul, A.weights, h)) for h in H.gens]
     return _zero_subgroup(A, forms, H.order)
 
 
@@ -98,59 +101,35 @@ def _solve_congruence(k: int, s: int, m: int) -> int:
 def extend_character(
     H: Subgroup, theta_exponents: Sequence[int], A: GroupSpec | None = None
 ) -> Character:
-    """Extend a character of H (given by exponents of zeta_m on H's
-    generators) to a character of A, choosing the smallest admissible
-    exponent at each step."""
+    """The least character of A (in canonical element order) whose value
+    on the i-th generator of H is zeta_m^theta_i.
+
+    The pairs (e, t) in A-hat x Z/m with <e, h_i> = zeta_m^(t theta_i) for
+    every generator h_i are the zero set of one form per generator
+    (`_kernel_generators`).  Extended-gcd steps combine its generators into
+    a pair with t = 1, which exists exactly when theta is a homomorphism on
+    H; the extensions are then the coset e + (A-hat : H)."""
     A = A or H.parent
     if H.parent != A:
         raise ValueError("subgroup does not live in the given group")
-    m = A.exponent
-    if len(theta_exponents) != len(H.generators):
+    m, orders = A.exponent, A.orders
+    if len(theta_exponents) != len(H.gens):
         raise ValueError("need one exponent per subgroup generator")
-
-    # Propagate theta over all of H; any conflict means theta was not a
-    # homomorphism on H.
-    values: dict[tuple[int, ...], int] = {A.zero().coords: 0}
-    frontier = [A.zero()]
-    while frontier:
-        x = frontier.pop()
-        for g, e in zip(H.generators, theta_exponents):
-            y = x + g
-            val = (values[x.coords] + e) % m
-            if y.coords in values:
-                if values[y.coords] != val:
-                    raise ValueError("exponents do not define a homomorphism on H")
-            else:
-                values[y.coords] = val
-                frontier.append(y)
-    if len(values) != H.order:
-        raise ValueError("generators do not generate the given subgroup")
-
-    current = list(H.elements)
-    while len(values) < A.cardinality:
-        g = next(a for a in A.elements() if a.coords not in values)
-        k = 1
-        while (k * g).coords not in values:
-            k += 1
-        s = values[(k * g).coords]
-        t = _solve_congruence(k, s, m)
-        for x in list(current):
-            for j in range(1, k):
-                y = x + j * g
-                values[y.coords] = (values[x.coords] + j * t) % m
-        current = [A.element(c) for c in values]
-
-    # Convert the value map to an exponent tuple against the weights.
-    etuple = []
-    for i, (w, d) in enumerate(zip(A.weights, A.orders)):
-        v = values[A.generator(i).coords]
-        if v % w != 0:
-            raise AssertionError("character value has impossible order")
-        etuple.append((v // w) % d)
-    pi = Character(A, tuple(etuple))
-    for h, c in values.items():
-        if pairing_exponent(pi, A.element(h)) != c % m:
-            raise AssertionError("extension failed to restrict correctly")
+    forms = [(*map(mul, A.weights, h), -th) for h, th in zip(H.gens, theta_exponents)]
+    g, e = 0, (0,) * A.rank
+    for *z, t in _kernel_generators((*orders, m), m, forms):
+        g, s, u = _xgcd(g, t)
+        e = tuple((s * x + u * y) % d for x, y, d in zip(e, z, orders))
+    if math.gcd(g, m) != 1:
+        raise ValueError("exponents do not define a homomorphism on H")
+    e = tuple(x * pow(g, -1, m) for x in e)
+    coset = (tuple(map(mod, map(add, e, a), orders)) for a in annihilator(H).members)
+    pi = Character(A, min(coset))
+    if any(
+        pairing_exponent(pi, h) != theta % m
+        for h, theta in zip(H.generators, theta_exponents)
+    ):
+        raise AssertionError("extension failed to restrict correctly")
     return pi
 
 

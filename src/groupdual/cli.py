@@ -1,13 +1,14 @@
 """Command-line surface: every library operation, text or JSON output.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.  Data goes to
-stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 domain error or stdout closed early, 2 usage
+error.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import chain
@@ -18,6 +19,7 @@ from .codes import (
     PowerGroup,
     UnsupportedPairError,
     _swapped_by_l0,
+    code_from_generators,
     construct_duality_for_pair,
     duals_table,
     left_dual,
@@ -35,8 +37,6 @@ from .enumerators import (
 )
 from .groups import (
     GroupSpec,
-    _closed_subgroup,
-    _span,
     all_subgroups,
     make_group,
     primary_decomposition,
@@ -88,7 +88,7 @@ def _emit(args, text_body: str, json_body) -> None:
 def _sub_json(A: GroupSpec, sub) -> dict:
     return {
         "order": sub.order,
-        "elements": [A.format_element(e) for e in sub.elements],
+        "elements": [A.format_coords(c) for c in sub.members],
     }
 
 
@@ -156,26 +156,30 @@ def _duality_by_index(A: GroupSpec, index: int, limits: Limits):
 def _parse_code(A: GroupSpec, n: int, gen_words: Sequence[str]) -> AdditiveCode:
     """The code generated by length-n codewords, each written as n
     base-group element words joined by ':' (or a single word when n = 1)."""
-    power = PowerGroup(A, n)
+    spec = PowerGroup(A, n).spec
     gens = []
     for word in gen_words:
         parts = word.split(":") if n > 1 else [word]
         if len(parts) != n:
             raise ValueError(f"expected {n} blocks in {word!r}")
-        gens.append(tuple(chain.from_iterable(map(A.parse_coords, parts))))
-    span = _span(power.spec.orders, gens)[1]
-    return AdditiveCode(power, _closed_subgroup(power.spec, sorted(span)))
+        gens.append(spec.element(chain.from_iterable(map(A.parse_coords, parts))))
+    return code_from_generators(A, n, gens)
 
 
-def _cmd_dual(args) -> int:
+def _code_and_dual(args):
+    """(A, phi, C, D) for `dual` and `macwilliams verify`: the group, the
+    duality by index, the parsed code and its dual on the chosen side."""
     A = _parse_group(args.group)
     limits = _limits(args)
     phi = _duality_by_index(A, args.duality_index, limits)
     C = _parse_code(A, args.n, args.code_gens)
     fn = left_dual if args.side == "left" else right_dual
-    D = fn(C, phi, limits)
-    spec = C.power.spec
-    words = [spec.format_element(e) for e in D.subgroup.elements]
+    return A, phi, C, fn(C, phi, limits)
+
+
+def _cmd_dual(args) -> int:
+    _, _, C, D = _code_and_dual(args)
+    words = list(map(C.power.spec.format_coords, D.subgroup.members))
     _emit(
         args,
         f"{args.side} dual ({D.order} elements): " + " ".join(words) + "\n",
@@ -268,12 +272,7 @@ def _cmd_filtration(args) -> int:
 
 
 def _cmd_macwilliams(args) -> int:
-    A = _parse_group(args.group)
-    limits = _limits(args)
-    phi = _duality_by_index(A, args.duality_index, limits)
-    C = _parse_code(A, args.n, args.code_gens)
-    fn = left_dual if args.side == "left" else right_dual
-    D = fn(C, phi, limits)
+    A, phi, C, D = _code_and_dual(args)
     if args.enumerator == "hamming":
         expected = hwe(D)
         code_hwe = hwe(C)
@@ -475,7 +474,16 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    """run() on sys.argv; a reader that closes stdout early (`| head`) ends
+    it with exit 1 and an empty stderr (the Python docs' SIGPIPE note)."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # So that the interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -31,13 +31,13 @@ from .dualities import (
     is_symmetric,
 )
 from .groups import (
-    Automorphism,
     GroupElement,
     GroupSpec,
     Subgroup,
     _adjoint_rows,
     _automorphisms,
     _closed_subgroup,
+    _known_automorphism,
     _lattice,
     _order,
     _span,
@@ -112,20 +112,18 @@ def code_from_subgroup(base: GroupSpec, n: int, H: Subgroup) -> AdditiveCode:
 
 
 def extend_duality(phi: Duality, n: int) -> Duality:
-    """The coordinatewise extension of phi to A^n (block-diagonal tau)."""
+    """The coordinatewise extension of phi to A^n (block-diagonal tau).  A
+    block-diagonal copy of a bijection is a bijection, so A^n is not
+    spanned to check it."""
     if n == 1:
         return phi
-    A = phi.parent
-    spec = PowerGroup(A, n).spec
-    k = A.rank
-    rows = []
-    for block in range(n):
-        for i in range(k):
-            row = [0] * spec.rank
-            for j in range(k):
-                row[block * k + j] = phi.tau.matrix[i][j]
-            rows.append(tuple(row))
-    return Duality(Automorphism(spec, spec, tuple(rows)))
+    k = phi.parent.rank
+    rows = [
+        (0,) * (b * k) + row + (0,) * ((n - 1 - b) * k)
+        for b in range(n)
+        for row in phi.tau.matrix
+    ]
+    return Duality(_known_automorphism(PowerGroup(phi.parent, n).spec, rows))
 
 
 def left_dual(
@@ -154,7 +152,7 @@ def _dual(
     if phi.parent not in (spec, C.power.base):
         raise ValueError("duality is neither over the base nor the power group")
     check_scan(spec.cardinality // C.order, limits)
-    forms = _pairing_forms(phi, (g.coords for g in C.subgroup.generators), left)
+    forms = _pairing_forms(phi, C.subgroup.gens, left)
     return AdditiveCode(C.power, _zero_subgroup(spec, forms, C.order))
 
 
@@ -262,8 +260,7 @@ def _elementary_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
     of H cap K and the vectors from K that extend H to H + K, which span
     K."""
     orders = A.orders
-    h_set, k_set = H.element_set(), K.element_set()
-    pools = (sorted(h_set & k_set), sorted(h_set), sorted(k_set))
+    pools = (sorted(H.element_set().intersection(K.members)), H.members, K.members)
     basis: list[tuple[int, ...]] = []
     ends = []
     for pool in (*pools, product(*map(range, orders))):
@@ -286,7 +283,7 @@ def _direct_sum_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
 
     def cyclic_basis(S: Subgroup) -> list[tuple[int, ...]]:
         candidates = sorted(
-            (-_order(orders, x), x) for x in S.element_set() if any(x)
+            (-_order(orders, x), x) for x in S.members if any(x)
         )
 
         def recurse(basis, size):

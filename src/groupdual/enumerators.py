@@ -12,6 +12,7 @@ with no floating point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
@@ -60,22 +61,21 @@ def _letters(A: GroupSpec) -> list[tuple[int, ...]]:
 
 
 def hamming_weight(power: PowerGroup, x: GroupElement) -> int:
-    k, coords = power.base.rank, x.coords
-    return sum(1 for i in range(0, len(coords), k) if any(coords[i : i + k]))
+    return sum(map(any, zip(*[iter(x.coords)] * power.base.rank)))
 
 
 def hwe(C: AdditiveCode) -> HammingEnumerator:
-    n = C.power.n
-    coeffs = [0] * (n + 1)
-    for c in C.subgroup.elements:
-        coeffs[hamming_weight(C.power, c)] += 1
-    return HammingEnumerator(n, tuple(coeffs))
+    n, k = C.power.n, C.power.base.rank
+    weights = Counter(sum(map(any, zip(*[iter(c)] * k))) for c in C.subgroup.members)
+    return HammingEnumerator(n, tuple(weights[w] for w in range(n + 1)))
 
 
 def _count_key(
-    power: PowerGroup, x: GroupElement, base_index: Mapping[tuple[int, ...], int]
+    power: PowerGroup,
+    coords: tuple[int, ...],
+    base_index: Mapping[tuple[int, ...], int],
 ) -> tuple[int, ...]:
-    k, coords = power.base.rank, x.coords
+    k = power.base.rank
     counts = [0] * len(base_index)
     for i in range(0, len(coords), k):
         counts[base_index[coords[i : i + k]]] += 1
@@ -83,11 +83,8 @@ def _count_key(
 
 
 def cwe(C: AdditiveCode) -> CompleteEnumerator:
-    terms: dict[tuple[int, ...], int] = {}
     base_index = {a: i for i, a in enumerate(_letters(C.power.base))}
-    for c in C.subgroup.elements:
-        key = _count_key(C.power, c, base_index)
-        terms[key] = terms.get(key, 0) + 1
+    terms = Counter(_count_key(C.power, c, base_index) for c in C.subgroup.members)
     return CompleteEnumerator(
         C.power.base, C.power.n, tuple(sorted(terms.items()))
     )
@@ -302,8 +299,8 @@ def poisson_check(
     """sum_{a in H} f(a) = (1/[A:H]) sum_{pi in (A-hat:H)} f-hat(pi)."""
     A = H.parent
     lhs: Value = {}
-    for a in H.elements:
-        val = f.get(a.coords)
+    for a in H.members:
+        val = f.get(a)
         if val:
             lhs = _value_add(lhs, val)
     lhs = _value_normalize(lhs)
@@ -311,7 +308,7 @@ def poisson_check(
     fhat = fourier_transform(A, f)
     index = A.cardinality // H.order
     rhs: Value = {}
-    for pi in annihilator(H).elements:
-        rhs = _value_add(rhs, fhat[pi.coords])
+    for pi in annihilator(H).members:
+        rhs = _value_add(rhs, fhat[pi])
     rhs = {k: v.divide_exact(index) for k, v in _value_normalize(rhs).items()}
     return lhs == rhs

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import product, repeat
@@ -80,7 +79,10 @@ class GroupSpec:
         return sorted(_prime_factors(self.cardinality))
 
     def format_element(self, a: "GroupElement") -> str:
-        return ("," if self._comma else "").join(map(str, a.coords))
+        return self.format_coords(a.coords)
+
+    def format_coords(self, coords: Sequence[int]) -> str:
+        return ("," if self._comma else "").join(map(str, coords))
 
     def parse_element(self, text: str) -> "GroupElement":
         return GroupElement(self, self.parse_coords(text))
@@ -147,26 +149,40 @@ class GroupElement:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup stored as its full, canonically sorted element set."""
+    """A subgroup stored once, as the sorted coordinate tuples of its
+    members, with a generating set in coordinates: the one it was built
+    from, or else (`_gens` None) the greedy basis of the sorted members,
+    found the first time `gens` is read.  `elements` and `generators` are
+    views that build `GroupElement`s only when read."""
 
     parent: GroupSpec
-    generators: tuple[GroupElement, ...]
-    elements: tuple[GroupElement, ...]
-    _element_set: frozenset[tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    members: tuple[tuple[int, ...], ...]
+    _gens: tuple[tuple[int, ...], ...] | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_element_set", frozenset(e.coords for e in self.elements)
-        )
+    @cached_property
+    def gens(self) -> tuple[tuple[int, ...], ...]:
+        if self._gens is not None:
+            return self._gens
+        return tuple(_span(self.parent.orders, self.members)[0])
+
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(self.parent, c) for c in self.members)
+
+    @property
+    def generators(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(self.parent, c) for c in self.gens)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.members)
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
         return self._element_set
+
+    @cached_property
+    def _element_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.members)
 
     def __contains__(self, a: GroupElement) -> bool:
         return a.parent == self.parent and a.coords in self.element_set()
@@ -174,20 +190,20 @@ class Subgroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent == other.parent and self.element_set() == other.element_set()
+        return self.parent == other.parent and self.members == other.members
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.parent, self.element_set()))
+        return hash((self.parent, self.members))
 
     def is_whole_group(self) -> bool:
         return self.order == self.parent.cardinality
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements) + "}"
+        return "{" + ",".join(map(self.parent.format_coords, self.members)) + "}"
 
 
 def _order(orders: tuple[int, ...], coords: Sequence[int]) -> int:
@@ -298,7 +314,7 @@ def _zero_subgroup(
             f"zero set of order {len(span)} against forms spanning "
             f"{span_order} in a group of order {parent.cardinality}"
         )
-    return _closed_subgroup(parent, sorted(span))
+    return Subgroup(parent, tuple(sorted(span)))
 
 
 def subgroup_closure(
@@ -309,9 +325,8 @@ def subgroup_closure(
     for g in gens:
         if g.parent != parent:
             raise ValueError("generator does not belong to the given group")
-    _, span = _span(parent.orders, (g.coords for g in gens))
-    elements = tuple(parent.element(c) for c in sorted(span))
-    return Subgroup(parent, gens, elements)
+    coords = tuple(g.coords for g in gens)
+    return Subgroup(parent, tuple(sorted(_span(parent.orders, coords)[1])), coords)
 
 
 def subgroup_from_elements(
@@ -330,17 +345,13 @@ def subgroup_from_elements(
 def _closed_subgroup(
     parent: GroupSpec, coords: Sequence[tuple[int, ...]]
 ) -> Subgroup:
-    """The subgroup on `coords`, which must be sorted, distinct and reduced;
-    closure is checked, and each element and basis member is built once."""
+    """The subgroup on `coords`, which must be sorted, distinct and reduced,
+    for sets that no span produced; closure is checked, and the span's
+    greedy basis is kept as the canonical generators."""
     basis, span = _span(parent.orders, coords)
     if len(span) != len(coords):
         raise ValueError("element set is not closed under addition")
-    elements = tuple(GroupElement(parent, c) for c in coords)
-    return Subgroup(
-        parent,
-        tuple(elements[bisect_left(coords, c)] for c in basis),
-        elements,
-    )
+    return Subgroup(parent, tuple(coords), tuple(basis))
 
 
 def all_subgroups(
@@ -373,8 +384,8 @@ def _subgroups(A: GroupSpec) -> tuple[Subgroup, ...]:
                     found.add(key)
                     next_frontier.append((grown, key))
         frontier = next_frontier
-    members = sorted((sorted(key) for key in found), key=lambda c: (len(c), c))
-    return tuple(_closed_subgroup(A, c) for c in members)
+    members = sorted((tuple(sorted(key)) for key in found), key=lambda c: (len(c), c))
+    return tuple(Subgroup(A, c) for c in members)
 
 
 @dataclass(frozen=True)
@@ -462,6 +473,14 @@ class Automorphism(Homomorphism):
         return n
 
 
+def _known_automorphism(A: GroupSpec, rows) -> Automorphism:
+    """The automorphism with `rows`, which the caller knows to be reduced,
+    admissible and bijective, built without the constructor's span of A."""
+    tau = object.__new__(Automorphism)
+    tau.__dict__.update(source=A, target=A, matrix=tuple(rows))
+    return tau
+
+
 def identity_automorphism(A: GroupSpec) -> Automorphism:
     rows = tuple(g.coords for g in A.generators())
     return Automorphism(A, A, rows)
@@ -490,8 +509,8 @@ def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
     at depth k the rows span d_1 ... d_k = |A| elements, so the leaves are
     exactly the automorphisms.  Candidates are tried in sorted order, which
     yields the matrices in lexicographic order.  The rows are reduced and
-    of order d_j, hence admissible, so the leaves skip the constructor's
-    checks, whose span of A would repeat what the depth-k count proves."""
+    of order d_j, hence admissible, so the leaves go through
+    `_known_automorphism`."""
     orders = A.orders
     k = len(orders)
     elements = list(A.elements())
@@ -502,9 +521,7 @@ def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
     def extend(rows: list[tuple[int, ...]], span: set[tuple[int, ...]]) -> None:
         j = len(rows)
         if j == k:
-            tau = object.__new__(Automorphism)
-            tau.__dict__.update(source=A, target=A, matrix=tuple(rows))
-            auts.append(tau)
+            auts.append(_known_automorphism(A, rows))
             return
         d = orders[j]
         for r in candidates[j]:
@@ -563,7 +580,7 @@ class _Lattice:
         return self._ids[elements]
 
     def id_of(self, H: Subgroup) -> int:
-        return self._intern(H.element_set(), (g.coords for g in H.generators))
+        return self._intern(H.element_set(), H.gens)
 
     def l0(self, i: int) -> Subgroup:
         if i not in self._l0:

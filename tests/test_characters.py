@@ -165,3 +165,58 @@ def test_induced_hom_rejects_a_corrupted_result(monkeypatch, orders):
     )
     with pytest.raises(AssertionError, match="defining identity"):
         induced_hom(ident)
+
+
+EXTENSION_GROUPS = [
+    [2], [4], [8], [6], [2, 2], [2, 4], [4, 2], [3, 3], [2, 6], [4, 4],
+    [2, 2, 2], [2, 2, 3], [3, 9], [12, 2],
+]
+
+
+@pytest.mark.parametrize("orders", EXTENSION_GROUPS)
+def test_extend_character_is_the_least_extension_of_a_brute_force_scan(orders):
+    # Oracle: the first character of A, in canonical order, whose value on
+    # each generator of H is theta; none exactly when theta is not a
+    # homomorphism on H.  Every theta, or 50 seeded ones past 200.
+    import random
+    from itertools import product
+
+    A = make_group(orders)
+    m = A.exponent
+    rng = random.Random(sum(orders))
+    for H in all_subgroups(A):
+        gens = H.generators
+        if m ** len(gens) <= 200:
+            thetas = list(product(range(m), repeat=len(gens)))
+        else:
+            thetas = [tuple(rng.randrange(m) for _ in gens) for _ in range(50)]
+        for theta in thetas:
+            least = next(
+                (
+                    e.coords
+                    for e in A.elements()
+                    if all(
+                        pairing_exponent(Character(A, e.coords), h) == t
+                        for h, t in zip(gens, theta)
+                    )
+                ),
+                None,
+            )
+            if least is None:
+                with pytest.raises(ValueError, match="homomorphism"):
+                    extend_character(H, theta)
+            else:
+                assert extend_character(H, theta).etuple == least
+
+
+def test_extend_character_reads_the_given_generators():
+    # Redundant generators: theta must agree on 12 = 10 + 02.
+    A = make_group([2, 4])
+    H = subgroup_closure(A, [A.element([1, 0]), A.element([0, 2]), A.element([1, 2])])
+    assert extend_character(H, [2, 0, 2]).etuple == (1, 0)
+    with pytest.raises(ValueError, match="homomorphism"):
+        extend_character(H, [2, 0, 0])
+    with pytest.raises(ValueError, match="one exponent per subgroup generator"):
+        extend_character(H, [2, 0])
+    with pytest.raises(ValueError, match="does not live"):
+        extend_character(H, [2, 0, 2], make_group([4, 2]))

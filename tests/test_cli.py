@@ -402,3 +402,35 @@ def test_code_words_keep_their_parse_errors(capsys):
     assert code == 1 and "invalid literal" in err
     # Coordinates are reduced: 35 is the word 11.
     assert _run(capsys, *base, "--code-gens", "35") == _run(capsys, *base, "--code-gens", "11")
+
+
+_MACWILLIAMS_ARGS = (
+    "macwilliams", "verify", "--group", "2,4", "--n", "3", "--code-gens", "01:13:00",
+    "--duality-index", "3", "--enumerator", "complete", "--side", "right",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # About 2 MB of text: the reader stops after 10 bytes, like `head -c 10`.
+        (("duals-table", "--group", "2,4,4", "--order", "4"), 10),
+        # The reader is gone before the first write.
+        (_MACWILLIAMS_ARGS, None),
+    ],
+)
+def test_a_closed_pipe_exits_1_without_a_traceback(argv, read):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    r, w = os.pipe()
+    if read is None:
+        os.close(r)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "groupdual.cli", *argv],
+        stdout=w, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(w)
+    if read is not None:
+        assert len(os.read(r, read)) > 0
+        os.close(r)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

@@ -536,3 +536,74 @@ def test_duals_table_rejects_another_group():
         duals_table(A, all_subgroups(A), all_dualities(B))
     with pytest.raises(ValueError, match="does not live"):
         duals_table(A, all_subgroups(B))
+
+
+def test_no_group_element_per_member_of_a_code_or_its_dual(capsys, monkeypatch):
+    # Subgroups hold coordinates: the duals, the enumerators and the CLI
+    # commands build as many GroupElements for a dual of order 1024 as for
+    # one of order 64 (the same number of generator words in each code).
+    from groupdual import cli, cwe, hwe
+    from groupdual import groups as groups_module
+
+    A, n = make_group([2, 4]), 4
+    phi = all_dualities(A)[3]
+    built = []
+    post_init = groups_module.GroupElement.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    def count(words):
+        argv = ["--group", "2,4", "--n", str(n), "--duality-index", "3", "--code-gens", *words]
+        gens = [PowerGroup(A, n).spec.parse_element(w.replace(":", "")) for w in words]
+        C = code_from_generators(A, n, gens)
+        monkeypatch.setattr(groups_module.GroupElement, "__post_init__", counting)
+        built.clear()
+        L, R = left_dual(C, phi), right_dual(C, phi)
+        for E in (C, L, R):
+            cwe(E), hwe(E)
+        assert cli.run(["dual", *argv, "--side", "left"]) == 0
+        for enumerator in ("complete", "hamming"):
+            assert cli.run(
+                ["macwilliams", "verify", *argv, "--side", "right", "--enumerator", enumerator]
+            ) == 0
+        monkeypatch.setattr(groups_module.GroupElement, "__post_init__", post_init)
+        capsys.readouterr()
+        return L.order, len(built)
+
+    small, big = ["01:00:00:00"] * 3, ["01:00:00:00", "00:01:00:00", "00:00:01:00"]
+    (order_small, built_small), (order_big, built_big) = count(small), count(big)
+    assert (order_small, order_big) == (1024, 64)
+    assert built_small == built_big < 64
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS)
+def test_extend_duality_is_the_constructor_built_block_diagonal(orders):
+    from groupdual import Automorphism, Duality
+
+    A = make_group(orders)
+    for phi in all_dualities(A):
+        for n in (1, 2, 3):
+            spec = PowerGroup(A, n).spec
+            rows = [
+                tuple(
+                    phi.tau.matrix[i][j - b * A.rank] if 0 <= j - b * A.rank < A.rank else 0
+                    for j in range(spec.rank)
+                )
+                for b in range(n)
+                for i in range(A.rank)
+            ]
+            assert extend_duality(phi, n) == Duality(Automorphism(spec, spec, tuple(rows)))
+
+
+def test_extend_duality_does_not_span_the_power_group():
+    # Checking bijectivity would enumerate all 8^8 = 16,777,216 words.
+    import time
+
+    phi = all_dualities(make_group([2, 4]))[3]
+    start = time.perf_counter()
+    ext = extend_duality(phi, 8)
+    assert time.perf_counter() - start < 0.5
+    assert ext.parent == PowerGroup(make_group([2, 4]), 8).spec
+    assert ext.tau.matrix[14:] == ((0,) * 14 + phi.tau.matrix[0], (0,) * 14 + phi.tau.matrix[1])

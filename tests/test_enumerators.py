@@ -69,7 +69,7 @@ def _complete_value_function(power):
     """Oracle: x -> prod_i Z_{x_i} as a value keyed by count vectors."""
     m = power.spec.exponent
     base_index = {a: i for i, a in enumerate(_letters(power.base))}
-    return lambda x: {_count_key(power, x, base_index): CycInt.from_int(m, 1)}
+    return lambda x: {_count_key(power, x.coords, base_index): CycInt.from_int(m, 1)}
 
 
 def test_hwe_basics():
