@@ -88,16 +88,6 @@ def double_annihilator_check(H: Subgroup) -> bool:
     return annihilator(annihilator(H)) == H
 
 
-def _solve_congruence(k: int, s: int, m: int) -> int:
-    """Smallest t >= 0 with k*t = s (mod m)."""
-    g = math.gcd(k, m)
-    if s % g != 0:
-        raise ValueError("congruence has no solution")
-    mm = m // g
-    t = (s // g) * pow(k // g, -1, mm) % mm if mm > 1 else 0
-    return t
-
-
 def extend_character(
     H: Subgroup, theta_exponents: Sequence[int], A: GroupSpec | None = None
 ) -> Character:
@@ -133,6 +123,18 @@ def extend_character(
     return pi
 
 
+def _induced_rows(alpha: Homomorphism) -> tuple[tuple[int, ...], ...]:
+    """The exponent-tuple matrix of alpha*: the j-th basis character of the
+    target takes alpha(g_i) to e^(2 pi i alpha_ij / e_j), so row j is
+    (d_i alpha_ij / e_j mod d_i)_i, d the source and e the target orders.
+    Admissibility, e_j | d_i alpha_ij, makes each division exact."""
+    d, e = alpha.source.orders, alpha.target.orders
+    return tuple(
+        tuple(d_i * row[j] // e_j % d_i for d_i, row in zip(d, alpha.matrix))
+        for j, e_j in enumerate(e)
+    )
+
+
 def induced_hom(alpha: Homomorphism) -> Homomorphism:
     """alpha*: characters of the target pull back to characters of the
     source; returned as a matrix on exponent tuples.
@@ -144,18 +146,7 @@ def induced_hom(alpha: Homomorphism) -> Homomorphism:
     A1, A2 = alpha.source, alpha.target
     m1, m2 = A1.exponent, A2.exponent
     M = math.lcm(m1, m2)
-    rows = []
-    for j in range(A2.rank):
-        w2j = A2.weights[j]
-        row = []
-        for i in range(A1.rank):
-            # Value of the j-th basis character at alpha(g_i), rescaled to
-            # an exponent of zeta_m1 on g_i.
-            c = (w2j * alpha.apply(A1.generator(i)).coords[j]) % m2
-            t = _solve_congruence(A1.weights[i] * (M // m1), c * (M // m2), M)
-            row.append(t % A1.orders[i])
-        rows.append(tuple(row))
-    star = Homomorphism(A2, A1, tuple(rows))
+    star = Homomorphism(A2, A1, _induced_rows(alpha))
     for pi2_gen, pulled_etuple in zip(A2.generators(), star.matrix):
         pi2 = Character(A2, pi2_gen.coords)
         pulled = Character(A1, pulled_etuple)

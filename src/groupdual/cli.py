@@ -46,26 +46,23 @@ from .limits import LimitExceededError, Limits
 from .tables import paper_table
 
 
+class _UsageError(Exception):
+    """A malformed argument that argparse does not catch; exit 2."""
+
+
 def _parse_group(text: str) -> GroupSpec:
     try:
         orders = [int(part) for part in text.split(",")]
     except ValueError:
-        raise SystemExit(_usage_error(f"bad group orders {text!r}"))
+        raise _UsageError(f"bad group orders {text!r}") from None
     return make_group(orders)
 
 
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
 def _limits(args) -> Limits:
-    base = Limits.from_env()
-    if getattr(args, "limit", None) is not None:
-        return Limits(
-            enumeration_bound=args.limit, scan_bound=args.limit
-        )
-    return base
+    """`--limit`, or else `ADK_LIMIT`, which is read only then."""
+    if args.limit is not None:
+        return Limits(enumeration_bound=args.limit, scan_bound=args.limit)
+    return Limits.from_env()
 
 
 def _write_json_list(items) -> None:
@@ -190,7 +187,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_duals_table(args) -> int:
     if args.order is not None and args.order < 0:
-        return _usage_error(f"--order must be at least 0, got {args.order}")
+        raise _UsageError(f"--order must be at least 0, got {args.order}")
     A = _parse_group(args.group)
     limits = _limits(args)
     subs = all_subgroups(A, limits)
@@ -242,7 +239,7 @@ def _cmd_congruence(args) -> int:
 
 def _cmd_filtration(args) -> int:
     if args.p is not None and args.p < 2:
-        return _usage_error(f"--p must be at least 2, got {args.p}")
+        raise _UsageError(f"--p must be at least 2, got {args.p}")
     A = _parse_group(args.group)
     limits = _limits(args)
     primes = A.primes()
@@ -251,7 +248,7 @@ def _cmd_filtration(args) -> int:
         raise ValueError("group is not a p-group; pass --p")
     # mult_by_p_filtration has checked that every level is characteristic.
     pairs = mult_by_p_filtration(A, p, limits)
-    ok = _swapped_by_l0(A, pairs, limits)
+    ok = _swapped_by_l0(A, pairs)
     json_out = {
         "p": p,
         "levels": [
@@ -462,6 +459,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (
         ValueError,
         IndexError,

@@ -6,11 +6,15 @@ extended-gcd steps on the unit vectors and enumerates only its |D|
 members.  Each result carries a certificate that is checked on every
 call: every generator zeroes every form, and |D| |C| = |A^n|, which by
 the perfect pairing makes D the whole zero set.  A solver bug therefore
-raises instead of reaching a table.  With phi(a) = phi_0(a tau),
-R_phi(H) = L_0(H tau) and L_phi(H) = L_0(H tau*): every dual is the
-canonical annihilator L_0 of an automorphic image.  `_duals_by_image`
-reads these from the per-group lattice index `groups._lattice`, which
-computes one zero set per group for each image, whatever duality gives it.
+raises instead of reaching a table.  Each question about duals has one
+route:
+- the duals of a given subgroup under a given duality are that zero set
+  (`_zero_set`);
+- whether K is a dual of H needs no dual: Phi(h, k) = 1 on generator
+  pairs and |H| |K| = |A| (`_orthogonal`);
+- over all of Aut(A), with phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau)
+  and L_phi(H) = L_0(H tau*), read from the per-group lattice index
+  `groups._lattice`, which computes one zero set per image.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, product
-from operator import add, mod
+from operator import add, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dualities import (
     Duality,
+    _adjoint_permutation,
     _conjugate_gram,
     _duality_from_gram,
     _pairing_forms,
@@ -34,7 +39,6 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
-    _adjoint_rows,
     _automorphisms,
     _closed_subgroup,
     _known_automorphism,
@@ -143,17 +147,32 @@ def right_dual(
 def _dual(
     C: AdditiveCode, phi: Duality, limits: Limits | None, left: bool
 ) -> AdditiveCode:
-    """The zero set of the pairing forms of C's generators: pairing
-    trivially with a generating set is pairing trivially with all of C.
-    phi is nondegenerate, so c -> form is injective and the forms span a
-    group of order |C|; the dual has order |A^n| / |C|, which is checked
-    against the scan bound before any member is enumerated."""
-    spec = C.power.spec
-    if phi.parent not in (spec, C.power.base):
+    """The dual of C on one side.  Its order |A^n| / |C| is checked against
+    the scan bound before any member is enumerated."""
+    _check_duality_parent(C, phi)
+    check_scan(C.power.spec.cardinality // C.order, limits)
+    return AdditiveCode(C.power, _zero_set(C.power.spec, phi, C.subgroup, left))
+
+
+def _check_duality_parent(C: AdditiveCode, phi: Duality) -> None:
+    if phi.parent not in (C.power.spec, C.power.base):
         raise ValueError("duality is neither over the base nor the power group")
-    check_scan(spec.cardinality // C.order, limits)
-    forms = _pairing_forms(phi, C.subgroup.gens, left)
-    return AdditiveCode(C.power, _zero_subgroup(spec, forms, C.order))
+
+
+def _zero_set(spec: GroupSpec, phi: Duality, H: Subgroup, left: bool) -> Subgroup:
+    """L_phi(H) when `left`, else R_phi(H): the zero set of the pairing
+    forms of H's generators, as pairing trivially with a generating set is
+    pairing trivially with all of H.  phi is nondegenerate, so h -> form is
+    injective and the forms span a group of order |H|."""
+    return _zero_subgroup(spec, _pairing_forms(phi, H.gens, left), H.order)
+
+
+def _orthogonal(phi: Duality, xs, ys) -> bool:
+    """Whether Phi(x, y) = 1 for every word x in `xs` and y in `ys`; on
+    generating sets, whether the two subgroups pair trivially."""
+    m = phi.parent.exponent
+    forms = _pairing_forms(phi, xs, False)
+    return not any(sum(map(mul, f, y)) % m for f in forms for y in ys)
 
 
 class DualKind(Enum):
@@ -163,22 +182,15 @@ class DualKind(Enum):
 
 
 def self_dual_kind(C: AdditiveCode, phi: Duality) -> DualKind:
-    left = left_dual(C, phi)
-    right = right_dual(C, phi)
-    cset = C.subgroup.element_set()
-    left_orth = cset <= left.subgroup.element_set()
-    right_orth = cset <= right.subgroup.element_set()
-    if left_orth != right_orth:
-        raise AssertionError("left/right self-orthogonality must agree")
-    left_sd = C == left
-    right_sd = C == right
-    if left_sd != right_sd:
-        raise AssertionError("left/right self-duality must agree")
-    if left_sd:
+    """Self-orthogonal when Phi(c, c') = 1 on C's generator pairs, which
+    puts C inside both of its duals; self-dual when also |C|^2 = |A^n|, as
+    each dual has order |A^n| / |C|.  No dual is built."""
+    _check_duality_parent(C, phi)
+    if not _orthogonal(phi, C.subgroup.gens, C.subgroup.gens):
+        return DualKind.NONE
+    if C.order**2 == C.power.spec.cardinality:
         return DualKind.SELF_DUAL
-    if left_orth:
-        return DualKind.SELF_ORTHOGONAL
-    return DualKind.NONE
+    return DualKind.SELF_ORTHOGONAL
 
 
 class UnsupportedPairError(ValueError):
@@ -212,7 +224,7 @@ def construct_duality_for_pair(
             "a suitable duality may not exist"
         )
     phi = _pulled_back(A, basis, M)
-    _assert_pair_duality(phi, H, K, limits)
+    _assert_pair_duality(phi, H, K)
     return phi
 
 
@@ -228,15 +240,13 @@ def search_duality_for_pair(
     return None
 
 
-def _assert_pair_duality(
-    phi: Duality, H: Subgroup, K: Subgroup, limits: Limits | None
-) -> None:
-    """phi must be symmetric with L_phi(H) = R_phi(H) = K; then also
-    L_phi(K) = L_phi(R_phi(H)) = H and R_phi(K) = H, as double duals."""
+def _assert_pair_duality(phi: Duality, H: Subgroup, K: Subgroup) -> None:
+    """phi must be symmetric with H and K orthogonal.  Then K lies in
+    L_phi(H) = R_phi(H), which has order |A| / |H| = |K| by the caller's
+    size check, so K is both duals of H and, as double duals, H of K."""
     if not is_symmetric(phi):
         raise AssertionError("constructed duality is not symmetric")
-    ((L, R),) = next(_duals_by_image(H.parent, [H], [phi], limits))
-    if not L == R == K:
+    if not _orthogonal(phi, H.gens, K.gens):
         raise AssertionError("constructed duality does not pair H with K")
 
 
@@ -371,13 +381,13 @@ def verify_filtration_duality(
             raise ValueError("group is not a p-group")
         p = primes[0]
     # mult_by_p_filtration has checked that every level is characteristic.
-    return _swapped_by_l0(A, mult_by_p_filtration(A, p, limits), limits)
+    return _swapped_by_l0(A, mult_by_p_filtration(A, p, limits))
 
 
-def _swapped_by_l0(
-    A: GroupSpec, pairs: Sequence[tuple[Subgroup, Subgroup]], limits: Limits | None
-) -> bool:
-    """Whether L_0 maps ker to im and im to ker on every level.
+def _swapped_by_l0(A: GroupSpec, pairs: Sequence[tuple[Subgroup, Subgroup]]) -> bool:
+    """Whether L_0 maps ker to im and im to ker on every level: whether ker
+    and im are orthogonal under phi_0 with |ker| |im| = |A|, as phi_0 is
+    symmetric.  No dual is built.
 
     Every dual is L_0 of an automorphic image of the subgroup (see
     `_duals_by_image`), so both duals of a characteristic subgroup are L_0
@@ -385,9 +395,11 @@ def _swapped_by_l0(
     so equal duals under every tau force H tau = H.  The (ker, im) levels
     are therefore mutual left/right duals under every duality exactly when
     every level is characteristic and this holds."""
-    levels = [H for level in pairs for H in level]
-    (row,) = _duals_by_image(A, levels, [canonical_duality(A)], limits)
-    return [L for L, _ in row] == [K for ker, im in pairs for K in (im, ker)]
+    phi0 = canonical_duality(A)
+    return all(
+        ker.order * im.order == A.cardinality and _orthogonal(phi0, ker.gens, im.gens)
+        for ker, im in pairs
+    )
 
 
 @dataclass(frozen=True)
@@ -446,38 +458,34 @@ def _duals_by_image(
     """Per duality phi (all of Aut(A) in order when `dualities` is None),
     [(L_phi(H), R_phi(H)) for H in subgroups].
 
-    With phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau) and L_phi(H) =
-    L_0(H tau*), read from `groups._lattice`: on Aut(A) through the
-    columns and `star`, for a given list by mapping through tau and tau*.
-    The parents, and each dual's order |A| / |H| against the scan bound,
-    are checked at the call, before any row, cached or not, is read."""
+    On all of Aut(A), R_phi(H) = L_0(H tau) and L_phi(H) = L_0(H tau*)
+    are read from `groups._lattice` through the columns and tau -> tau*;
+    a given list of dualities goes through `_zero_set`.  The parents, and
+    each dual's order |A| / |H| against the scan bound, are checked at the
+    call, before any row, cached or not, is read."""
     if any(H.parent != A for H in subgroups):
         raise ValueError("subgroup does not live in the given group")
     for H in subgroups:
         check_scan(A.cardinality // H.order, limits)
     if dualities is None:
         check_enumeration(A.cardinality, limits)
-    else:
-        dualities = list(dualities)
-        if any(phi.parent != A for phi in dualities):
-            raise ValueError("duality of a different group")
-    return _dual_rows(_lattice(A), subgroups, dualities)
+        return _dual_rows(_lattice(A), subgroups)
+    dualities = list(dualities)
+    if any(phi.parent != A for phi in dualities):
+        raise ValueError("duality of a different group")
+    return (
+        [(_zero_set(A, phi, H, True), _zero_set(A, phi, H, False)) for H in subgroups]
+        for phi in dualities
+    )
 
 
-def _dual_rows(lattice, subgroups, dualities):
-    """The rows of `_duals_by_image`, once its checks have passed."""
-    ids = [lattice.id_of(H) for H in subgroups]
-    if dualities is None:
-        cols = lattice.columns(ids)
-        dual = {i: lattice.l0(i) for i in set().union(*cols)}
-        for i, j in enumerate(lattice.star()):
-            yield [(dual[col[j]], dual[col[i]]) for col in cols]
-        return
-    images = lattice.mapper(ids)
-    for phi in dualities:
-        tau = phi.tau.matrix
-        left, right = images(_adjoint_rows(lattice.A, tau)), images(tau)
-        yield [(lattice.l0(i), lattice.l0(j)) for i, j in zip(left, right)]
+def _dual_rows(lattice, subgroups):
+    """The rows of `_duals_by_image` over Aut(A), once its checks have
+    passed."""
+    cols = lattice.columns([lattice.id_of(H) for H in subgroups])
+    dual = {i: lattice.l0(i) for i in set().union(*cols)}
+    for i, j in enumerate(_adjoint_permutation(lattice.A)):
+        yield [(dual[col[j]], dual[col[i]]) for col in cols]
 
 
 def duals_table(

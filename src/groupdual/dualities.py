@@ -9,8 +9,10 @@ bijection, so enumerating dualities is enumerating automorphisms.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, Optional
 
@@ -19,6 +21,7 @@ from .groups import (
     Automorphism,
     GroupElement,
     GroupSpec,
+    _automorphisms,
     automorphism_group,
     identity_automorphism,
     scalar_automorphism,
@@ -187,6 +190,21 @@ def _flat_gram(phi: Duality) -> tuple[int, ...]:
     return tuple(t * w_j % m for row in phi.tau.matrix for t, w_j in zip(row, w))
 
 
+def _gram_index(dualities: Iterable[Duality]) -> dict[tuple[int, ...], int]:
+    """The index of each duality, keyed by its flat Gram matrix; the keys
+    come in index order."""
+    return {_flat_gram(phi): i for i, phi in enumerate(dualities)}
+
+
+@lru_cache(maxsize=None)
+def _adjoint_permutation(A: GroupSpec) -> array:
+    """tau -> tau* on Aut(A) indices, kept per group like Aut(A): G(phi*) =
+    G(phi)^T, so the index of phi* is that of the transposed Gram matrix.
+    Callers check the limits."""
+    index, k = _gram_index(map(Duality, _automorphisms(A))), A.rank
+    return array("I", (index[sum((G[i::k] for i in range(k)), ())] for G in index))
+
+
 def _walk(A: GroupSpec, G: tuple[int, ...]):
     """Breadth-first walk of the orbit of G = `_flat_gram(phi)`: yields (G,
     None, None), then (H, parent, (i, j, c)) for each new H = E parent E^T
@@ -239,7 +257,7 @@ def congruence_classes(
     Each class is one `_walk` from its least member, popped from `index`:
     |Aut| x #generators steps in all.  Indices sort as members do."""
     dualities = all_dualities(A, limits)
-    index = {_flat_gram(phi): i for i, phi in enumerate(dualities)}
+    index = _gram_index(dualities)
     classes = []
     for G in list(index):
         if G in index:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import product, repeat
 from operator import add, mod, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .limits import Limits, check_enumeration
 
@@ -539,17 +539,6 @@ def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
     return tuple(auts)
 
 
-def _adjoint_rows(A: GroupSpec, matrix) -> tuple[tuple[int, ...], ...]:
-    """The tau rows of phi* when phi has tau rows `matrix`: phi has Gram
-    matrix G_ij = w_j tau_ij mod m and phi* has G^T (`dualities.adjoint`),
-    so tau*_ij = (w_i tau_ji mod m) / w_j."""
-    m, w = A.exponent, A.weights
-    return tuple(
-        tuple(w_i * t % m // w_j for t, w_j in zip(col, w))
-        for w_i, col in zip(w, zip(*matrix))
-    )
-
-
 class _Lattice:
     """The subgroups of one group A met so far, numbered as they are met,
     and the maps on those ids that the dual tables read.  Aut(A) maps
@@ -558,8 +547,8 @@ class _Lattice:
     An id stands for an element set and keeps a generating set.  `l0` maps
     an id to its annihilator L_0 under the canonical duality; a miss runs
     `_zero_subgroup`, which checks its certificate.  The column of an id
-    holds the id of H tau for every tau in Aut(A) order, and `star` is
-    tau -> tau* on Aut(A) indices.  Callers check the limits."""
+    holds the id of H tau for every tau in Aut(A) order.  Callers check the
+    limits."""
 
     def __init__(self, A: GroupSpec) -> None:
         self.A = A
@@ -570,7 +559,6 @@ class _Lattice:
         self._by_gens: dict[tuple[tuple[int, ...], ...], int] = {}
         self._l0: dict[int, Subgroup] = {}
         self._columns: dict[int, array] = {}
-        self._star: array | None = None
 
     def _intern(self, elements, gens) -> int:
         if elements not in self._ids:
@@ -588,67 +576,47 @@ class _Lattice:
             self._l0[i] = _zero_subgroup(self.A, forms, len(self._sets[i]))
         return self._l0[i]
 
-    def mapper(self, ids: Sequence[int]) -> Callable[..., list[int]]:
-        """The map matrix -> [id of H tau for H in ids].
-
-        Each distinct generator word is mapped once per matrix, by one
-        vector sum: a word is an earlier word plus c g_i, c its last
-        nonzero coordinate, so its image is that word's image plus c row_i.
-        `steps` holds (earlier word's step or None, i, c)."""
-        orders, by_gens = self.A.orders, self._by_gens
-        index: dict[tuple[int, ...], int] = {}
-        steps: list[tuple[int | None, int, int]] = []
-
-        def step(w: tuple[int, ...]) -> int:
-            if w not in index:
-                i = max((j for j, c in enumerate(w) if c), default=0)
-                prefix = w[:i] + (0,) * (len(w) - i)
-                steps.append((step(prefix) if any(prefix) else None, i, w[i]))
-                index[w] = len(steps) - 1
-            return index[w]
-
-        slots = [[step(w) for w in self._gens[i]] for i in ids]
-
-        def images(matrix: Sequence[tuple[int, ...]]) -> list[int]:
-            values: list[tuple[int, ...]] = []
-            for p, i, c in steps:
-                row = matrix[i] if c == 1 else map(mul, matrix[i], repeat(c))
-                if p is not None:
-                    row = map(add, values[p], row)
-                reduced = c == 1 and p is None
-                values.append(row if reduced else tuple(map(mod, row, orders)))
-            keys = [tuple(map(values.__getitem__, slot)) for slot in slots]
-            out = list(map(by_gens.get, keys))
-            if None in out:
-                for j, key in enumerate(keys):
-                    if out[j] is None:
-                        basis, span = _span(orders, key)
-                        out[j] = by_gens[key] = self._intern(frozenset(span), basis)
-            return out
-
-        return images
-
     def columns(self, ids: Sequence[int]) -> list[array]:
         """The column of each id; the missing ones are built in one pass
-        over Aut(A)."""
+        over Aut(A).
+
+        Each distinct generator word is mapped once per tau, by one vector
+        sum: a word is an earlier word plus c g_i, c its last nonzero
+        coordinate, so its image is that word's image plus c row_i.
+        `steps` holds (earlier word's step or None, i, c)."""
         missing = [i for i in dict.fromkeys(ids) if i not in self._columns]
         if missing:
+            orders, by_gens = self.A.orders, self._by_gens
+            index: dict[tuple[int, ...], int] = {}
+            steps: list[tuple[int | None, int, int]] = []
+
+            def step(w: tuple[int, ...]) -> int:
+                if w not in index:
+                    i = max((j for j, c in enumerate(w) if c), default=0)
+                    prefix = w[:i] + (0,) * (len(w) - i)
+                    steps.append((step(prefix) if any(prefix) else None, i, w[i]))
+                    index[w] = len(steps) - 1
+                return index[w]
+
+            slots = [[step(w) for w in self._gens[i]] for i in missing]
             cols = [array("I") for _ in missing]
-            appends = [col.append for col in cols]
-            images = self.mapper(missing)
             for tau in _automorphisms(self.A):
-                for append, i in zip(appends, images(tau.matrix)):
-                    append(i)
+                matrix, values = tau.matrix, []
+                for p, i, c in steps:
+                    row = matrix[i] if c == 1 else map(mul, matrix[i], repeat(c))
+                    if p is not None:
+                        row = map(add, values[p], row)
+                    reduced = c == 1 and p is None
+                    values.append(row if reduced else tuple(map(mod, row, orders)))
+                for col, slot in zip(cols, slots):
+                    key = tuple(map(values.__getitem__, slot))
+                    j = by_gens.get(key)
+                    if j is None:
+                        basis, span = _span(orders, key)
+                        j = by_gens[key] = self._intern(frozenset(span), basis)
+                    col.append(j)
             self._columns.update(zip(missing, cols))
         return [self._columns[i] for i in ids]
-
-    def star(self) -> array:
-        if self._star is None:
-            auts = _automorphisms(self.A)
-            index = {tau.matrix: i for i, tau in enumerate(auts)}
-            star = (index[_adjoint_rows(self.A, tau.matrix)] for tau in auts)
-            self._star = array("I", star)
-        return self._star
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,10 @@ class Limits:
         raw = os.environ.get("ADK_LIMIT")
         if raw is None:
             return Limits()
-        bound = int(raw)
+        try:
+            bound = int(raw)
+        except ValueError:
+            raise ValueError(f"ADK_LIMIT must be an integer, got {raw!r}") from None
         return Limits(enumeration_bound=bound, scan_bound=bound)
 
 

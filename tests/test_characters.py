@@ -157,11 +157,13 @@ def test_induced_hom_rejects_a_corrupted_result(monkeypatch, orders):
     A = make_group(orders)
     ident = Homomorphism(A, A, tuple(g.coords for g in A.generators()))
     assert induced_hom(ident).matrix == ident.matrix
-    solve = characters_module._solve_congruence
+    rows = characters_module._induced_rows
     # Negation keeps every entry admissible and changes the Z/4 or Z/257
     # diagonal entry.
     monkeypatch.setattr(
-        characters_module, "_solve_congruence", lambda k, s, m: -solve(k, s, m)
+        characters_module,
+        "_induced_rows",
+        lambda alpha: tuple(tuple(-t for t in row) for row in rows(alpha)),
     )
     with pytest.raises(AssertionError, match="defining identity"):
         induced_hom(ident)

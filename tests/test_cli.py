@@ -308,6 +308,28 @@ def test_usage_error_exit_code(capsys):
     assert _run(capsys, "no-such-command")[0] == 2
 
 
+@pytest.mark.parametrize("group", ["2,x", "2,4,"])
+def test_malformed_group_is_a_usage_error(capsys, group):
+    code, out, err = _run(capsys, "group", "--group", group)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad group orders {group!r}\n"
+
+
+def test_adk_limit_bounds_the_enumeration(capsys, monkeypatch):
+    monkeypatch.setenv("ADK_LIMIT", "7")
+    code, out, err = _run(capsys, "dualities", "--group", "2,2,2", "--count-only")
+    assert (code, out) == (1, "")
+    assert "exceeds enumeration bound 7" in err
+
+
+def test_limit_flag_overrides_a_malformed_adk_limit(capsys, monkeypatch):
+    monkeypatch.setenv("ADK_LIMIT", "abc")
+    argv = ["dualities", "--group", "2,2", "--count-only"]
+    assert _run(capsys, *argv, "--limit", "5") == (0, "6 total, 4 symmetric\n", "")
+    code, _, err = _run(capsys, *argv)
+    assert code == 1 and "ADK_LIMIT must be an integer, got 'abc'" in err
+
+
 def test_consecutive_runs_match_separate_runs(capsys):
     argvs = [
         ["dualities", "--group", "3,3", "--count-only"],

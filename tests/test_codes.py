@@ -154,6 +154,119 @@ def test_extended_duality_is_blockwise():
         assert inner_product_exponent(ext, x, y) == expected
 
 
+def _self_dual_kind_by_duals(C, phi):
+    """Oracle: both duals of C, built and compared with C."""
+    left = left_dual(C, phi)
+    right = right_dual(C, phi)
+    cset = C.subgroup.element_set()
+    left_orth = cset <= left.subgroup.element_set()
+    right_orth = cset <= right.subgroup.element_set()
+    if left_orth != right_orth:
+        raise AssertionError("left/right self-orthogonality must agree")
+    left_sd = C == left
+    right_sd = C == right
+    if left_sd != right_sd:
+        raise AssertionError("left/right self-duality must agree")
+    if left_sd:
+        return DualKind.SELF_DUAL
+    if left_orth:
+        return DualKind.SELF_ORTHOGONAL
+    return DualKind.NONE
+
+
+def _coupled_dualities(phi, n):
+    """Dualities over A^n that couple blocks 0 and 1 (none when n = 1): the
+    extension of phi with one admissible entry set off the diagonal blocks."""
+    spec, k = PowerGroup(phi.parent, n).spec, phi.parent.rank
+    out = []
+    for i, j in ((0, k), (k, 0))[: 2 * (n > 1)]:
+        matrix = [list(r) for r in extend_duality(phi, n).tau.matrix]
+        matrix[i][j] = spec.orders[j] // math.gcd(spec.orders[i], spec.orders[j])
+        out.append(duality_from_matrix(spec, matrix))
+    return out
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [2, 4], [3, 3]])
+def test_self_dual_kind_matches_the_two_duals(orders):
+    rng = random.Random(sum(orders) * 10 + len(orders))
+    A = make_group(orders)
+    kinds = set()
+    for n in (1, 2, 3):
+        spec = PowerGroup(A, n).spec
+        elems = list(spec.elements())
+        codes = [code_from_generators(A, n, rng.choices(elems, k=rng.randint(1, 3))) for _ in range(6)]
+        if n < 3:
+            # Every subgroup of a small A^n, and each candidate self-dual one.
+            subs = all_subgroups(spec)
+            codes += [
+                code_from_subgroup(A, n, H) for H in subs
+                if spec.cardinality <= 16 or H.order**2 == spec.cardinality
+            ]
+        base = rng.sample(all_dualities(A), min(4, len(all_dualities(A))))
+        dualities = base + [psi for phi in base[:2] for psi in _coupled_dualities(phi, n)]
+        for C in codes:
+            for phi in dualities:
+                kind = self_dual_kind(C, phi)
+                assert kind == _self_dual_kind_by_duals(C, phi)
+                kinds.add(kind)
+    assert kinds == set(DualKind)
+
+
+def test_self_dual_kind_of_long_codes_builds_no_dual():
+    # The n = 8 CI code: 2.8 s when both duals of order 262,144 were built.
+    import time
+
+    A = make_group([2, 4])
+    words = ["01:13:00:12:01:13:11:01", "01:10:01:02:02:13:13:10", "11:10:01:11:13:13:12:11"]
+    spec = PowerGroup(A, 8).spec
+    C = code_from_generators(A, 8, [spec.parse_element(w.replace(":", "")) for w in words])
+    start = time.perf_counter()
+    assert self_dual_kind(C, all_dualities(A)[3]) == DualKind.NONE
+    assert time.perf_counter() - start < 0.5
+    # An order-32 code in (Z/2)^30: its duals, of order 2^25, exceed the
+    # scan bound, and the answer needs neither.
+    B, n = make_group([2]), 30
+    spec = PowerGroup(B, n).spec
+    gens = [spec.element([int(i // 6 == j) for i in range(n)]) for j in range(5)]
+    C = code_from_generators(B, n, gens)
+    assert C.order == 32
+    phi = canonical_duality(B)
+    with pytest.raises(LimitExceededError):
+        left_dual(C, phi)
+    assert self_dual_kind(C, phi) == DualKind.SELF_ORTHOGONAL
+
+
+def test_yes_no_questions_build_no_dual(monkeypatch):
+    from groupdual import groups as groups_module
+
+    def refuse(*args):
+        raise AssertionError("a dual was built")
+
+    monkeypatch.setattr(codes_module, "_zero_subgroup", refuse)
+    monkeypatch.setattr(groups_module, "_zero_subgroup", refuse)
+    A = make_group([2, 4])
+    C = code_from_generators(A, 2, [PowerGroup(A, 2).spec.parse_element("0202")])
+    assert self_dual_kind(C, all_dualities(A)[3]) == DualKind.SELF_ORTHOGONAL
+    E = make_group([2, 2, 2])
+    H = subgroup_closure(E, [E.parse_element("110")])
+    K = subgroup_closure(E, [E.parse_element("110"), E.parse_element("011")])
+    assert is_symmetric(construct_duality_for_pair(H, K))
+    H = subgroup_closure(A, [A.element([1, 0])])
+    K = subgroup_closure(A, [A.element([0, 1])])
+    assert is_symmetric(construct_duality_for_pair(H, K))
+    assert verify_filtration_duality(make_group([2, 4, 4]))
+
+
+def test_pair_check_rejects_a_duality_that_does_not_pair(monkeypatch):
+    # phi_0 is symmetric, but Phi_0(10, 10) = -1, so <10> is not its own dual.
+    A = make_group([2, 2])
+    H = subgroup_closure(A, [A.parse_element("10")])
+    assert is_symmetric(construct_duality_for_pair(H, H))
+    monkeypatch.setattr(codes_module, "_pulled_back", lambda A, basis, M: canonical_duality(A))
+    with pytest.raises(AssertionError, match="does not pair H with K"):
+        construct_duality_for_pair(H, H)
+
+
 def test_construct_pair_elementary_abelian():
     A = make_group([2, 2, 2])
     H = subgroup_closure(A, [A.parse_element("110")])
@@ -375,7 +488,7 @@ def test_duals_with_redundant_generators_match_full_scan(orders, n, seed):
 def test_dual_rejects_a_duality_over_another_group():
     C = code_from_generators(make_group([2, 4]), 2, [])
     phi = all_dualities(make_group([2, 2]))[0]
-    for dual in (left_dual, right_dual):
+    for dual in (left_dual, right_dual, self_dual_kind):
         with pytest.raises(ValueError, match="neither over the base nor the power group"):
             dual(C, phi)
 
@@ -487,7 +600,7 @@ def _filtration_is_dual(A, pairs):
     `_swapped_by_l0`, the filtration test the library runs."""
     if not all(is_characteristic(H) for level in pairs for H in level):
         return False
-    return _swapped_by_l0(A, pairs, None)
+    return _swapped_by_l0(A, pairs)
 
 
 def _filtration_dual_under_every_duality(A, pairs):
