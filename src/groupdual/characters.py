@@ -76,7 +76,7 @@ def annihilator(H: Subgroup) -> Subgroup:
     form (w_i h_i) vanishes on pi's exponent tuple.
     """
     A = H.parent
-    forms = [tuple(map(mul, A.weights, h)) for h in H.gens]
+    forms = [tuple(map(mul, A.weights, h)) for h in H.basis]
     return _zero_subgroup(A, forms, H.order)
 
 

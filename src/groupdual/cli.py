@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain
 from typing import Sequence
 
 from .codes import (
@@ -19,7 +18,6 @@ from .codes import (
     PowerGroup,
     UnsupportedPairError,
     _swapped_by_l0,
-    code_from_generators,
     construct_duality_for_pair,
     duals_table,
     left_dual,
@@ -37,6 +35,7 @@ from .enumerators import (
 )
 from .groups import (
     GroupSpec,
+    _closure,
     all_subgroups,
     make_group,
     primary_decomposition,
@@ -151,16 +150,20 @@ def _duality_by_index(A: GroupSpec, index: int, limits: Limits):
 
 
 def _parse_code(A: GroupSpec, n: int, gen_words: Sequence[str]) -> AdditiveCode:
-    """The code generated by length-n codewords, each written as n
-    base-group element words joined by ':' (or a single word when n = 1)."""
-    spec = PowerGroup(A, n).spec
-    gens = []
+    """The code generated by length-n codewords, each written as n base-group
+    element words joined by ':'; each distinct block is parsed once."""
+    power, blocks, gens = PowerGroup(A, n), {}, []
     for word in gen_words:
-        parts = word.split(":") if n > 1 else [word]
+        parts = word.split(":")
         if len(parts) != n:
             raise ValueError(f"expected {n} blocks in {word!r}")
-        gens.append(spec.element(chain.from_iterable(map(A.parse_coords, parts))))
-    return code_from_generators(A, n, gens)
+        coords: tuple[int, ...] = ()
+        for part in parts:
+            if part not in blocks:
+                blocks[part] = A.parse_coords(part)
+            coords += blocks[part]
+        gens.append(coords)
+    return AdditiveCode(power, _closure(power.spec, tuple(gens)))
 
 
 def _code_and_dual(args):

@@ -1,17 +1,17 @@
 """Additive codes C in A^n and their left/right dual codes.
 
 Every dual code is the zero set of the integer pairing forms of the
-code's generators.  `groups._zero_subgroup` finds generators of it by
-extended-gcd steps on the unit vectors and enumerates only its |D|
-members.  Each result carries a certificate that is checked on every
-call: every generator zeroes every form, and |D| |C| = |A^n|, which by
-the perfect pairing makes D the whole zero set.  A solver bug therefore
-raises instead of reaching a table.  Each question about duals has one
-route:
+code's `basis`, so its cost follows the rank of C, not the words given.
+`groups._zero_subgroup` finds at most k n generators of it by extended-gcd
+steps on the unit vectors, keeps their greedy basis as the dual's `basis`
+and enumerates only its |D| members.  Every call checks a certificate:
+every generator zeroes every form, and |D| |C| = |A^n|, which by the
+perfect pairing makes D the whole zero set, so a solver bug raises
+instead of reaching a table.  Each question about duals has one route:
 - the duals of a given subgroup under a given duality are that zero set
   (`_zero_set`);
-- whether K is a dual of H needs no dual: Phi(h, k) = 1 on generator
-  pairs and |H| |K| = |A| (`_orthogonal`);
+- whether K is a dual of H needs no dual: Phi(h, k) = 1 on basis pairs
+  and |H| |K| = |A| (`_orthogonal`);
 - over all of Aut(A), with phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau)
   and L_phi(H) = L_0(H tau*), read from the per-group lattice index
   `groups._lattice`, which computes one zero set per image.
@@ -161,10 +161,10 @@ def _check_duality_parent(C: AdditiveCode, phi: Duality) -> None:
 
 def _zero_set(spec: GroupSpec, phi: Duality, H: Subgroup, left: bool) -> Subgroup:
     """L_phi(H) when `left`, else R_phi(H): the zero set of the pairing
-    forms of H's generators, as pairing trivially with a generating set is
+    forms of H's basis, as pairing trivially with a generating set is
     pairing trivially with all of H.  phi is nondegenerate, so h -> form is
     injective and the forms span a group of order |H|."""
-    return _zero_subgroup(spec, _pairing_forms(phi, H.gens, left), H.order)
+    return _zero_subgroup(spec, _pairing_forms(phi, H.basis, left), H.order)
 
 
 def _orthogonal(phi: Duality, xs, ys) -> bool:
@@ -186,7 +186,7 @@ def self_dual_kind(C: AdditiveCode, phi: Duality) -> DualKind:
     puts C inside both of its duals; self-dual when also |C|^2 = |A^n|, as
     each dual has order |A^n| / |C|.  No dual is built."""
     _check_duality_parent(C, phi)
-    if not _orthogonal(phi, C.subgroup.gens, C.subgroup.gens):
+    if not _orthogonal(phi, C.subgroup.basis, C.subgroup.basis):
         return DualKind.NONE
     if C.order**2 == C.power.spec.cardinality:
         return DualKind.SELF_DUAL
@@ -246,7 +246,7 @@ def _assert_pair_duality(phi: Duality, H: Subgroup, K: Subgroup) -> None:
     size check, so K is both duals of H and, as double duals, H of K."""
     if not is_symmetric(phi):
         raise AssertionError("constructed duality is not symmetric")
-    if not _orthogonal(phi, H.gens, K.gens):
+    if not _orthogonal(phi, H.basis, K.basis):
         raise AssertionError("constructed duality does not pair H with K")
 
 
@@ -397,7 +397,7 @@ def _swapped_by_l0(A: GroupSpec, pairs: Sequence[tuple[Subgroup, Subgroup]]) -> 
     every level is characteristic and this holds."""
     phi0 = canonical_duality(A)
     return all(
-        ker.order * im.order == A.cardinality and _orthogonal(phi0, ker.gens, im.gens)
+        ker.order * im.order == A.cardinality and _orthogonal(phi0, ker.basis, im.basis)
         for ker, im in pairs
     )
 

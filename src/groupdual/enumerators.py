@@ -83,11 +83,21 @@ def _count_key(
 
 
 def cwe(C: AdditiveCode) -> CompleteEnumerator:
-    base_index = {a: i for i, a in enumerate(_letters(C.power.base))}
-    terms = Counter(_count_key(C.power, c, base_index) for c in C.subgroup.members)
-    return CompleteEnumerator(
-        C.power.base, C.power.n, tuple(sorted(terms.items()))
-    )
+    """Each word's count vector, packed with a w-byte slot per letter (the
+    sum over its blocks of 256^(w (|A|-1-letter)), n < 256^w), sorts as its
+    key does.  Only the distinct keys are decoded, by `int.to_bytes`."""
+    n, k, card = C.power.n, C.power.base.rank, C.power.base.cardinality
+    w = (n.bit_length() + 7) // 8
+    letters = reversed(_letters(C.power.base))
+    place = {a: 1 << 8 * w * i for i, a in enumerate(letters)}.__getitem__
+    keys = Counter(sum(map(place, zip(*[iter(c)] * k))) for c in C.subgroup.members)
+    terms = []
+    for key in sorted(keys):
+        raw = key.to_bytes(card * w, "big")
+        if w > 1:
+            raw = [int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w)]
+        terms.append((tuple(raw), keys[key]))
+    return CompleteEnumerator(C.power.base, n, tuple(terms))
 
 
 class NonIntegralError(ArithmeticError):

@@ -150,20 +150,27 @@ class GroupElement:
 @dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup stored once, as the sorted coordinate tuples of its
-    members, with a generating set in coordinates: the one it was built
-    from, or else (`_gens` None) the greedy basis of the sorted members,
-    found the first time `gens` is read.  `elements` and `generators` are
-    views that build `GroupElement`s only when read."""
+    members, with two generating sets in coordinates.  `gens`, which
+    `generators` and `extend_character` read, is the one it was built from,
+    or else the greedy basis of the sorted members, found when first read.
+    `basis`, which duals, annihilators and orthogonality read, is the greedy
+    basis of a closure's or a zero set's generators, or else `gens`.
+    `elements` and `generators` build `GroupElement`s only when read."""
 
     parent: GroupSpec
     members: tuple[tuple[int, ...], ...]
     _gens: tuple[tuple[int, ...], ...] | None = None
+    _basis: tuple[tuple[int, ...], ...] | None = None
 
     @cached_property
     def gens(self) -> tuple[tuple[int, ...], ...]:
         if self._gens is not None:
             return self._gens
         return tuple(_span(self.parent.orders, self.members)[0])
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        return self.gens if self._basis is None else self._basis
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -308,13 +315,13 @@ def _zero_subgroup(
     gens = _kernel_generators(orders, m, forms)
     if any(sum(map(mul, f, z)) % m for z in gens for f in forms):
         raise AssertionError("a zero-set generator fails a form")
-    _, span = _span(orders, gens)
+    basis, span = _span(orders, gens)
     if len(span) * span_order != parent.cardinality:
         raise AssertionError(
             f"zero set of order {len(span)} against forms spanning "
             f"{span_order} in a group of order {parent.cardinality}"
         )
-    return Subgroup(parent, tuple(sorted(span)))
+    return Subgroup(parent, tuple(sorted(span)), _basis=tuple(basis))
 
 
 def subgroup_closure(
@@ -325,8 +332,13 @@ def subgroup_closure(
     for g in gens:
         if g.parent != parent:
             raise ValueError("generator does not belong to the given group")
-    coords = tuple(g.coords for g in gens)
-    return Subgroup(parent, tuple(sorted(_span(parent.orders, coords)[1])), coords)
+    return _closure(parent, tuple(g.coords for g in gens))
+
+
+def _closure(parent: GroupSpec, coords: tuple[tuple[int, ...], ...]) -> Subgroup:
+    """The span of reduced coordinate tuples, which are kept as `gens`."""
+    basis, span = _span(parent.orders, coords)
+    return Subgroup(parent, tuple(sorted(span)), coords, tuple(basis))
 
 
 def subgroup_from_elements(
@@ -568,7 +580,7 @@ class _Lattice:
         return self._ids[elements]
 
     def id_of(self, H: Subgroup) -> int:
-        return self._intern(H.element_set(), H.gens)
+        return self._intern(H.element_set(), H.basis)
 
     def l0(self, i: int) -> Subgroup:
         if i not in self._l0:

@@ -422,8 +422,52 @@ def test_code_words_keep_their_parse_errors(capsys):
     assert code == 1 and "expected 2 blocks in '01'" in err
     code, _, err = _run(capsys, *base, "--code-gens", "0x")
     assert code == 1 and "invalid literal" in err
+    # At n = 1 a ':' splits the word into blocks too, as at every other n.
+    code, _, err = _run(capsys, *base, "--code-gens", "0:1")
+    assert code == 1 and "expected 1 blocks in '0:1'" in err
     # Coordinates are reduced: 35 is the word 11.
     assert _run(capsys, *base, "--code-gens", "35") == _run(capsys, *base, "--code-gens", "11")
+
+
+def _all_code_words(group, n, gens):
+    """Every word of the code spanned by `gens`, written as the CLI reads it."""
+    A = make_group([int(d) for d in group.split(",")])
+    k = A.rank
+    return [
+        ":".join(A.format_coords(w[i : i + k]) for i in range(0, k * n, k))
+        for w in cli._parse_code(A, n, gens).subgroup.members
+    ]
+
+
+@pytest.mark.parametrize(
+    "group, n, gens, index",
+    [
+        ("2,4", 2, ["01:10", "12:03"], 3),
+        ("2,4", 3, ["01:13:00"], 5),
+        ("4", 1, ["2"], 1),
+        ("3,3", 1, ["10", "11"], 7),
+        ("12,3", 2, ["1,0:0,1", "6,2:3,0"], 10),
+    ],
+)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_redundant_generators_change_no_output(capsys, group, n, gens, index, side):
+    # The code given by all its words, each unit word repeated and the zero
+    # word added, must print the bytes of the code given by a few words.
+    words = _all_code_words(group, n, gens)
+    zero = words[0]
+    redundant = words[::-1] + gens + [zero]
+    assert len(words) > len(gens) and set(zero) <= {"0", ",", ":"}
+    common = ["--group", group, "--n", str(n), "--duality-index", str(index), "--side", side]
+    commands = [
+        ["dual", *common],
+        ["dual", *common, "--format", "json"],
+        ["macwilliams", "verify", *common, "--enumerator", "hamming"],
+        ["macwilliams", "verify", *common, "--enumerator", "complete", "--format", "json"],
+    ]
+    for argv in commands:
+        plain = _run(capsys, *argv, "--code-gens", *gens)
+        assert plain[0] == 0 and plain[1]
+        assert _run(capsys, *argv, "--code-gens", *redundant) == plain
 
 
 _MACWILLIAMS_ARGS = (

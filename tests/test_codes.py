@@ -212,6 +212,72 @@ def test_self_dual_kind_matches_the_two_duals(orders):
     assert kinds == set(DualKind)
 
 
+def _spanned(orders, words):
+    """The span of `words` by a breadth-first closure of sums: an oracle
+    independent of `groups._span`."""
+    zero = (0,) * len(orders)
+    span, frontier = {zero}, [zero]
+    while frontier:
+        sums = {tuple((x + g) % d for x, g, d in zip(w, h, orders)) for w in frontier for h in words}
+        frontier = list(sums - span)
+        span |= sums
+    return span
+
+
+def _is_sublist(short, long):
+    it = iter(long)
+    return all(any(x == y for y in it) for x in short)
+
+
+@pytest.mark.parametrize("orders, n", [((2, 4), 2), ((3,), 3), ((2, 2), 3), ((12, 3), 1)])
+def test_a_basis_is_an_in_order_sublist_that_spans(orders, n):
+    # A closure keeps the given words as `gens` and the greedy basis of
+    # them, in order, as `basis`; a dual's basis has at most k n words.
+    A = make_group(orders)
+    spec = PowerGroup(A, n).spec
+    elems = list(spec.elements())
+    rng = random.Random(16)
+    phi = all_dualities(A)[-1]
+    for _ in range(12):
+        words = rng.choices(elems, k=rng.randint(1, 6))
+        words += [words[0], spec.zero(), words[-1] + words[0]]
+        C = code_from_generators(A, n, words)
+        H = C.subgroup
+        assert H.gens == tuple(w.coords for w in words)
+        assert _is_sublist(H.basis, H.gens)
+        assert _spanned(spec.orders, H.basis) == set(H.members)
+        for dual in (left_dual, right_dual):
+            D = dual(C, phi).subgroup
+            assert len(D.basis) <= A.rank * n
+            assert _spanned(spec.orders, D.basis) == set(D.members)
+
+
+def test_a_dual_of_a_dual_spans_no_member_set_again(monkeypatch):
+    # The n = 8 CI code: each dual spans its own members once, and the
+    # second dual reads D's basis, not D.subgroup.gens, which would span
+    # all 262,144 words of D again.
+    from groupdual import groups as groups_module
+
+    A = make_group([2, 4])
+    words = ["01:13:00:12:01:13:11:01", "01:10:01:02:02:13:13:10", "11:10:01:11:13:13:12:11"]
+    spec = PowerGroup(A, 8).spec
+    C = code_from_generators(A, 8, [spec.parse_element(w.replace(":", "")) for w in words])
+    phi = all_dualities(A)[3]
+    spans = []
+
+    def counted(orders, gens):
+        basis, span = real(orders, gens)
+        spans.append(len(span))
+        return basis, span
+
+    real = groups_module._span
+    monkeypatch.setattr(groups_module, "_span", counted)
+    D = right_dual(C, phi)
+    assert left_dual(D, phi) == C
+    assert spans == [8**8 // 64, 64]
+    assert "gens" not in D.subgroup.__dict__
+
+
 def test_self_dual_kind_of_long_codes_builds_no_dual():
     # The n = 8 CI code: 2.8 s when both duals of order 262,144 were built.
     import time

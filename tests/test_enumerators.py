@@ -92,6 +92,29 @@ def test_cwe_specializes_to_hwe():
     assert _hamming_specialization(cwe(C2)) == hwe(C2)
 
 
+@pytest.mark.parametrize(
+    "orders, n", [((2, 4), 3), ((5,), 4), ((3, 3), 2), ((12,), 2), ((2,), 9), ((2,), 300)]
+)
+def test_cwe_matches_the_count_vector_oracle(orders, n):
+    # cwe packs each word's count vector into one integer, one byte per
+    # letter (two at n = 300); the oracle counts the letters of every word
+    # one block at a time.
+    from collections import Counter
+
+    A = make_group(orders)
+    power = PowerGroup(A, n)
+    base_index = {a: i for i, a in enumerate(_letters(A))}
+    rng = random.Random(n)
+    for _ in range(4):
+        words = [
+            power.spec.element([rng.randrange(d) for d in power.spec.orders])
+            for _ in range(rng.randint(1, 2))
+        ]
+        C = code_from_generators(A, n, words)
+        want = Counter(_count_key(power, c, base_index) for c in C.subgroup.members)
+        assert cwe(C).terms == tuple(sorted(want.items()))
+
+
 def test_hamming_weight():
     A = make_group([3, 3])
     P = PowerGroup(A, 3)
