@@ -430,15 +430,19 @@ def duality_dependence(
     expected_classes = len(auts) // len(stab)
     if len(right) != expected_classes or len(left) != expected_classes:
         raise AssertionError("dual-value classes do not match stabilizer cosets")
-    stab_set = {t.matrix for t in stab}
     for _, ids in right:
-        # Every class of equal right duals must be a coset: tau_idx
-        # tau_base^-1 in stab(H), read row by row from a table of tau_base^-1.
-        base = auts[ids[0]]
-        inverse = {base.apply(a).coords: a.coords for a in A.elements()}
-        for idx in ids[1:]:
-            if tuple(map(inverse.__getitem__, auts[idx].matrix)) not in stab_set:
-                raise AssertionError("right-dual class is not a stabilizer coset")
+        # Every class of equal right duals must be a coset: each tau_idx in
+        # stab(H) tau_base, the coordinate matrix products sigma tau_base.
+        cols = list(zip(*auts[ids[0]].matrix))
+        coset = {
+            tuple(
+                tuple(sum(map(mul, r, col)) % d for col, d in zip(cols, A.orders))
+                for r in s.matrix
+            )
+            for s in stab
+        }
+        if any(auts[idx].matrix not in coset for idx in ids[1:]):
+            raise AssertionError("right-dual class is not a stabilizer coset")
     if char != (len(right) == 1):
         raise AssertionError("characteristic test disagrees with dual dependence")
     return DependenceReport(

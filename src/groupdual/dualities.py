@@ -22,6 +22,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     _automorphisms,
+    _elementary_generators,
     automorphism_group,
     identity_automorphism,
     scalar_automorphism,
@@ -160,29 +161,6 @@ def conjugate_duality(phi: Duality, tau: Automorphism) -> Duality:
     if tau.parent != A:
         raise ValueError("automorphism of a different group")
     return _duality_from_gram(A, _conjugate_gram(_gram(phi), tau.matrix, A.exponent))
-
-
-def _elementary_generators(A: GroupSpec) -> list[tuple[int, int, int]]:
-    """Generators (i, j, c) of Aut(A), each the matrix I + c E_ij: every
-    transvection g_i -> g_i + c g_j (i != j) with the least admissible c =
-    d_j / gcd(d_i, d_j) != 0 mod d_j, and the scalings g_i -> (1 + c) g_i
-    by the units of Z/d_i that the smaller ones do not generate.  They
-    generate Aut(A): CRT splits the primes, as a power of a generator acts
-    as it on one primary part A_p and trivially on the rest.  On A_p, each
-    block of equal-order factors is invertible mod p (Hillar and Rhea 2007),
-    so elimination with unit pivots, by transvections and scalings, reduces
-    an automorphism to 1; admissibility makes the other entries of a pivot
-    column multiples of the least c, which powers of transvections clear."""
-    gens = []
-    for i, d in enumerate(A.orders):
-        gens += [(i, j, e // math.gcd(d, e)) for j, e in enumerate(A.orders)
-                 if i != j and math.gcd(d, e) > 1]
-        reached = {1}
-        for u in range(2, d):
-            if math.gcd(u, d) == 1 and u not in reached:
-                gens.append((i, i, u - 1))
-                reached = {h * pow(u, e, d) % d for h in reached for e in range(d)}
-    return gens
 
 
 def _flat_gram(phi: Duality) -> tuple[int, ...]:

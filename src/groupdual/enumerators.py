@@ -12,14 +12,14 @@ with no floating point.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
 from typing import Mapping
 
-from .cyclotomic import CycInt, root_power
-from .characters import Character, annihilator, pairing_exponent
+from .cyclotomic import CycInt
+from .characters import annihilator
 from .codes import AdditiveCode, PowerGroup
 from .dualities import Duality, _pairing_forms
 from .groups import GroupElement, GroupSpec, Subgroup
@@ -68,18 +68,6 @@ def hwe(C: AdditiveCode) -> HammingEnumerator:
     n, k = C.power.n, C.power.base.rank
     weights = Counter(sum(map(any, zip(*[iter(c)] * k))) for c in C.subgroup.members)
     return HammingEnumerator(n, tuple(weights[w] for w in range(n + 1)))
-
-
-def _count_key(
-    power: PowerGroup,
-    coords: tuple[int, ...],
-    base_index: Mapping[tuple[int, ...], int],
-) -> tuple[int, ...]:
-    k = power.base.rank
-    counts = [0] * len(base_index)
-    for i in range(0, len(coords), k):
-        counts[base_index[coords[i : i + k]]] += 1
-    return tuple(counts)
 
 
 def cwe(C: AdditiveCode) -> CompleteEnumerator:
@@ -261,64 +249,55 @@ def mw_complete_transform(
 
 
 # ---------------------------------------------------------------------------
-# Fourier transform and Poisson summation, over exact polynomial values.
-# A "value" is a mapping monomial-key -> CycInt under pointwise addition.
-
-Value = dict
+# Fourier transform and Poisson summation, over exact polynomial values: a
+# value is a mapping monomial-key -> CycInt of modulus m, added pointwise.
 
 
-def _value_add(u: Value, v: Value) -> Value:
-    out = dict(u)
-    for k, c in v.items():
-        prev = out.get(k)
-        out[k] = c if prev is None else prev + c
+def _fold(m: int, terms) -> dict:
+    """sum_(e, v) zeta_m^e v over `terms`, per key of the values v, with the
+    zero sums dropped.  Each v is added into one length-m row per key at
+    shift e, as x^e v in Z[x]/(x^m - 1), so each sum is reduced modulo
+    Phi_m once."""
+    rows: dict = defaultdict(lambda: [0] * m)
+    for e, value in terms:
+        for key, v in value.items():
+            row = rows[key]
+            for j, c in enumerate(v.coeffs, e):
+                row[j % m] += c
+    sums = {key: CycInt(m, tuple(row)) for key, row in rows.items()}
+    return {key: c for key, c in sums.items() if not c.is_zero()}
+
+
+def _transform(A: GroupSpec, f: Mapping, characters) -> dict:
+    """f-hat(pi) for each exponent tuple pi in `characters`: one fold over
+    the elements a with a value, shifted by pi's pairing exponent, the dot
+    product of (w_i pi_i) with a."""
+    m = A.exponent
+    values = [(a, value) for a in _letters(A) if (value := f.get(a))]
+    if any(v.modulus != m for _, value in values for v in value.values()):
+        raise ValueError("mixed moduli: embed into a common cyclotomic ring first")
+    out = {}
+    for pi in characters:
+        form = tuple(map(mul, A.weights, pi))
+        out[pi] = _fold(m, ((sum(map(mul, form, a)) % m, value) for a, value in values))
     return out
-
-
-def _value_scale(u: Value, c: CycInt) -> Value:
-    return {k: v * c for k, v in u.items()}
-
-
-def _value_normalize(u: Value) -> dict:
-    return {k: v for k, v in u.items() if not v.is_zero()}
 
 
 def fourier_transform(
-    A: GroupSpec, f: Mapping[tuple[int, ...], Value]
-) -> dict[tuple[int, ...], Value]:
+    A: GroupSpec, f: Mapping[tuple[int, ...], Mapping]
+) -> dict[tuple[int, ...], dict]:
     """f-hat(pi) = sum_a <pi, a> f(a); keys are coordinate tuples, character
     keys are exponent tuples."""
-    m = A.exponent
-    out = {}
-    for pi_elem in A.elements():
-        pi = Character(A, pi_elem.coords)
-        total: Value = {}
-        for a in A.elements():
-            val = f.get(a.coords)
-            if not val:
-                continue
-            scalar = root_power(m, pairing_exponent(pi, a))
-            total = _value_add(total, _value_scale(val, scalar))
-        out[pi_elem.coords] = _value_normalize(total)
-    return out
+    return _transform(A, f, _letters(A))
 
 
-def poisson_check(
-    H: Subgroup, f: Mapping[tuple[int, ...], Value]
-) -> bool:
-    """sum_{a in H} f(a) = (1/[A:H]) sum_{pi in (A-hat:H)} f-hat(pi)."""
+def poisson_check(H: Subgroup, f: Mapping[tuple[int, ...], Mapping]) -> bool:
+    """[A:H] sum_{a in H} f(a) = sum_{pi in (A-hat:H)} f-hat(pi), with no
+    division; f-hat is taken only on (A-hat:H)."""
     A = H.parent
-    lhs: Value = {}
-    for a in H.members:
-        val = f.get(a)
-        if val:
-            lhs = _value_add(lhs, val)
-    lhs = _value_normalize(lhs)
-
-    fhat = fourier_transform(A, f)
+    m = A.exponent
+    fhat = _transform(A, f, annihilator(H).members)
+    lhs = _fold(m, ((0, value) for a in H.members if (value := f.get(a))))
+    rhs = _fold(m, ((0, value) for value in fhat.values()))
     index = A.cardinality // H.order
-    rhs: Value = {}
-    for pi in annihilator(H).members:
-        rhs = _value_add(rhs, fhat[pi])
-    rhs = {k: v.divide_exact(index) for k, v in _value_normalize(rhs).items()}
-    return lhs == rhs
+    return {k: v * index for k, v in lhs.items()} == rhs

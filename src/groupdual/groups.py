@@ -525,8 +525,8 @@ def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
     `_known_automorphism`."""
     orders = A.orders
     k = len(orders)
-    elements = list(A.elements())
-    candidates = [[x.coords for x in elements if x.order == d] for d in orders]
+    elements = list(product(*map(range, orders)))
+    candidates = [[x for x in elements if _order(orders, x) == d] for d in orders]
     primes = [sorted(_prime_factors(d)) for d in orders]
     auts: list[Automorphism] = []
 
@@ -648,9 +648,42 @@ def stabilizer(
     return [tau for tau, i in zip(_automorphisms(H.parent), col) if i == h]
 
 
+def _elementary_generators(A: GroupSpec) -> list[tuple[int, int, int]]:
+    """Generators (i, j, c) of Aut(A), each the matrix I + c E_ij: every
+    transvection g_i -> g_i + c g_j (i != j) with the least admissible c =
+    d_j / gcd(d_i, d_j) != 0 mod d_j, and the scalings g_i -> (1 + c) g_i
+    by the units of Z/d_i that the smaller ones do not generate.  They
+    generate Aut(A): CRT splits the primes, as a power of a generator acts
+    as it on one primary part A_p and trivially on the rest.  On A_p, each
+    block of equal-order factors is invertible mod p (Hillar and Rhea 2007),
+    so elimination with unit pivots, by transvections and scalings, reduces
+    an automorphism to 1; admissibility makes the other entries of a pivot
+    column multiples of the least c, which powers of transvections clear."""
+    gens = []
+    for i, d in enumerate(A.orders):
+        gens += [(i, j, e // math.gcd(d, e)) for j, e in enumerate(A.orders)
+                 if i != j and math.gcd(d, e) > 1]
+        reached = {1}
+        for u in range(2, d):
+            if math.gcd(u, d) == 1 and u not in reached:
+                gens.append((i, i, u - 1))
+                reached = {h * pow(u, e, d) % d for h in reached for e in range(d)}
+    return gens
+
+
 def is_characteristic(H: Subgroup, limits: Limits | None = None) -> bool:
-    """Whether H tau = H for every tau."""
-    return len(stabilizer(H, limits)) == len(_automorphisms(H.parent))
+    """Whether H tau = H for every tau: whether each elementary generator
+    I + c E_ij maps each element h of H's basis, to h + c h_i g_j, inside
+    H.  A generator that maps a generating set into H maps H into H, and
+    onto H as it is injective; the generators generate the finite group
+    Aut(A), so every automorphism then maps H onto H."""
+    check_enumeration(H.parent.cardinality, limits)
+    orders, inside = H.parent.orders, H.element_set()
+    return all(
+        h[:j] + ((h[j] + c * h[i]) % orders[j],) + h[j + 1 :] in inside
+        for i, j, c in _elementary_generators(H.parent)
+        for h in H.basis
+    )
 
 
 def primary_decomposition(A: GroupSpec) -> dict[int, GroupSpec]:

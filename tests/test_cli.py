@@ -159,6 +159,41 @@ def _dualities_list_in_memory(A, fmt):
 CENSUS_GROUPS = ("2", "2,2", "2,4", "3,3", "2,8", "4,4", "2,2,2", "2,2,3", "27")
 
 
+@pytest.mark.parametrize(
+    "group", [g for g in CENSUS_GROUPS if g != "2,2,3"] + ["4,4,4"]
+)
+def test_filtration_enumerates_no_automorphism(capsys, monkeypatch, group):
+    # The oracle run tests each level by its stabilizer, which enumerates
+    # Aut(A); the run under test must print the same bytes with every
+    # module's Aut(A) enumeration patched to raise.
+    from groupdual import codes, dualities, groups
+
+    def oracle(H, limits=None):
+        return len(groups.stabilizer(H, limits)) == len(
+            groups.automorphism_group(H.parent, limits)
+        )
+
+    def refuse(A):
+        raise AssertionError("Aut(A) enumerated")
+
+    for fmt in ("text", "json"):
+        argv = ("filtration", "--group", group, "--format", fmt)
+        with monkeypatch.context() as patch:
+            patch.setattr(codes, "is_characteristic", oracle)
+            want = _run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            for module in (groups, codes, dualities):
+                patch.setattr(module, "_automorphisms", refuse)
+            got = _run(capsys, *argv)
+        assert got == want
+        code, out, err = got
+        assert code == 0 and err == ""
+        if fmt == "json":
+            assert json.loads(out)["mutual_duals_under_every_duality"] is True
+        else:
+            assert out.endswith(" yes\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("group,order", [(g, None) for g in CENSUS_GROUPS] + [("2,4,4", 4)])
 def test_streamed_tables_match_the_in_memory_rendering(capsys, fmt, group, order):

@@ -757,6 +757,34 @@ def test_no_group_element_per_member_of_a_code_or_its_dual(capsys, monkeypatch):
     assert built_small == built_big < 64
 
 
+def test_no_group_element_in_the_loops_over_a_group(monkeypatch):
+    # Fourier, Poisson, the dual-dependence report and a cold Aut(A)
+    # enumeration loop over A, or Aut(A), on coordinate tuples only.
+    from groupdual import fourier_transform, groups as groups_module, poisson_check
+    from groupdual.dualities import _adjoint_permutation
+
+    A = make_group([4, 4])
+    m = A.exponent
+    f = {a: {"x": CycInt(m, a + a)} for a in product(range(4), repeat=2)}
+    subs = all_subgroups(A)
+    built = []
+    post_init = groups_module.GroupElement.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(groups_module.GroupElement, "__post_init__", counting)
+    for cache in (groups_module._automorphisms, groups_module._lattice, _adjoint_permutation):
+        cache.cache_clear()
+    assert len(groups_module._automorphisms(A)) == 96
+    fourier_transform(A, f)
+    for H in subs:
+        assert poisson_check(H, f)
+        duality_dependence(H)
+    assert built == []
+
+
 @pytest.mark.parametrize("orders", CENSUS_GROUPS)
 def test_extend_duality_is_the_constructor_built_block_diagonal(orders):
     from groupdual import Automorphism, Duality

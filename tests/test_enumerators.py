@@ -27,15 +27,58 @@ from groupdual.enumerators import (
     CompleteEnumerator,
     HammingEnumerator,
     NonIntegralError,
-    _count_key,
     _letters,
-    _value_add,
-    _value_normalize,
-    _value_scale,
     fourier_transform,
     hamming_weight,
     poisson_check,
 )
+
+
+def _count_key(power, coords, base_index):
+    """Oracle for `cwe`'s keys: the count vector of a word, one loop over
+    its blocks."""
+    k = power.base.rank
+    counts = [0] * len(base_index)
+    for i in range(0, len(coords), k):
+        counts[base_index[coords[i : i + k]]] += 1
+    return tuple(counts)
+
+
+# A value is a mapping monomial-key -> CycInt under pointwise addition.
+
+
+def _value_add(u, v):
+    out = dict(u)
+    for k, c in v.items():
+        prev = out.get(k)
+        out[k] = c if prev is None else prev + c
+    return out
+
+
+def _value_scale(u, c):
+    return {k: v * c for k, v in u.items()}
+
+
+def _value_normalize(u):
+    return {k: v for k, v in u.items() if not v.is_zero()}
+
+
+def _object_fourier_transform(A, f):
+    """Oracle: f-hat(pi) = sum_a <pi, a> f(a), one `Character`, checked
+    `pairing_exponent` and `root_power` per pair (pi, a)."""
+    m = A.exponent
+    out = {}
+    for pi_elem in A.elements():
+        pi = Character(A, pi_elem.coords)
+        total = {}
+        for a in A.elements():
+            val = f.get(a.coords)
+            if not val:
+                continue
+            scalar = root_power(m, pairing_exponent(pi, a))
+            total = _value_add(total, _value_scale(val, scalar))
+        out[pi_elem.coords] = _value_normalize(total)
+    return out
 
 
 def _hamming_specialization(E):
@@ -474,3 +517,104 @@ def test_poisson_with_complete_value_function_recovers_macwilliams():
     for H in all_subgroups(A):
         f = {a.coords: fn(a) for a in A.elements()}
         assert poisson_check(H, f)
+
+
+def _seeded_two_key_function(rng, A):
+    """A function on A with values under the keys "x" and "y": some
+    elements missing, some with no value, and zero coefficients among the
+    rest."""
+    m = A.exponent
+    f = {}
+    for a in _letters(A):
+        roll = rng.random()
+        if roll < 0.15:
+            continue
+        if roll < 0.25:
+            f[a] = {}
+            continue
+        f[a] = {
+            key: CycInt(m, tuple(rng.randint(-3, 3) for _ in range(m)))
+            if rng.random() < 0.7
+            else CycInt.zero(m)
+            for key in ("x", "y")
+        }
+    return f
+
+
+@pytest.mark.parametrize(
+    "orders", [[2, 4], [3, 3], [8], [9], [5], [7], [2, 2, 2], [8, 8]]
+)
+def test_fourier_transform_matches_the_object_oracle(orders):
+    rng = random.Random(sum(orders) * 31 + len(orders))
+    A = make_group(orders)
+    m = A.exponent
+    for _ in range(2 if A.cardinality > 16 else 4):
+        f = _seeded_two_key_function(rng, A)
+        assert fourier_transform(A, f) == _object_fourier_transform(A, f)
+    # The same value on a nontrivial subgroup H and nowhere else: f-hat
+    # vanishes off (A-hat : H), so some pi has an empty transform.
+    H = all_subgroups(A)[1]
+    value = {"x": CycInt(m, (1,) * m), "y": CycInt.from_int(m, -2)}
+    f = {h: value for h in H.members}
+    got = fourier_transform(A, f)
+    assert got == _object_fourier_transform(A, f)
+    assert {} in got.values()
+    assert list(got) == _letters(A)
+
+
+def test_a_value_of_another_modulus_raises():
+    A = make_group([2, 4])
+    H = all_subgroups(A)[1]
+    outside = next(a for a in _letters(A) if a not in H.element_set())
+    for foreign in (CycInt.from_int(8, 1), CycInt.zero(2)):
+        f = {a: {"x": CycInt.from_int(4, 1)} for a in _letters(A)}
+        f[outside] = {"x": CycInt.from_int(4, 1), "y": foreign}
+        with pytest.raises(ValueError, match="mixed moduli"):
+            _object_fourier_transform(A, f)
+        with pytest.raises(ValueError, match="mixed moduli"):
+            fourier_transform(A, f)
+        with pytest.raises(ValueError, match="mixed moduli"):
+            poisson_check(H, f)
+
+
+def test_a_corrupted_transform_fails_the_poisson_check(monkeypatch):
+    # A transform off by one at the trivial character leaves a sum over
+    # (A-hat : H) that is not [A : H] = 4 times the sum over H.
+    from groupdual import enumerators
+
+    transform = enumerators._transform
+
+    def corrupted(A, f, characters):
+        out = transform(A, f, characters)
+        zero = (0,) * A.rank
+        out[zero] = {"x": out[zero]["x"] + CycInt.from_int(A.exponent, 1)}
+        return out
+
+    A = make_group([2, 4])
+    H = next(H for H in all_subgroups(A) if H.order == 2)
+    f = {a: {"x": CycInt.from_int(4, 1)} for a in _letters(A)}
+    assert poisson_check(H, f)
+    monkeypatch.setattr(enumerators, "_transform", corrupted)
+    assert poisson_check(H, f) is False
+
+
+@pytest.mark.parametrize("orders", [[2, 4], [3, 3], [8], [2, 2, 2]])
+def test_poisson_transforms_only_at_the_annihilator(monkeypatch, orders):
+    from groupdual import enumerators
+    from groupdual.characters import annihilator
+
+    transform, seen = enumerators._transform, []
+
+    def spy(A, f, characters):
+        characters = list(characters)
+        seen.append(characters)
+        return transform(A, f, characters)
+
+    monkeypatch.setattr(enumerators, "_transform", spy)
+    rng = random.Random(len(orders) + sum(orders))
+    A = make_group(orders)
+    for H in all_subgroups(A):
+        seen.clear()
+        assert poisson_check(H, _seeded_two_key_function(rng, A))
+        assert seen == [list(annihilator(H).members)]
+        assert len(seen[0]) == A.cardinality // H.order

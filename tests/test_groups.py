@@ -469,6 +469,23 @@ def test_stabilizer_matches_the_brute_force_filter(orders):
             assert lattice.id_of(want) == i
 
 
+@pytest.mark.parametrize(
+    "orders", [[2, 4, 4], [2, 2, 2, 2], [3, 3, 3], [6, 6], [2, 2, 6], [9, 3]]
+)
+def test_generator_test_matches_the_stabilizer(orders):
+    # is_characteristic maps H's basis by the elementary generators of
+    # Aut(A); the oracle counts the fixed points of H's lattice column,
+    # built for every subgroup in one pass over Aut(A).
+    A = make_group(orders)
+    auts = automorphism_group(A)
+    subs = all_subgroups(A)
+    lattice = _lattice(A)
+    lattice.columns([lattice.id_of(H) for H in subs])
+    verdicts = [is_characteristic(H) for H in subs]
+    assert verdicts == [len(stabilizer(H)) == len(auts) for H in subs]
+    assert True in verdicts and False in verdicts
+
+
 @pytest.mark.parametrize("orders", CENSUS_GROUPS)
 def test_lattice_star_is_the_adjoint_on_aut_indices(orders):
     A = make_group(orders)
