@@ -4,9 +4,9 @@ transforms.
 Every coefficient is an integer or a cyclotomic integer; the transforms
 divide exactly and signal an internal error on any non-integral result.
 The complete transform expands over Z[x], which maps onto Z[zeta_m] by
-x -> zeta_m, summing the powers of x per monomial unreduced; it folds them
-modulo m and reduces modulo Phi_m once per output monomial, exactly and
-with no floating point.
+x -> zeta_m: each monomial's powers of x are packed unreduced into one int,
+multiplied by x^e with a shift, folded modulo m by one remainder and reduced
+modulo Phi_m once, exactly and with no floating point.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import product
 from operator import mul
 from typing import Mapping
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _reduce
 from .characters import annihilator
 from .codes import AdditiveCode, PowerGroup
 from .dualities import Duality, _pairing_forms
@@ -97,6 +97,8 @@ def mw_hamming_transform(
     E: HammingEnumerator, size_a: int, divisor: int
 ) -> HammingEnumerator:
     """Substitute X <- X + (|A|-1)Y, Y <- X - Y and divide by `divisor`."""
+    if divisor == 0:
+        raise ValueError("the divisor of the transform is 0")
     n = E.n
     out = [0] * (n + 1)
     for w, c in enumerate(E.coeffs):
@@ -127,19 +129,19 @@ _ORIENTATION: dict[tuple[str, str], bool] = {
 }
 
 
-def _times(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    """Product of two polynomials in the Z_a over Z[x], each keyed by
-    monomial key with its x-polynomial packed into one int: adding keys
-    multiplies monomials, and one int product convolves the x-parts."""
+def _times(p: dict[int, int], form: dict[int, int]) -> dict[int, int]:
+    """Product of p, keyed by monomial key with its x-polynomial packed into
+    one int, and a form of entries x^e Z_a stored as Z_a's key and the shift
+    width*e: adding keys multiplies monomials, a shift multiplies by x^e."""
     out: dict[int, int] = {}
     inner = list(p.items())
-    for k2, v2 in q.items():
+    for k2, sh in form.items():
         for k1, v1 in inner:
             k = k1 + k2
             if k in out:
-                out[k] += v1 * v2
+                out[k] += v1 << sh
             else:
-                out[k] = v1 * v2
+                out[k] = v1 << sh
     return out
 
 
@@ -170,6 +172,9 @@ def mw_complete_transform(
         raise ValueError("a count vector needs one entry per base element")
     if not terms:
         return CompleteEnumerator(A, E.n, ())
+    divisor = E.total
+    if divisor == 0:
+        raise ValueError("the enumerator's coefficients total 0")
 
     # A monomial prod_a Z_a^(k_a) is keyed by its count vector read in base
     # `radix`, k_0 the most significant digit, so that keys add as monomials
@@ -177,7 +182,7 @@ def mw_complete_transform(
     # polynomial in x with exponents summed unreduced, is packed into one int
     # with `width`-bit signed slots.  Every partial result is a sum of
     # +-coefficient products of at most `deg` linear forms of |A| unit terms,
-    # so no slot exceeds `mass` in absolute value.
+    # so the absolute values of its slots sum to at most `mass`.
     deg = max(sum(counts) for counts, _ in terms)
     radix = deg + 1
     mass = max(1, sum(abs(c) for _, c in terms)) * card**deg
@@ -190,7 +195,7 @@ def mw_complete_transform(
     used = sorted({b for counts, _ in terms for b, k in enumerate(counts) if k})
     forms = {
         b: {
-            z_key[a]: 1 << width * (sum(map(mul, f, x)) % m)
+            z_key[a]: width * (sum(map(mul, f, x)) % m)
             for a, x in enumerate(letters)
         }
         for b, f in zip(
@@ -221,25 +226,25 @@ def mw_complete_transform(
             level[prefix] = acc
     (expansion,) = level.values()
 
-    # x -> zeta_m maps Z[x] onto Z[zeta_m]: fold the exponents modulo m, then
-    # CycInt reduces modulo Phi_m once per output monomial.
-    divisor = E.total
+    # x -> zeta_m maps Z[x] onto Z[zeta_m] through Z[x]/(x^m - 1).  With
+    # X = 2^width, X^m = 1 modulo M = X^m - 1: a packed sum_s t_s X^s is
+    # sum_r T_r X^r modulo M, T_r summing the t_s at s = r mod m, and
+    # sum_r |T_r| <= mass < X/2.  Biased by half = X/2, every slot is in
+    # [1, X - 1], not all X - 1, as m >= 2 slots of X/2 - 1 >= mass would
+    # pass mass: the biased sum is its own remainder.  Then reduce by Phi_m.
     mask, half = (1 << width) - 1, 1 << (width - 1)
+    modulus = (1 << width * m) - 1
+    bias = modulus // mask * half
     out = []
     for key in sorted(expansion):
-        packed, s = expansion[key], 0
-        powers = [0] * m
-        while packed:
-            slot = packed & mask
-            if slot >= half:
-                slot -= mask + 1
-            powers[s % m] += slot
-            packed = (packed - slot) >> width
-            s += 1
-        try:
-            c = CycInt(m, tuple(powers)).divide_exact(divisor).as_int()
-        except ValueError as exc:
-            raise NonIntegralError(str(exc)) from exc
+        folded = (expansion[key] + bias) % modulus
+        c, *rest = _reduce(m, [(folded >> width * r & mask) - half for r in range(m)])
+        if any(rest) or c % divisor:
+            raise NonIntegralError(
+                f"transform coefficient {(c, *rest)} in powers of zeta_{m} "
+                f"is not an integer divisible by {divisor}"
+            )
+        c //= divisor
         if c:
             counts = [0] * card
             for a in reversed(range(card)):

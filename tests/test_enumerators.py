@@ -432,6 +432,112 @@ def test_complete_transform_edge_enumerators_match_group_ring_reference(label):
             assert mw_complete_transform(E, phi, side, direction) == expected
 
 
+# Hand-built enumerators for the packed fold, with negative coefficients and
+# mass = sum|coeff| |A|^deg on 2^k - 1, the largest mass a slot width of
+# mass.bit_length() + 1 bits takes, or on 2^k, the smallest: (orders, n,
+# terms, mass, whether the transform is an integral enumerator).
+_FOLD_EDGES = {
+    # 3 Z_0 - Z_1 - Z_2: transforms to 1 at a = 0 and 4 elsewhere.
+    "2^4-1, integral": ((3,), 1, (((1, 0, 0), 3), ((0, 1, 0), -1), ((0, 0, 1), -1)), 15, True),
+    # 3 Z_0^2 - (Z_1 + Z_2)^2, total -1; Z_1 + Z_2 goes to a rational form.
+    "2^6-1, integral": (
+        (3,), 2,
+        (((2, 0, 0), 3), ((0, 2, 0), -1), ((0, 1, 1), -2), ((0, 0, 2), -1)),
+        63, True,
+    ),
+    # Over (2,2) every pairing value is +-1, so both results are rational,
+    # and even, as their totals 2 need.
+    "2^4, integral": ((2, 2), 1, (((1, 0, 0, 0), 3), ((0, 1, 0, 0), -1)), 16, True),
+    "2^6, integral": ((2, 2), 2, (((2, 0, 0, 0), 3), ((0, 1, 1, 0), -1)), 64, True),
+    # 9 Z_0 - 7 Z_1 over Z/2: slots as large as 9 under a total of 2.
+    "2^5, cancelling": ((2,), 1, (((1, 0), 9), ((0, 1), -7)), 32, True),
+    # -Z_0 + 3 Z_2 over Z/4: Z_2 pairs to +-1, so the values are 2 and -4.
+    "2^4 over Z/4, integral": ((4,), 1, (((1, 0, 0, 0), -1), ((0, 0, 1, 0), 3)), 16, True),
+    # 3 Z_0 - (Z_1 + .. + Z_6): rational values -3 and 4, total -3.
+    "2^6-1, rational, not divisible": (
+        (7,), 1, (((1,) + (0,) * 6, 3),) + tuple(
+            (tuple(int(a == b) for a in range(7)), -1) for b in range(1, 7)
+        ),
+        63, False,
+    ),
+    # 3 Z_0 - 2 Z_1, total 1: 3 - 2 zeta_3^e is not rational for e != 0.
+    "2^4-1, not rational": ((3,), 1, (((1, 0, 0), 3), ((0, 1, 0), -2)), 15, False),
+}
+
+
+@pytest.mark.parametrize("label", list(_FOLD_EDGES))
+def test_complete_transform_fold_edges_match_group_ring_reference(label):
+    orders, n, terms, mass, integral = _FOLD_EDGES[label]
+    A = make_group(orders)
+    E = CompleteEnumerator(A, n, terms)
+    assert sum(abs(c) for _, c in terms) * A.cardinality**n == mass
+    assert any(c < 0 for _, c in terms)
+    for phi in all_dualities(A):
+        for side, direction in _SIDES_AND_DIRECTIONS:
+            if integral:
+                expected = _group_ring_complete_transform(E, phi, side, direction)
+                assert mw_complete_transform(E, phi, side, direction) == expected
+                continue
+            with pytest.raises(NonIntegralError):
+                _group_ring_complete_transform(E, phi, side, direction)
+            with pytest.raises(NonIntegralError):
+                mw_complete_transform(E, phi, side, direction)
+
+
+def test_a_zero_total_or_divisor_is_refused():
+    A = make_group([2, 2])
+    phi = canonical_duality(A)
+    zero = CompleteEnumerator(A, 1, (((1, 0, 0, 0), 1), ((0, 1, 0, 0), -1)))
+    assert zero.total == 0
+    with pytest.raises(ValueError, match="total 0"):
+        mw_complete_transform(zero, phi, "left")
+    empty = CompleteEnumerator(A, 1, ())
+    assert mw_complete_transform(empty, phi, "left") == empty
+    with pytest.raises(ValueError, match="divisor of the transform is 0"):
+        mw_hamming_transform(HammingEnumerator(1, (1, 3)), 4, 0)
+
+
+def test_complete_transform_builds_no_cycint_and_reduces_once_per_monomial(monkeypatch):
+    # On success the output stage folds each monomial's powers of x itself
+    # and reduces them once, through cyclotomic._reduce, with no CycInt.
+    import math
+
+    from groupdual import cyclotomic, enumerators
+
+    A = make_group([9])
+    C = _richest_code(random.Random(9), A, 3)
+    phi = all_dualities(A)[1]
+    cases = [
+        (cwe(C), "left", "dual_from_code"),
+        (cwe(right_dual(C, phi)), "right", "code_from_dual"),
+    ]
+    expected = [
+        _group_ring_complete_transform(E, phi, side, direction)
+        for E, side, direction in cases
+    ]
+    built, reduced = [], []
+    post_init, reduce = CycInt.__post_init__, cyclotomic._reduce
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    def counting_reduce(m, coeffs):
+        reduced.append(1)
+        return reduce(m, coeffs)
+
+    monkeypatch.setattr(CycInt, "__post_init__", counting_post_init)
+    for module in (cyclotomic, enumerators):
+        monkeypatch.setattr(module, "_reduce", counting_reduce)
+    monomials = math.comb(3 + A.cardinality - 1, 3)
+    assert len(cases[0][0].terms) == 81
+    for (E, side, direction), want in zip(cases, expected):
+        reduced.clear()
+        assert mw_complete_transform(E, phi, side, direction) == want
+        assert 0 < len(reduced) <= monomials
+    assert built == []
+
+
 def test_complete_transform_rejects_count_vectors_of_the_wrong_length():
     A = make_group([2, 2])
     bad = CompleteEnumerator(A, 1, (((1, 0, 0), 1),))
