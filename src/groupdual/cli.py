@@ -11,15 +11,16 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import starmap
 from typing import Sequence
 
 from .codes import (
     AdditiveCode,
     PowerGroup,
     UnsupportedPairError,
+    _image_rows,
     _swapped_by_l0,
     construct_duality_for_pair,
-    duals_table,
     left_dual,
     mult_by_p_filtration,
     right_dual,
@@ -36,6 +37,7 @@ from .enumerators import (
 from .groups import (
     GroupSpec,
     _closure,
+    _lattice,
     all_subgroups,
     make_group,
     primary_decomposition,
@@ -198,28 +200,24 @@ def _cmd_duals_table(args) -> int:
         subs = [s for s in subs if s.order == args.order]
     else:
         subs = [s for s in subs if 1 < s.order < A.cardinality]
-    rows = duals_table(A, subs, limits=limits)
-    # The duals are a few distinct subgroups repeated across many rows;
-    # each is named once and each (left, right) cell formatted once, in the
-    # emitted format.  Keys are written in sorted order, and a list of int
+    ids = _image_rows(A, subs, limits)
+    # A row holds the ids of images whose L_0 are the duals, a few ids in
+    # many rows: each id is named once and each (left, right) pair of ids
+    # formatted once.  Keys are written in sorted order, and a list of int
     # lists reads the same in Python and JSON.
-    name = cache(str)
+    name = cache(lambda i: str(_lattice(A).l0(i)))
     if args.format == "json":
-        cell = cache(lambda L, R: json.dumps({"left": name(L), "right": name(R)}))
+        cell = cache(lambda i, j: json.dumps({"left": name(i), "right": name(j)}))
     else:
-        cell = cache(lambda L, R: f"L={name(L)} R={name(R)}")
-
-    def cells(row: dict) -> list[str]:
-        return [cell(d["left"], d["right"]) for d in row["duals"]]
-
+        cell = cache(lambda i, j: f"L={name(i)} R={name(j)}")
+    rows = (([list(r) for r in tau.matrix], starmap(cell, pairs)) for tau, pairs in ids)
     if args.format == "json":
         _write_json_list(
-            f'{{"duals": [{", ".join(cells(row))}], "tau": {row["tau"]}}}'
-            for row in rows
+            f'{{"duals": [{", ".join(cells)}], "tau": {tau}}}' for tau, cells in rows
         )
         return 0
     sys.stdout.write("subgroups: " + " ".join(str(s) for s in subs) + "\n")
-    sys.stdout.writelines(f"{row['tau']}: {'  '.join(cells(row))}\n" for row in rows)
+    sys.stdout.writelines(f"{tau}: {'  '.join(cells)}\n" for tau, cells in rows)
     return 0
 
 
@@ -385,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dualities", help="enumerate dualities")
     common(p)
-    p.add_argument("--list", action="store_true", help="index <-> matrix mapping")
+    p.add_argument("--list", action="store_true", help="no-op: listing is the default")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=_cmd_dualities)
 

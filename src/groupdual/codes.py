@@ -13,8 +13,8 @@ instead of reaching a table.  Each question about duals has one route:
 - whether K is a dual of H needs no dual: Phi(h, k) = 1 on basis pairs
   and |H| |K| = |A| (`_orthogonal`);
 - over all of Aut(A), with phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau)
-  and L_phi(H) = L_0(H tau*), read from the per-group lattice index
-  `groups._lattice`, which computes one zero set per image.
+  and L_phi(H) = L_0(H tau*): `_image_rows` names the images by their ids
+  in `groups._lattice`, and L_0 is built only for a returned dual.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .dualities import (
     is_symmetric,
 )
 from .groups import (
+    Automorphism,
     GroupElement,
     GroupSpec,
     Subgroup,
@@ -231,13 +232,18 @@ def construct_duality_for_pair(
 def search_duality_for_pair(
     H: Subgroup, K: Subgroup, limits: Limits | None = None
 ) -> Optional[Duality]:
-    """Exhaustive fallback: the first duality, in Aut(A) order, pairing H
-    with K.  One `_duals_by_image` call serves every duality."""
-    auts = automorphism_group(H.parent, limits)
-    for tau, ((L, R),) in zip(auts, _duals_by_image(H.parent, [H], None, limits)):
-        if L == R == K:
-            return Duality(tau)
-    return None
+    """Exhaustive fallback: the first duality, in Aut(A) order, under which
+    both duals of H, L_0 of two images of H, are K.  L_0 is injective and
+    swaps K and L_0(K), as phi_0 is symmetric and perfect, so both images
+    must be L_0(K): one zero set in all."""
+    A = H.parent
+    check_enumeration(A.cardinality, limits)  # before the scan bound
+    rows = _image_rows(A, [H], limits)
+    if K.parent != A:
+        return None
+    lattice = _lattice(A)
+    k0 = lattice.id_of(lattice.l0(lattice.id_of(K)))
+    return next((Duality(tau) for tau, ((L, R),) in rows if L == R == k0), None)
 
 
 def _assert_pair_duality(phi: Duality, H: Subgroup, K: Subgroup) -> None:
@@ -417,14 +423,16 @@ def duality_dependence(
 ) -> DependenceReport:
     A = H.parent
     auts = automorphism_group(A, limits)
-    left_ids: dict[Subgroup, list[int]] = {}
-    right_ids: dict[Subgroup, list[int]] = {}
-    for idx, ((L, R),) in enumerate(_duals_by_image(A, [H], None, limits)):
-        left_ids.setdefault(L, []).append(idx)
-        right_ids.setdefault(R, []).append(idx)
+    # Duality indices by image id: L_0 is injective, so equal ids are equal duals.
+    left_ids: dict[int, list[int]] = {}
+    right_ids: dict[int, list[int]] = {}
+    for idx, (_, ((left, right),)) in enumerate(_image_rows(A, [H], limits)):
+        left_ids.setdefault(left, []).append(idx)
+        right_ids.setdefault(right, []).append(idx)
     # Classes come in order of their least duality index.
-    left = [(sub, tuple(ids)) for sub, ids in left_ids.items()]
-    right = [(sub, tuple(ids)) for sub, ids in right_ids.items()]
+    l0 = _lattice(A).l0
+    left = [(l0(i), tuple(ids)) for i, ids in left_ids.items()]
+    right = [(l0(i), tuple(ids)) for i, ids in right_ids.items()]
     stab = stabilizer(H, limits)
     char = len(stab) == len(auts)
     expected_classes = len(auts) // len(stab)
@@ -453,27 +461,33 @@ def duality_dependence(
     )
 
 
+def _image_rows(
+    A: GroupSpec, subgroups: Sequence[Subgroup], limits: Limits | None
+) -> Iterator[tuple[Automorphism, list[tuple[int, int]]]]:
+    """Per tau in Aut(A) order, (tau, [(id of H tau*, id of H tau) for H in
+    subgroups]) in `groups._lattice(A)`: the ids whose L_0 are L_phi(H)
+    and R_phi(H), phi(a) = phi_0(a tau).  The checks of `_duals_by_image`
+    and |A| against the enumeration bound come first."""
+    _check_subgroups(A, subgroups, limits)
+    check_enumeration(A.cardinality, limits)
+    lattice = _lattice(A)
+    cols = lattice.columns([lattice.id_of(H) for H in subgroups])
+    return (
+        (tau, [(col[j], col[i]) for col in cols])
+        for tau, (i, j) in zip(_automorphisms(A), enumerate(_adjoint_permutation(A)))
+    )
+
+
 def _duals_by_image(
     A: GroupSpec,
     subgroups: Sequence[Subgroup],
-    dualities: Iterable[Duality] | None,
+    dualities: Iterable[Duality],
     limits: Limits | None,
 ) -> Iterator[list[tuple[Subgroup, Subgroup]]]:
-    """Per duality phi (all of Aut(A) in order when `dualities` is None),
-    [(L_phi(H), R_phi(H)) for H in subgroups].
-
-    On all of Aut(A), R_phi(H) = L_0(H tau) and L_phi(H) = L_0(H tau*)
-    are read from `groups._lattice` through the columns and tau -> tau*;
-    a given list of dualities goes through `_zero_set`.  The parents, and
-    each dual's order |A| / |H| against the scan bound, are checked at the
-    call, before any row, cached or not, is read."""
-    if any(H.parent != A for H in subgroups):
-        raise ValueError("subgroup does not live in the given group")
-    for H in subgroups:
-        check_scan(A.cardinality // H.order, limits)
-    if dualities is None:
-        check_enumeration(A.cardinality, limits)
-        return _dual_rows(_lattice(A), subgroups)
+    """Per given duality phi, [(L_phi(H), R_phi(H)) for H in subgroups],
+    each a `_zero_set`.  The parents, and each dual's order |A| / |H|
+    against the scan bound, are checked at the call."""
+    _check_subgroups(A, subgroups, limits)
     dualities = list(dualities)
     if any(phi.parent != A for phi in dualities):
         raise ValueError("duality of a different group")
@@ -483,13 +497,11 @@ def _duals_by_image(
     )
 
 
-def _dual_rows(lattice, subgroups):
-    """The rows of `_duals_by_image` over Aut(A), once its checks have
-    passed."""
-    cols = lattice.columns([lattice.id_of(H) for H in subgroups])
-    dual = {i: lattice.l0(i) for i in set().union(*cols)}
-    for i, j in enumerate(_adjoint_permutation(lattice.A)):
-        yield [(dual[col[j]], dual[col[i]]) for col in cols]
+def _check_subgroups(A: GroupSpec, subgroups, limits: Limits | None) -> None:
+    if any(H.parent != A for H in subgroups):
+        raise ValueError("subgroup does not live in the given group")
+    for H in subgroups:
+        check_scan(A.cardinality // H.order, limits)
 
 
 def duals_table(
@@ -501,13 +513,17 @@ def duals_table(
     """One row per duality (all of Aut(A) when `dualities` is None), yielded
     as it is computed: its tau matrix and the left/right dual of each
     subgroup, in the order given.  The checks raise at the call."""
-    dualities = None if dualities is None else list(dualities)
-    rows = _duals_by_image(A, subgroups, dualities, limits)
-    taus = _automorphisms(A) if dualities is None else [phi.tau for phi in dualities]
+    if dualities is None:
+        rows, l0 = _image_rows(A, subgroups, limits), _lattice(A).l0
+        rows = ((tau, [(l0(i), l0(j)) for i, j in ids]) for tau, ids in rows)
+    else:
+        dualities = list(dualities)
+        duals = _duals_by_image(A, subgroups, dualities, limits)
+        rows = zip([phi.tau for phi in dualities], duals)
     return (
         {
             "tau": [list(r) for r in tau.matrix],
             "duals": [{"left": L, "right": R} for L, R in row],
         }
-        for tau, row in zip(taus, rows)
+        for tau, row in rows
     )

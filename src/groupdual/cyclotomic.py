@@ -76,17 +76,16 @@ def cyclotomic_poly(m: int) -> CycPoly:
 
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     """Canonical residue of an integer polynomial in zeta_m."""
-    phi = cyclotomic_poly(m)
-    deg = phi.degree
+    # Phi_m is monic, so c x^k = -c x^(k - deg) (Phi_m - x^deg) mod Phi_m.
+    low = cyclotomic_poly(m).coeffs[:-1]
+    deg = len(low)
     rem = list(coeffs)
+    rem += [0] * (deg - len(rem))
     for k in range(len(rem) - 1, deg - 1, -1):
         c = rem[k]
-        if c == 0:
-            continue
-        rem[k] = 0
-        for j, d in enumerate(phi.coeffs[:-1]):
-            rem[k - deg + j] -= c * d
-    rem = rem[:deg] + [0] * max(deg - len(rem), 0)
+        if c:
+            for j, d in enumerate(low, k - deg):
+                rem[j] -= c * d
     return tuple(rem[:deg])
 
 

@@ -117,18 +117,6 @@ def mw_hamming_transform(
     return HammingEnumerator(n, tuple(v // divisor for v in out))
 
 
-# Which Phi-argument order goes into the substitution, per theorem
-# direction and side.  "code_from_dual": input enumerator belongs to the
-# dual code, output is the original code.  "dual_from_code": the reverse.
-_ORIENTATION: dict[tuple[str, str], bool] = {
-    # True means Phi(b, a) with b the substituted index, a the new index.
-    ("code_from_dual", "left"): True,
-    ("code_from_dual", "right"): False,
-    ("dual_from_code", "left"): False,
-    ("dual_from_code", "right"): True,
-}
-
-
 def _times(p: dict[int, int], form: dict[int, int]) -> dict[int, int]:
     """Product of p, keyed by monomial key with its x-polynomial packed into
     one int, and a form of entries x^e Z_a stored as Z_a's key and the shift
@@ -165,7 +153,9 @@ def mw_complete_transform(
     A = E.base
     if phi.parent != A:
         raise ValueError("duality is not over the enumerator's base group")
-    b_first = _ORIENTATION[(direction, side)]
+    # The substitution pairs as Phi(b, a) when b_first, else as Phi(a, b):
+    # b the substituted index, a the new one.
+    b_first = (direction == "code_from_dual") == (side == "left")
     m, card = A.exponent, A.cardinality
     terms = E.terms
     if any(len(counts) != card for counts, _ in terms):

@@ -200,10 +200,6 @@ class Subgroup:
         return self.parent == other.parent and self.members == other.members
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
         return hash((self.parent, self.members))
 
     def is_whole_group(self) -> bool:

@@ -210,6 +210,33 @@ def test_streamed_tables_match_the_in_memory_rendering(capsys, fmt, group, order
     assert _run(capsys, *argv) == (0, _dualities_list_in_memory(A, fmt), "")
 
 
+def test_duals_table_hashes_no_subgroup(capsys, monkeypatch):
+    # The rows are lattice ids; each printed dual is named once by its id,
+    # so no cell looks a Subgroup up in a cache.
+    from groupdual import groups
+
+    hashed = []
+    subgroup_hash = groups.Subgroup.__hash__
+
+    def counting(self):
+        hashed.append(1)
+        return subgroup_hash(self)
+
+    monkeypatch.setattr(groups.Subgroup, "__hash__", counting)
+    code, out, err = _run(capsys, "duals-table", "--group", "2,2,2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)) == 168
+    assert hashed == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("group", ["2,4", "3,3"])
+def test_dualities_list_flag_is_the_default_output(capsys, fmt, group):
+    listed = _run(capsys, "dualities", "--group", group, "--list", "--format", fmt)
+    assert listed[0] == 0 and listed[1]
+    assert _run(capsys, "dualities", "--group", group, "--format", fmt) == listed
+
+
 def test_duals_table_order_zero_selects_no_subgroup(capsys):
     code, out, err = _run(capsys, "duals-table", "--group", "2,2", "--order", "0")
     assert code == 0 and err == ""

@@ -661,6 +661,30 @@ def test_search_duality_for_pair_matches_the_scans():
     assert any(unpaired) and not all(unpaired)
 
 
+def test_search_duality_for_pair_builds_one_zero_set(monkeypatch):
+    # The search compares image ids with the id of L_0(K), so a cold
+    # lattice builds L_0(K) alone, not L_0 of every image of H.
+    from groupdual import groups as groups_module
+
+    A = make_group([2, 2, 2, 2])
+    fours = [S for S in all_subgroups(A) if S.order == 4]
+    H, K = fours[0], fours[-1]
+    built = []
+    zero_subgroup = groups_module._zero_subgroup
+
+    def counting(*args):
+        built.append(1)
+        return zero_subgroup(*args)
+
+    groups_module._lattice.cache_clear()
+    monkeypatch.setattr(groups_module, "_zero_subgroup", counting)
+    phi = search_duality_for_pair(H, K)
+    monkeypatch.setattr(groups_module, "_zero_subgroup", zero_subgroup)
+    assert len(built) <= 1 and phi is not None
+    CH = code_from_subgroup(A, 1, H)
+    assert left_dual(CH, phi).subgroup == right_dual(CH, phi).subgroup == K
+
+
 def _filtration_is_dual(A, pairs):
     """Whether every level is characteristic and L_0 swaps ker and im: by
     `_swapped_by_l0`, the filtration test the library runs."""

@@ -4,11 +4,13 @@ The cyclotomic polynomials are cross-checked against hand-known
 coefficient lists and against the product identity x^m - 1 = prod Phi_d.
 """
 
+from operator import sub
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupdual import CycInt, cyclotomic_poly, root_power
-from groupdual.cyclotomic import CycPoly
+from groupdual.cyclotomic import CycPoly, _reduce
 
 KNOWN_PHI = {
     1: (-1, 1),
@@ -63,6 +65,22 @@ def test_ring_axioms(m, data):
     assert (x * y) * z == x * (y * z)
     assert x * one == x
     assert x * (y + z) == x * y + x * z
+
+
+@given(st.integers(min_value=1, max_value=40), st.data())
+@settings(max_examples=120, deadline=None)
+def test_reduce_is_a_residue_modulo_the_cyclotomic_polynomial(m, data):
+    # Oracle: exact division.  The residue has deg Phi_m coefficients and
+    # differs from the input by a multiple of Phi_m.
+    coeffs = data.draw(
+        st.lists(st.integers(min_value=-50, max_value=50), max_size=3 * m)
+    )
+    phi = cyclotomic_poly(m)
+    got = _reduce(m, coeffs)
+    assert len(got) == phi.degree
+    n = max(len(coeffs), len(got))
+    padded = [list(v) + [0] * (n - len(v)) for v in (coeffs, got)]
+    CycPoly(tuple(map(sub, *padded))).divide_exact(phi)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9, 12])
