@@ -26,7 +26,7 @@ from .codes import (
     right_dual,
     search_duality_for_pair,
 )
-from .dualities import all_dualities, congruence_classes, is_symmetric
+from .dualities import Duality, all_dualities, congruence_classes, is_symmetric
 from .enumerators import (
     NonIntegralError,
     cwe,
@@ -39,6 +39,7 @@ from .groups import (
     _closure,
     _lattice,
     all_subgroups,
+    automorphism_group,
     make_group,
     primary_decomposition,
     subgroup_closure,
@@ -142,13 +143,11 @@ def _cmd_dualities(args) -> int:
     return 0
 
 
-def _duality_by_index(A: GroupSpec, index: int, limits: Limits):
-    dualities = all_dualities(A, limits)
-    if not 0 <= index < len(dualities):
-        raise IndexError(
-            f"duality index {index} out of range (0..{len(dualities) - 1})"
-        )
-    return dualities[index]
+def _duality_by_index(A: GroupSpec, index: int, limits: Limits) -> Duality:
+    auts = automorphism_group(A, limits)
+    if not 0 <= index < len(auts):
+        raise IndexError(f"duality index {index} out of range (0..{len(auts) - 1})")
+    return Duality(auts[index])
 
 
 def _parse_code(A: GroupSpec, n: int, gen_words: Sequence[str]) -> AdditiveCode:

@@ -28,9 +28,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .dualities import (
     Duality,
-    _adjoint_permutation,
     _conjugate_gram,
     _duality_from_gram,
+    _gram_index,
     _pairing_forms,
     canonical_duality,
     is_symmetric,
@@ -40,7 +40,6 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
-    _automorphisms,
     _closed_subgroup,
     _known_automorphism,
     _lattice,
@@ -50,7 +49,6 @@ from .groups import (
     automorphism_group,
     is_characteristic,
     make_group,
-    stabilizer,
     subgroup_closure,
 )
 from .limits import Limits, check_enumeration, check_scan
@@ -118,8 +116,7 @@ def code_from_subgroup(base: GroupSpec, n: int, H: Subgroup) -> AdditiveCode:
 
 def extend_duality(phi: Duality, n: int) -> Duality:
     """The coordinatewise extension of phi to A^n (block-diagonal tau).  A
-    block-diagonal copy of a bijection is a bijection, so A^n is not
-    spanned to check it."""
+    block-diagonal copy of a bijection is a bijection, so it is not checked."""
     if n == 1:
         return phi
     k = phi.parent.rank
@@ -237,10 +234,10 @@ def search_duality_for_pair(
     swaps K and L_0(K), as phi_0 is symmetric and perfect, so both images
     must be L_0(K): one zero set in all."""
     A = H.parent
+    if K.parent != A:
+        raise ValueError("subgroups of different groups")
     check_enumeration(A.cardinality, limits)  # before the scan bound
     rows = _image_rows(A, [H], limits)
-    if K.parent != A:
-        return None
     lattice = _lattice(A)
     k0 = lattice.id_of(lattice.l0(lattice.id_of(K)))
     return next((Duality(tau) for tau, ((L, R),) in rows if L == R == k0), None)
@@ -430,10 +427,11 @@ def duality_dependence(
         left_ids.setdefault(left, []).append(idx)
         right_ids.setdefault(right, []).append(idx)
     # Classes come in order of their least duality index.
-    l0 = _lattice(A).l0
-    left = [(l0(i), tuple(ids)) for i, ids in left_ids.items()]
-    right = [(l0(i), tuple(ids)) for i, ids in right_ids.items()]
-    stab = stabilizer(H, limits)
+    lattice = _lattice(A)
+    left, right = ([(lattice.l0(i), tuple(ids)) for i, ids in d.items()]
+                   for d in (left_ids, right_ids))
+    # Stab(H): the class of the tau with H tau = H, whose right id is H's.
+    stab = [auts[i] for i in right_ids[lattice.id_of(H)]]
     char = len(stab) == len(auts)
     expected_classes = len(auts) // len(stab)
     if len(right) != expected_classes or len(left) != expected_classes:
@@ -467,14 +465,14 @@ def _image_rows(
     """Per tau in Aut(A) order, (tau, [(id of H tau*, id of H tau) for H in
     subgroups]) in `groups._lattice(A)`: the ids whose L_0 are L_phi(H)
     and R_phi(H), phi(a) = phi_0(a tau).  The checks of `_duals_by_image`
-    and |A| against the enumeration bound come first."""
+    and `automorphism_group` come first."""
     _check_subgroups(A, subgroups, limits)
-    check_enumeration(A.cardinality, limits)
+    auts = automorphism_group(A, limits)
     lattice = _lattice(A)
     cols = lattice.columns([lattice.id_of(H) for H in subgroups])
     return (
         (tau, [(col[j], col[i]) for col in cols])
-        for tau, (i, j) in zip(_automorphisms(A), enumerate(_adjoint_permutation(A)))
+        for tau, (i, j) in zip(auts, enumerate(_gram_index(A)[1]))
     )
 
 

@@ -163,28 +163,24 @@ def conjugate_duality(phi: Duality, tau: Automorphism) -> Duality:
     return _duality_from_gram(A, _conjugate_gram(_gram(phi), tau.matrix, A.exponent))
 
 
-def _flat_gram(phi: Duality) -> tuple[int, ...]:
-    m, w = phi.parent.exponent, phi.parent.weights
-    return tuple(t * w_j % m for row in phi.tau.matrix for t, w_j in zip(row, w))
-
-
-def _gram_index(dualities: Iterable[Duality]) -> dict[tuple[int, ...], int]:
-    """The index of each duality, keyed by its flat Gram matrix; the keys
-    come in index order."""
-    return {_flat_gram(phi): i for i, phi in enumerate(dualities)}
+def _flat_gram(tau: Automorphism) -> tuple[int, ...]:
+    m, w = tau.parent.exponent, tau.parent.weights
+    return tuple(t * w_j % m for row in tau.matrix for t, w_j in zip(row, w))
 
 
 @lru_cache(maxsize=None)
-def _adjoint_permutation(A: GroupSpec) -> array:
-    """tau -> tau* on Aut(A) indices, kept per group like Aut(A): G(phi*) =
-    G(phi)^T, so the index of phi* is that of the transposed Gram matrix.
-    Callers check the limits."""
-    index, k = _gram_index(map(Duality, _automorphisms(A))), A.rank
-    return array("I", (index[sum((G[i::k] for i in range(k)), ())] for G in index))
+def _gram_index(A: GroupSpec) -> tuple[dict[tuple[int, ...], int], array]:
+    """The Aut(A) index of each tau keyed by its flat Gram matrix, the keys
+    in index order, and tau -> tau* on those indices: G(phi*) = G(phi)^T,
+    so the index of phi* is that of the transposed Gram matrix.  Kept per
+    group like Aut(A); callers check the limits."""
+    index, k = {_flat_gram(tau): i for i, tau in enumerate(_automorphisms(A))}, A.rank
+    star = array("I", (index[sum((G[i::k] for i in range(k)), ())] for G in index))
+    return index, star
 
 
 def _walk(A: GroupSpec, G: tuple[int, ...]):
-    """Breadth-first walk of the orbit of G = `_flat_gram(phi)`: yields (G,
+    """Breadth-first walk of the orbit of G = `_flat_gram(tau)`: yields (G,
     None, None), then (H, parent, (i, j, c)) for each new H = E parent E^T
     mod m, E = I + c E_ij: row i += c row j, then column i += c column j."""
     k, m = A.rank, A.exponent
@@ -214,8 +210,8 @@ def congruent(
         raise ValueError("dualities of different groups")
     A = phi1.parent
     check_enumeration(A.cardinality, limits)
-    target, witness = _flat_gram(phi2), {None: [g.coords for g in A.generators()]}
-    for H, parent, step in _walk(A, _flat_gram(phi1)):
+    target, witness = _flat_gram(phi2.tau), {None: [g.coords for g in A.generators()]}
+    for H, parent, step in _walk(A, _flat_gram(phi1.tau)):
         S = list(witness[parent])
         if step:
             i, j, c = step
@@ -232,15 +228,17 @@ def congruence_classes(
     """Orbit partition of all dualities under congruence; each class is
     sorted canonically and classes are ordered by their least member.
 
-    Each class is one `_walk` from its least member, popped from `index`:
-    |Aut| x #generators steps in all.  Indices sort as members do."""
-    dualities = all_dualities(A, limits)
-    index = _gram_index(dualities)
-    classes = []
-    for G in list(index):
-        if G in index:
-            orbit = sorted(index.pop(H) for H, _, _ in _walk(A, G))
-            classes.append([dualities[j] for j in orbit])
+    Each class is one `_walk` from its least index not yet met, read from
+    `_gram_index`: |Aut| x #generators steps in all; indices sort as members."""
+    auts = automorphism_group(A, limits)
+    index, _ = _gram_index(A)
+    met, classes = bytearray(len(auts)), []
+    for G, i in index.items():
+        if not met[i]:
+            orbit = sorted(index[H] for H, _, _ in _walk(A, G))
+            for j in orbit:
+                met[j] = 1
+            classes.append([Duality(auts[j]) for j in orbit])
     return classes
 
 

@@ -448,11 +448,15 @@ class Homomorphism:
         return cls(self.source, then.target, rows)
 
     def is_bijective(self) -> bool:
+        """Equal orders and a trivial kernel: x T = 0 exactly when sum_i w_j
+        T_ij x_i = 0 (mod m) for each target factor j, forms valid for
+        `_kernel_generators` as d_i w_j T_ij = 0 by admissibility."""
         if self.source.cardinality != self.target.cardinality:
             return False
-        # The image is the span of the row images; _span enumerates it.
-        image = _span(self.target.orders, self.matrix)[1]
-        return len(image) == self.source.cardinality
+        m = self.target.exponent
+        forms = [[w * row[j] % m for row in self.matrix]
+                 for j, w in enumerate(self.target.weights)]
+        return not any(map(any, _kernel_generators(self.source.orders, m, forms)))
 
 
 @dataclass(frozen=True)
@@ -483,7 +487,7 @@ class Automorphism(Homomorphism):
 
 def _known_automorphism(A: GroupSpec, rows) -> Automorphism:
     """The automorphism with `rows`, which the caller knows to be reduced,
-    admissible and bijective, built without the constructor's span of A."""
+    admissible and bijective, built without the constructor's kernel test."""
     tau = object.__new__(Automorphism)
     tau.__dict__.update(source=A, target=A, matrix=tuple(rows))
     return tau
@@ -503,7 +507,7 @@ def scalar_automorphism(A: GroupSpec, n: int) -> Automorphism:
 def automorphism_group(
     A: GroupSpec, limits: Limits | None = None
 ) -> list[Automorphism]:
-    """All automorphisms, in lexicographic matrix order."""
+    """Aut(A) in lexicographic matrix order; every enumeration comes here."""
     check_enumeration(A.cardinality, limits)
     return list(_automorphisms(A))
 
@@ -637,11 +641,11 @@ def stabilizer(
     H: Subgroup, limits: Limits | None = None
 ) -> list[Automorphism]:
     """Every tau with H tau = H: the fixed points of H's column."""
-    check_enumeration(H.parent.cardinality, limits)
+    auts = automorphism_group(H.parent, limits)
     lattice = _lattice(H.parent)
     h = lattice.id_of(H)
     (col,) = lattice.columns([h])
-    return [tau for tau, i in zip(_automorphisms(H.parent), col) if i == h]
+    return [tau for tau, i in zip(auts, col) if i == h]
 
 
 def _elementary_generators(A: GroupSpec) -> list[tuple[int, int, int]]:

@@ -159,22 +159,23 @@ def _dualities_list_in_memory(A, fmt):
 CENSUS_GROUPS = ("2", "2,2", "2,4", "3,3", "2,8", "4,4", "2,2,2", "2,2,3", "27")
 
 
+def _refuse_aut(A):
+    raise AssertionError("Aut(A) enumerated")
+
+
 @pytest.mark.parametrize(
     "group", [g for g in CENSUS_GROUPS if g != "2,2,3"] + ["4,4,4"]
 )
 def test_filtration_enumerates_no_automorphism(capsys, monkeypatch, group):
     # The oracle run tests each level by its stabilizer, which enumerates
-    # Aut(A); the run under test must print the same bytes with every
-    # module's Aut(A) enumeration patched to raise.
-    from groupdual import codes, dualities, groups
+    # Aut(A); the run under test must print the same bytes with the one
+    # route to Aut(A) patched to raise.
+    from groupdual import codes, groups
 
     def oracle(H, limits=None):
         return len(groups.stabilizer(H, limits)) == len(
             groups.automorphism_group(H.parent, limits)
         )
-
-    def refuse(A):
-        raise AssertionError("Aut(A) enumerated")
 
     for fmt in ("text", "json"):
         argv = ("filtration", "--group", group, "--format", fmt)
@@ -182,8 +183,7 @@ def test_filtration_enumerates_no_automorphism(capsys, monkeypatch, group):
             patch.setattr(codes, "is_characteristic", oracle)
             want = _run(capsys, *argv)
         with monkeypatch.context() as patch:
-            for module in (groups, codes, dualities):
-                patch.setattr(module, "_automorphisms", refuse)
+            patch.setattr(groups, "_automorphisms", _refuse_aut)
             got = _run(capsys, *argv)
         assert got == want
         code, out, err = got
@@ -192,6 +192,53 @@ def test_filtration_enumerates_no_automorphism(capsys, monkeypatch, group):
             assert json.loads(out)["mutual_duals_under_every_duality"] is True
         else:
             assert out.endswith(" yes\n")
+
+
+_BY_INDEX = ("--group", "2,4", "--code-gens", "01", "--duality-index", "3", "--side", "left")
+_UNSUPPORTED = ("construct-pair", "--group", "2,4", "--h-gens", "02", "--k-gens", "01")
+
+
+@pytest.mark.parametrize("argv", [
+    ("dualities", "--group", "2,4"),
+    ("dualities", "--group", "2,4", "--count-only"),
+    ("congruence", "--group", "2,4"),
+    ("duals-table", "--group", "2,4"),
+    ("dual", *_BY_INDEX),
+    ("macwilliams", "verify", *_BY_INDEX),
+    (*_UNSUPPORTED, "--search"),
+])
+def test_every_aut_route_takes_the_one_enumeration(capsys, monkeypatch, argv):
+    # Warm caches first, so that a route that kept its own copy of Aut(A)
+    # would pass without reaching the enumeration.
+    from groupdual import groups
+
+    assert _run(capsys, *argv)[0] in (0, 1)
+    monkeypatch.setattr(groups, "_automorphisms", _refuse_aut)
+    with pytest.raises(AssertionError, match=r"Aut\(A\) enumerated"):
+        run(list(argv))
+
+
+def test_library_aut_routes_take_the_one_enumeration(capsys, monkeypatch):
+    from groupdual import canonical_duality, congruent, groups, is_characteristic
+    from groupdual.codes import duality_dependence
+
+    A = make_group([2, 4])
+    subs = all_subgroups(A)
+    dualities = all_dualities(A)
+    for H in subs:
+        groups.stabilizer(H)
+        duality_dependence(H)
+    monkeypatch.setattr(groups, "_automorphisms", _refuse_aut)
+    for H in subs:
+        for route in (groups.stabilizer, duality_dependence):
+            with pytest.raises(AssertionError, match=r"Aut\(A\) enumerated"):
+                route(H)
+    # These walk the generators of Aut(A) or build one duality.
+    assert [is_characteristic(H) for H in subs].count(True) >= 2
+    phi0 = canonical_duality(A)
+    assert all(congruent(phi0, phi) is not None for phi in dualities if is_symmetric(phi))
+    assert _run(capsys, "construct-pair", "--group", "2,4", "--h-gens", "10", "--k-gens", "01")[0] == 0
+    assert _run(capsys, "filtration", "--group", "2,4")[0] == 0
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -362,7 +409,16 @@ def test_bad_duality_index_is_domain_error(capsys):
         "left",
     )
     assert code == 1
-    assert "out of range" in err
+    assert err == "error: duality index 42 out of range (0..5)\n"
+
+
+@pytest.mark.parametrize("command", [("dual",), ("macwilliams", "verify")])
+@pytest.mark.parametrize("index", ["6", "-1"])
+def test_out_of_range_duality_index_line(capsys, command, index):
+    argv = ("--group", "2,2", "--code-gens", "10", "--duality-index", index, "--side", "left")
+    assert _run(capsys, *command, *argv) == (
+        1, "", f"error: duality index {index} out of range (0..5)\n"
+    )
 
 
 def test_usage_error_exit_code(capsys):

@@ -785,7 +785,7 @@ def test_no_group_element_in_the_loops_over_a_group(monkeypatch):
     # Fourier, Poisson, the dual-dependence report and a cold Aut(A)
     # enumeration loop over A, or Aut(A), on coordinate tuples only.
     from groupdual import fourier_transform, groups as groups_module, poisson_check
-    from groupdual.dualities import _adjoint_permutation
+    from groupdual.dualities import _gram_index
 
     A = make_group([4, 4])
     m = A.exponent
@@ -799,7 +799,7 @@ def test_no_group_element_in_the_loops_over_a_group(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(groups_module.GroupElement, "__post_init__", counting)
-    for cache in (groups_module._automorphisms, groups_module._lattice, _adjoint_permutation):
+    for cache in (groups_module._automorphisms, groups_module._lattice, _gram_index):
         cache.cache_clear()
     assert len(groups_module._automorphisms(A)) == 96
     fourier_transform(A, f)
@@ -838,3 +838,56 @@ def test_extend_duality_does_not_span_the_power_group():
     assert time.perf_counter() - start < 0.5
     assert ext.parent == PowerGroup(make_group([2, 4]), 8).spec
     assert ext.tau.matrix[14:] == ((0,) * 14 + phi.tau.matrix[0], (0,) * 14 + phi.tau.matrix[1])
+
+
+def test_automorphisms_over_a_power_group_are_checked_without_a_span():
+    # The adjoint's constructor checks bijectivity by a kernel, not by
+    # spanning all 8^7 = 2,097,152 words of (Z/2 x Z/4)^7.
+    import time
+
+    from groupdual import Automorphism
+
+    phi = all_dualities(make_group([2, 4]))[3]
+    ext = extend_duality(phi, 7)
+    start = time.perf_counter()
+    star = adjoint(ext)
+    assert time.perf_counter() - start < 0.5
+    assert star == extend_duality(adjoint(phi), 7)
+    singular = [list(r) for r in ext.tau.matrix]
+    singular[13] = [0] * 14
+    with pytest.raises(ValueError, match="does not define a bijection"):
+        Automorphism(ext.parent, ext.parent, tuple(map(tuple, singular)))
+
+
+def test_search_duality_for_pair_refuses_subgroups_of_different_groups():
+    A, B = make_group([2, 2]), make_group([4])
+    H = subgroup_closure(A, [A.element([1, 0])])
+    K = subgroup_closure(B, [B.element([2])])
+    for search in (construct_duality_for_pair, search_duality_for_pair):
+        with pytest.raises(ValueError, match="subgroups of different groups"):
+            search(H, K)
+
+
+@pytest.mark.parametrize("orders", [[2, 4], [2, 2, 2], [3, 3], [2, 2, 3]])
+def test_one_gram_index_per_group(monkeypatch, orders):
+    # congruence_classes, duals_table and the pair search share one index
+    # of Aut(A) by flat Gram matrix, built once per group.
+    from groupdual import automorphism_group, congruence_classes
+    from groupdual import dualities as dualities_module
+
+    A = make_group(orders)
+    subs = all_subgroups(A)
+    calls = []
+    flat_gram = dualities_module._flat_gram
+
+    def counting(tau):
+        calls.append(1)
+        return flat_gram(tau)
+
+    monkeypatch.setattr(dualities_module, "_flat_gram", counting)
+    dualities_module._gram_index.cache_clear()
+    for _ in range(3):
+        congruence_classes(A)
+        list(duals_table(A, subs))
+        search_duality_for_pair(subs[1], subs[-2])
+    assert len(calls) == len(automorphism_group(A))

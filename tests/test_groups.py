@@ -28,7 +28,7 @@ from groupdual import (
     subgroup_closure,
     subgroup_from_elements,
 )
-from groupdual.dualities import _adjoint_permutation, _elementary_generators
+from groupdual.dualities import _elementary_generators, _gram_index
 from groupdual.groups import _closed_subgroup, _lattice, _span
 
 CENSUS_GROUPS = (
@@ -490,7 +490,60 @@ def test_generator_test_matches_the_stabilizer(orders):
 def test_lattice_star_is_the_adjoint_on_aut_indices(orders):
     A = make_group(orders)
     dualities = all_dualities(A)
-    star = _adjoint_permutation(A)
+    _, star = _gram_index(A)
     assert sorted(star) == list(range(len(dualities)))
     for phi, j in zip(dualities, star):
         assert dualities[j] == adjoint(phi)
+
+
+def _admissible_entries(source, target):
+    """The admissible values of each T_ij, row by row: the multiples of
+    d'_j / gcd(d_i, d'_j) in Z/d'_j."""
+    return [[c * (e // math.gcd(d, e)) for c in range(math.gcd(d, e))]
+            for d in source.orders for e in target.orders]
+
+
+def _rows(flat, k):
+    return tuple(tuple(flat[i : i + k]) for i in range(0, len(flat), k))
+
+
+def _spans_target(source, target, matrix):
+    """Oracle: equal orders and an image of |target| elements."""
+    image = _span(target.orders, matrix)[1]
+    return source.cardinality == target.cardinality == len(image)
+
+
+_SAME_ORDER = [[(6,), (2, 3)], [(8,), (2, 4), (2, 2, 2)],
+               [(12,), (2, 6), (3, 4), (4, 3), (2, 2, 3), (6, 2)]]
+
+
+@pytest.mark.parametrize("family", _SAME_ORDER, ids=str)
+def test_is_bijective_is_the_span_on_every_admissible_map(family):
+    groups = [make_group(o) for o in family]
+    bijective = 0
+    for source in groups:
+        for target in groups:
+            for flat in product(*_admissible_entries(source, target)):
+                matrix = _rows(flat, target.rank)
+                got = Homomorphism(source, target, matrix).is_bijective()
+                assert got == _spans_target(source, target, matrix)
+                bijective += got
+    assert bijective > 0
+
+
+@pytest.mark.parametrize("orders", [[2, 4, 4], [2, 2, 2, 2], [3, 9], [4, 4, 4], [2, 6, 6], [5, 5]])
+def test_is_bijective_is_the_span_on_random_admissible_maps(orders):
+    import random
+
+    rng = random.Random(21)
+    A = make_group(orders)
+    others = [A, make_group([max(orders)]), make_group([2, 3, 5])]
+    verdicts = []
+    for target in others:
+        entries = _admissible_entries(A, target)
+        for _ in range(300):
+            matrix = _rows([rng.choice(e) for e in entries], target.rank)
+            got = Homomorphism(A, target, matrix).is_bijective()
+            assert got == _spans_target(A, target, matrix)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
