@@ -19,8 +19,8 @@ from .groups import (
     Homomorphism,
     Subgroup,
     _kernel_generators,
+    _l0_subgroup,
     _xgcd,
-    _zero_subgroup,
 )
 
 
@@ -75,9 +75,7 @@ def annihilator(H: Subgroup) -> Subgroup:
     exponent tuples.  The character pi is trivial on h exactly when the
     form (w_i h_i) vanishes on pi's exponent tuple.
     """
-    A = H.parent
-    forms = [tuple(map(mul, A.weights, h)) for h in H.basis]
-    return _zero_subgroup(A, forms, H.order)
+    return _l0_subgroup(H.parent, H.basis, H.order)
 
 
 def double_annihilator_check(H: Subgroup) -> bool:

@@ -42,7 +42,6 @@ from .groups import (
     automorphism_group,
     make_group,
     primary_decomposition,
-    subgroup_closure,
 )
 from .limits import LimitExceededError, Limits
 from .tables import paper_table
@@ -330,8 +329,8 @@ def _cmd_paper_table(args) -> int:
 def _cmd_construct_pair(args) -> int:
     A = _parse_group(args.group)
     limits = _limits(args)
-    H = subgroup_closure(A, [A.parse_element(w) for w in args.h_gens])
-    K = subgroup_closure(A, [A.parse_element(w) for w in args.k_gens])
+    H = _closure(A, tuple(map(A.parse_coords, args.h_gens)))
+    K = _closure(A, tuple(map(A.parse_coords, args.k_gens)))
     try:
         phi = construct_duality_for_pair(H, K, limits)
         how = "constructed"

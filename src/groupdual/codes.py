@@ -9,7 +9,8 @@ every generator zeroes every form, and |D| |C| = |A^n|, which by the
 perfect pairing makes D the whole zero set, so a solver bug raises
 instead of reaching a table.  Each question about duals has one route:
 - the duals of a given subgroup under a given duality are that zero set
-  (`_zero_set`);
+  (`_zero_set`), for `left_dual`, `right_dual` and `duals_table` with a
+  list of dualities alike;
 - whether K is a dual of H needs no dual: Phi(h, k) = 1 on basis pairs
   and |H| |K| = |A| (`_orthogonal`);
 - over all of Aut(A), with phi(a) = phi_0(a tau), R_phi(H) = L_0(H tau)
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, product
+from itertools import chain, product, repeat
 from operator import add, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -40,11 +41,11 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
-    _closed_subgroup,
     _known_automorphism,
     _lattice,
     _order,
     _span,
+    _unit_rows,
     _zero_subgroup,
     automorphism_group,
     is_characteristic,
@@ -288,31 +289,28 @@ def _elementary_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
 
 
 def _direct_sum_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
-    """Cyclic bases of H and K, found by backtracking with elements of
-    maximal order first, and M = diag(m / o_b): the sum of the standard
-    dualities of the cyclic factors <b> of A = H (+) K, which are
+    """Cyclic bases of H and K and M = diag(m / o_b): the sum of the
+    standard dualities of the cyclic factors <b> of A = H (+) K, which are
     pairwise orthogonal, so H and K annihilate each other."""
     orders = A.orders
 
     def cyclic_basis(S: Subgroup) -> list[tuple[int, ...]]:
-        candidates = sorted(
-            (-_order(orders, x), x) for x in S.members if any(x)
-        )
-
-        def recurse(basis, size):
+        """One pass over the nonzero x of S by (-order, x): x joins when
+        |<basis, x>| = o(x) |<basis>|, until the span is S.  It never has
+        to go back: let B = <basis> be a summand of S with complement C.
+        Any y with <y> cap B = 0 has the order of its C-component c', so
+        the first such y of maximal order has c' of maximal order in C,
+        which (per primary part) generates a summand; B + <y> = B (+) <c'>
+        is again a summand of S."""
+        basis, size = [], 1
+        candidates = sorted((-_order(orders, x), x) for x in S.members if any(x))
+        for minus_o, x in candidates:
             if size == S.order:
-                return basis
-            for minus_o, x in candidates:
-                grown = len(_span(orders, basis + [x])[1])
-                if grown == -minus_o * size:
-                    out = recurse(basis + [x], grown)
-                    if out is not None:
-                        return out
-            return None
-
-        basis = recurse([], 1)
-        if basis is None:
-            raise AssertionError("cyclic decomposition not found")
+                break
+            grown = len(_span(orders, basis + [x])[1])
+            if grown == -minus_o * size:
+                basis.append(x)
+                size = grown
         return basis
 
     basis = cyclic_basis(H) + cyclic_basis(K)
@@ -338,39 +336,42 @@ def _pulled_back(A: GroupSpec, basis, M) -> Duality:
         table = grown
     if len(table) != A.cardinality:
         raise AssertionError("basis does not decompose A")
-    units = (tuple(int(i == j) for j in range(A.rank)) for i in range(A.rank))
-    P = [table[g] for g in units]
+    P = [table[g] for g in _unit_rows(A.rank)]
     return _duality_from_gram(A, _conjugate_gram(M, P, A.exponent))
 
 
 def mult_by_p_filtration(
     A: GroupSpec, p: int, limits: Limits | None = None
 ) -> list[tuple[Subgroup, Subgroup]]:
-    """(ker f^j, im f^j) for f(a) = p a, j = 0..N with f^N = 0.
-
-    Each distinct level other than {0} and A, which are characteristic in
-    every group, is checked once to be characteristic."""
+    """(ker f^j, im f^j) for f(a) = p a, j = 0..N with f^N = 0, built after
+    |A| passes the enumeration bound.  Each distinct level other than {0}
+    and A, which are characteristic in every group, is checked once to be
+    characteristic."""
     if A.primes() != [p]:
         raise ValueError(f"group is not a {p}-group")
-    N = 0
-    m = A.exponent
-    while m % p == 0:
-        m //= p
-        N += 1
-    # ker f^j and im f^j are products over the factors: x_i with q x_i = 0
-    # in Z/d_i, and the multiples of gcd(q, d_i); both come out sorted.
-    pairs = []
-    for j in range(N + 1):
-        q = p**j
-        ker = product(*(range(0, d, d // math.gcd(q, d)) for d in A.orders))
-        im = product(*(range(0, d, math.gcd(q, d)) for d in A.orders))
-        pairs.append((_closed_subgroup(A, list(ker)), _closed_subgroup(A, list(im))))
-    proper = dict.fromkeys(
-        H for level in pairs for H in level if 1 < H.order < A.cardinality
-    )
+    check_enumeration(A.cardinality, limits)
+    # For q = p^j up to the exponent p^N, ker f^j and im f^j are products
+    # over the factors: the multiples of d_i / gcd(q, d_i) and of gcd(q, d_i).
+    pairs, q = [], 1
+    while q <= A.exponent:
+        g = [math.gcd(q, d) for d in A.orders]
+        ker = _multiples(A, [d // c for d, c in zip(A.orders, g)])
+        pairs.append((ker, _multiples(A, g)))
+        q *= p
+    proper = {H for level in pairs for H in level if 1 < H.order < A.cardinality}
     if not all(is_characteristic(H, limits) for H in proper):
         raise AssertionError("filtration subgroup is not characteristic")
     return pairs
+
+
+def _multiples(A: GroupSpec, steps: Sequence[int]) -> Subgroup:
+    """The x with each x_i a multiple of steps[i], a divisor of d_i: the
+    members come sorted out of the factor ranges, and the basis is the
+    independent s_i e_i other than 0 (`gens` stays the lazy greedy one)."""
+    members = tuple(product(*map(range, repeat(0), A.orders, steps)))
+    units = zip(steps, A.orders, _unit_rows(A.rank))
+    basis = tuple(tuple(s * u for u in e) for s, d, e in units if s < d)
+    return Subgroup(A, members, _basis=basis)
 
 
 def verify_filtration_duality(
@@ -383,7 +384,6 @@ def verify_filtration_duality(
         if len(primes) != 1:
             raise ValueError("group is not a p-group")
         p = primes[0]
-    # mult_by_p_filtration has checked that every level is characteristic.
     return _swapped_by_l0(A, mult_by_p_filtration(A, p, limits))
 
 
@@ -393,7 +393,7 @@ def _swapped_by_l0(A: GroupSpec, pairs: Sequence[tuple[Subgroup, Subgroup]]) -> 
     symmetric.  No dual is built.
 
     Every dual is L_0 of an automorphic image of the subgroup (see
-    `_duals_by_image`), so both duals of a characteristic subgroup are L_0
+    `_image_rows`), so both duals of a characteristic subgroup are L_0
     of it under every duality; conversely L_0 is injective on subgroups,
     so equal duals under every tau force H tau = H.  The (ker, im) levels
     are therefore mutual left/right duals under every duality exactly when
@@ -421,8 +421,7 @@ def duality_dependence(
     A = H.parent
     auts = automorphism_group(A, limits)
     # Duality indices by image id: L_0 is injective, so equal ids are equal duals.
-    left_ids: dict[int, list[int]] = {}
-    right_ids: dict[int, list[int]] = {}
+    left_ids, right_ids = {}, {}
     for idx, (_, ((left, right),)) in enumerate(_image_rows(A, [H], limits)):
         left_ids.setdefault(left, []).append(idx)
         right_ids.setdefault(right, []).append(idx)
@@ -431,32 +430,14 @@ def duality_dependence(
     left, right = ([(lattice.l0(i), tuple(ids)) for i, ids in d.items()]
                    for d in (left_ids, right_ids))
     # Stab(H): the class of the tau with H tau = H, whose right id is H's.
-    stab = [auts[i] for i in right_ids[lattice.id_of(H)]]
-    char = len(stab) == len(auts)
-    expected_classes = len(auts) // len(stab)
-    if len(right) != expected_classes or len(left) != expected_classes:
+    # By orbit-stabilizer there are |Aut| / |Stab(H)| classes on each side.
+    stab = len(right_ids[lattice.id_of(H)])
+    char = stab == len(auts)
+    if not len(right) == len(left) == len(auts) // stab:
         raise AssertionError("dual-value classes do not match stabilizer cosets")
-    for _, ids in right:
-        # Every class of equal right duals must be a coset: each tau_idx in
-        # stab(H) tau_base, the coordinate matrix products sigma tau_base.
-        cols = list(zip(*auts[ids[0]].matrix))
-        coset = {
-            tuple(
-                tuple(sum(map(mul, r, col)) % d for col, d in zip(cols, A.orders))
-                for r in s.matrix
-            )
-            for s in stab
-        }
-        if any(auts[idx].matrix not in coset for idx in ids[1:]):
-            raise AssertionError("right-dual class is not a stabilizer coset")
     if char != (len(right) == 1):
         raise AssertionError("characteristic test disagrees with dual dependence")
-    return DependenceReport(
-        subgroup=H,
-        left_classes=tuple(left),
-        right_classes=tuple(right),
-        characteristic=char,
-    )
+    return DependenceReport(H, tuple(left), tuple(right), char)
 
 
 def _image_rows(
@@ -464,8 +445,8 @@ def _image_rows(
 ) -> Iterator[tuple[Automorphism, list[tuple[int, int]]]]:
     """Per tau in Aut(A) order, (tau, [(id of H tau*, id of H tau) for H in
     subgroups]) in `groups._lattice(A)`: the ids whose L_0 are L_phi(H)
-    and R_phi(H), phi(a) = phi_0(a tau).  The checks of `_duals_by_image`
-    and `automorphism_group` come first."""
+    and R_phi(H), phi(a) = phi_0(a tau).  The subgroup checks of
+    `duals_table` and those of `automorphism_group` come first."""
     _check_subgroups(A, subgroups, limits)
     auts = automorphism_group(A, limits)
     lattice = _lattice(A)
@@ -476,26 +457,8 @@ def _image_rows(
     )
 
 
-def _duals_by_image(
-    A: GroupSpec,
-    subgroups: Sequence[Subgroup],
-    dualities: Iterable[Duality],
-    limits: Limits | None,
-) -> Iterator[list[tuple[Subgroup, Subgroup]]]:
-    """Per given duality phi, [(L_phi(H), R_phi(H)) for H in subgroups],
-    each a `_zero_set`.  The parents, and each dual's order |A| / |H|
-    against the scan bound, are checked at the call."""
-    _check_subgroups(A, subgroups, limits)
-    dualities = list(dualities)
-    if any(phi.parent != A for phi in dualities):
-        raise ValueError("duality of a different group")
-    return (
-        [(_zero_set(A, phi, H, True), _zero_set(A, phi, H, False)) for H in subgroups]
-        for phi in dualities
-    )
-
-
 def _check_subgroups(A: GroupSpec, subgroups, limits: Limits | None) -> None:
+    """The parents, and each dual's order |A| / |H| against the scan bound."""
     if any(H.parent != A for H in subgroups):
         raise ValueError("subgroup does not live in the given group")
     for H in subgroups:
@@ -510,14 +473,22 @@ def duals_table(
 ) -> Iterator[dict]:
     """One row per duality (all of Aut(A) when `dualities` is None), yielded
     as it is computed: its tau matrix and the left/right dual of each
-    subgroup, in the order given.  The checks raise at the call."""
+    subgroup, in the order given.  Over Aut(A) the duals are L_0 of the
+    images (`_image_rows`); under given dualities each is a `_zero_set`.
+    The checks raise at the call."""
     if dualities is None:
         rows, l0 = _image_rows(A, subgroups, limits), _lattice(A).l0
         rows = ((tau, [(l0(i), l0(j)) for i, j in ids]) for tau, ids in rows)
     else:
+        _check_subgroups(A, subgroups, limits)
         dualities = list(dualities)
-        duals = _duals_by_image(A, subgroups, dualities, limits)
-        rows = zip([phi.tau for phi in dualities], duals)
+        if any(phi.parent != A for phi in dualities):
+            raise ValueError("duality of a different group")
+        rows = (
+            (phi.tau, [(_zero_set(A, phi, H, True), _zero_set(A, phi, H, False))
+                       for H in subgroups])
+            for phi in dualities
+        )
     return (
         {
             "tau": [list(r) for r in tau.matrix],

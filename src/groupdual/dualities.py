@@ -23,6 +23,7 @@ from .groups import (
     GroupSpec,
     _automorphisms,
     _elementary_generators,
+    _unit_rows,
     automorphism_group,
     identity_automorphism,
     scalar_automorphism,
@@ -210,7 +211,7 @@ def congruent(
         raise ValueError("dualities of different groups")
     A = phi1.parent
     check_enumeration(A.cardinality, limits)
-    target, witness = _flat_gram(phi2.tau), {None: [g.coords for g in A.generators()]}
+    target, witness = _flat_gram(phi2.tau), {None: _unit_rows(A.rank)}
     for H, parent, step in _walk(A, _flat_gram(phi1.tau)):
         S = list(witness[parent])
         if step:

@@ -269,8 +269,7 @@ def _kernel_generators(
     0.  On that span f . x = c v (mod m) for x = c z_p + y, so the zero set
     of f in it is spanned by the other generators and (m / gcd(v, m)) z_p
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
-    k = len(orders)
-    gens = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    gens = _unit_rows(len(orders))
     for f in forms:
         values = [sum(map(mul, f, z)) % m for z in gens]
         p = None
@@ -293,6 +292,11 @@ def _kernel_generators(
             gens[p] = tuple(c * x % d for x, d in zip(gens[p], orders))
             gens = [z for z in gens if any(z)]
     return gens
+
+
+def _unit_rows(k: int) -> list[tuple[int, ...]]:
+    """The unit vectors e_1, ..., e_k: the generators g_i in coordinates."""
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
 
 
 def _zero_subgroup(
@@ -320,14 +324,21 @@ def _zero_subgroup(
     return Subgroup(parent, tuple(sorted(span)), _basis=tuple(basis))
 
 
+def _l0_subgroup(parent: GroupSpec, gens, order: int) -> Subgroup:
+    """L_0 of the subgroup of `order` that `gens` generate: the zero set of
+    the forms (w_i y_i) of its generators y, which is also its annihilator
+    read as exponent tuples."""
+    forms = [tuple(map(mul, parent.weights, y)) for y in gens]
+    return _zero_subgroup(parent, forms, order)
+
+
 def subgroup_closure(
     parent: GroupSpec, gens: Iterable[GroupElement]
 ) -> Subgroup:
     """Smallest subgroup of `parent` containing `gens`."""
     gens = tuple(gens)
-    for g in gens:
-        if g.parent != parent:
-            raise ValueError("generator does not belong to the given group")
+    if any(g.parent != parent for g in gens):
+        raise ValueError("generator does not belong to the given group")
     return _closure(parent, tuple(g.coords for g in gens))
 
 
@@ -347,15 +358,7 @@ def subgroup_from_elements(
     elements = tuple(elements)
     if any(e.parent != parent for e in elements):
         raise ValueError("element does not belong to the given group")
-    return _closed_subgroup(parent, sorted({e.coords for e in elements}))
-
-
-def _closed_subgroup(
-    parent: GroupSpec, coords: Sequence[tuple[int, ...]]
-) -> Subgroup:
-    """The subgroup on `coords`, which must be sorted, distinct and reduced,
-    for sets that no span produced; closure is checked, and the span's
-    greedy basis is kept as the canonical generators."""
+    coords = sorted({e.coords for e in elements})
     basis, span = _span(parent.orders, coords)
     if len(span) != len(coords):
         raise ValueError("element set is not closed under addition")
@@ -494,8 +497,7 @@ def _known_automorphism(A: GroupSpec, rows) -> Automorphism:
 
 
 def identity_automorphism(A: GroupSpec) -> Automorphism:
-    rows = tuple(g.coords for g in A.generators())
-    return Automorphism(A, A, rows)
+    return Automorphism(A, A, tuple(_unit_rows(A.rank)))
 
 
 def scalar_automorphism(A: GroupSpec, n: int) -> Automorphism:
@@ -558,7 +560,7 @@ class _Lattice:
 
     An id stands for an element set and keeps a generating set.  `l0` maps
     an id to its annihilator L_0 under the canonical duality; a miss runs
-    `_zero_subgroup`, which checks its certificate.  The column of an id
+    `_l0_subgroup`, whose zero set checks its certificate.  The column of an id
     holds the id of H tau for every tau in Aut(A) order.  Callers check the
     limits."""
 
@@ -584,8 +586,7 @@ class _Lattice:
 
     def l0(self, i: int) -> Subgroup:
         if i not in self._l0:
-            forms = [tuple(map(mul, self.A.weights, y)) for y in self._gens[i]]
-            self._l0[i] = _zero_subgroup(self.A, forms, len(self._sets[i]))
+            self._l0[i] = _l0_subgroup(self.A, self._gens[i], len(self._sets[i]))
         return self._l0[i]
 
     def columns(self, ids: Sequence[int]) -> list[array]:

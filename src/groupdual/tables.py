@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .codes import _duals_by_image
+from .codes import duals_table
 from .dualities import adjoint, duality_from_matrix
 from .groups import GroupSpec, Subgroup, make_group, subgroup_closure
 
@@ -173,8 +173,9 @@ def _dual_table(
     dualities = [duality_from_matrix(A, mat) for mat in matrices]
     subgroups = [named[cname] for cname in columns]
     labels = row_labels or [_matrix_str(mat) for mat in matrices]
-    for label, duals in zip(labels, _duals_by_image(A, subgroups, dualities, None)):
-        rows.append([label] + [_name_of(D, named) for pair in duals for D in pair])
+    for label, row in zip(labels, duals_table(A, subgroups, dualities)):
+        pairs = ((d["left"], d["right"]) for d in row["duals"])
+        rows.append([label] + [_name_of(D, named) for pair in pairs for D in pair])
     return _render(rows)
 
 
@@ -191,12 +192,12 @@ def table_4_5() -> str:
     A = F2_3
     phi = duality_from_matrix(A, F2_3_EXAMPLE_MATRIX)
     C = _sub(A, ["100"])
-    ((left, right),) = next(_duals_by_image(A, [C], [phi], None))
+    (duals,) = next(duals_table(A, [C], [phi]))["duals"]
     rows = [
         ["P", _matrix_str(F2_3_EXAMPLE_MATRIX)],
         ["C", str(C)],
-        ["L(C)", str(left)],
-        ["R(C)", str(right)],
+        ["L(C)", str(duals["left"])],
+        ["R(C)", str(duals["right"])],
     ]
     return _render(rows)
 

@@ -194,6 +194,62 @@ def test_filtration_enumerates_no_automorphism(capsys, monkeypatch, group):
             assert out.endswith(" yes\n")
 
 
+@pytest.mark.parametrize("group", [",".join(["2"] * 13), ",".join(["3"] * 9), "4,4,4,4,4,4,4"])
+def test_filtration_refuses_a_group_above_the_bound(capsys, monkeypatch, group):
+    from groupdual import codes
+
+    def refuse(*args):
+        raise AssertionError("a filtration level was built")
+
+    monkeypatch.delenv("ADK_LIMIT", raising=False)
+    monkeypatch.setattr(codes, "_multiples", refuse)
+    order = make_group([int(d) for d in group.split(",")]).cardinality
+    err = f"error: group of order {order} exceeds enumeration bound 4096\n"
+    assert _run(capsys, "filtration", "--group", group) == (1, "", err)
+
+
+def test_construct_pair_outputs_and_parse_errors(capsys):
+    argv = ("construct-pair", "--group", "2,4,8,16", "--h-gens", "1,1,1,1", "--k-gens")
+    out = "constructed: tau = [[1, 0, 0, 8], [0, 1, 0, 12], [0, 0, 1, 14], [1, 3, 7, 15]]\n"
+    assert _run(capsys, *argv, "1,0,0,0", "0,1,0,0", "0,0,1,0") == (0, out, "")
+    argv = ("construct-pair", "--group", "4,8,8", "--h-gens", "122", "014", "--k-gens", "001")
+    out = '{"method": "constructed", "tau": [[3, 0, 6], [0, 1, 4], [3, 4, 1]]}\n'
+    assert _run(capsys, *argv, "--format", "json") == (0, out, "")
+    # --h-gens and --k-gens keep the parse errors of the element route.
+    for h, k in (("1", "10"), ("10", "1")):
+        got = _run(capsys, "construct-pair", "--group", "2,2", "--h-gens", h, "--k-gens", k)
+        assert got == (1, "", "error: expected 2 coordinates in '1'\n")
+    for h, k in (("1x", "10"), ("10", "x1")):
+        code, out, err = _run(capsys, "construct-pair", "--group", "2,2", "--h-gens", h, "--k-gens", k)
+        assert (code, out) == (1, "") and "invalid literal for int()" in err
+
+
+def test_census_commands_build_no_group_element(capsys, monkeypatch):
+    # construct-pair parses --h-gens and --k-gens to coordinates, and the
+    # identity and the congruence walk start from unit rows.
+    from groupdual import groups
+
+    built = []
+    post_init = groups.GroupElement.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(groups.GroupElement, "__post_init__", counting)
+    for group, h, k in (("2,4", ["10"], ["01"]), ("2,2,2", ["100"], ["010", "001"])):
+        for argv in (
+            ("dualities", "--count-only"),
+            ("dualities", "--list", "--format", "json"),
+            ("congruence", "--format", "json"),
+            ("filtration",),
+            ("duals-table", "--format", "json"),
+            ("construct-pair", "--h-gens", *h, "--k-gens", *k),
+        ):
+            assert _run(capsys, argv[0], "--group", group, *argv[1:])[0] == 0
+    assert built == []
+
+
 _BY_INDEX = ("--group", "2,4", "--code-gens", "01", "--duality-index", "3", "--side", "left")
 _UNSUPPORTED = ("construct-pair", "--group", "2,4", "--h-gens", "02", "--k-gens", "01")
 

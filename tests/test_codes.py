@@ -37,11 +37,11 @@ from groupdual import (
 from groupdual import codes as codes_module
 from groupdual.codes import (
     PowerGroup,
-    _duals_by_image,
     _swapped_by_l0,
     duality_dependence,
 )
 from groupdual.cyclotomic import CycInt
+from groupdual.groups import _order, _span
 from groupdual.dualities import inner_product_exponent, inner_product_value
 
 
@@ -451,6 +451,24 @@ def test_filtration_rejects_a_level_that_is_not_characteristic(monkeypatch):
         mult_by_p_filtration(make_group([2, 4]), 2)
 
 
+def test_filtration_checks_the_bound_before_building_a_level(monkeypatch):
+    # Elementary abelian groups have no proper level to test for being
+    # characteristic, so the bound must be checked before the levels.
+    def refuse(*args):
+        raise AssertionError("a filtration level was built")
+
+    monkeypatch.setattr(codes_module, "_multiples", refuse)
+    for orders in ([2] * 13, [3] * 9, [2] * 16, [4] * 7):
+        A = make_group(orders)
+        with pytest.raises(
+            LimitExceededError,
+            match=f"^group of order {A.cardinality} exceeds enumeration bound 4096$",
+        ):
+            mult_by_p_filtration(A, A.primes()[0], Limits())
+    with pytest.raises(LimitExceededError, match="order 16 exceeds enumeration bound 15"):
+        verify_filtration_duality(make_group([2, 2, 2, 2]), 2, Limits(enumeration_bound=15))
+
+
 def test_filtration_rejects_non_p_groups():
     with pytest.raises(ValueError):
         mult_by_p_filtration(make_group([6]), 2)
@@ -489,7 +507,7 @@ def _stabilizer_cosets(H, auts):
     return cosets
 
 
-@pytest.mark.parametrize("orders", [[2, 2, 2], [4, 4]])
+@pytest.mark.parametrize("orders", [[2, 2, 2], [4, 4], [2, 4], [3, 3], [2, 8]])
 def test_duality_dependence_classes_are_stabilizer_cosets(orders):
     # Right duals R_phi(H) = L_0(H tau) are equal exactly on the cosets
     # stab(H) o tau; left duals L_phi(H) = L_0(H tau*) on those of tau*.
@@ -574,7 +592,7 @@ def test_duals_by_image_match_the_scan(orders):
     A = make_group(orders)
     subs = all_subgroups(A)
     dualities = all_dualities(A)
-    rows = list(_duals_by_image(A, subs, dualities, None))
+    rows = _dual_rows(A, subs, dualities)
     assert len(rows) == len(dualities)
     for phi, row in zip(dualities, rows):
         assert len(row) == len(subs)
@@ -589,6 +607,13 @@ def test_duals_by_image_match_the_scan(orders):
             if A.cardinality <= 8:
                 assert L.element_set() == _full_scan_dual(CH, phi, "left")
                 assert R.element_set() == _full_scan_dual(CH, phi, "right")
+
+
+def _dual_rows(A, subs, dualities):
+    """The (left, right) dual pairs of each row of `duals_table` under the
+    given dualities."""
+    rows = duals_table(A, subs, dualities)
+    return [[(d["left"], d["right"]) for d in row["duals"]] for row in rows]
 
 
 def _same_rows(got, want):
@@ -606,14 +631,14 @@ def test_duals_by_image_rows_do_not_depend_on_the_duality_list(orders):
     A = make_group(orders)
     subs = all_subgroups(A)
     dualities = all_dualities(A)
-    full = list(_duals_by_image(A, subs, dualities, None))
+    full = _dual_rows(A, subs, dualities)
     assert any(not is_symmetric(phi) for phi in dualities)
     for phi, row in zip(dualities, full):
-        _same_rows(list(_duals_by_image(A, subs, [phi], None)), [row])
-    _same_rows(list(_duals_by_image(A, subs, dualities[::-1], None)), full[::-1])
+        _same_rows(_dual_rows(A, subs, [phi]), [row])
+    _same_rows(_dual_rows(A, subs, dualities[::-1]), full[::-1])
     picks = [i for i in range(0, len(dualities), 3) for _ in range(2)] + [0, 1, 0]
     _same_rows(
-        list(_duals_by_image(A, subs, [dualities[i] for i in picks], None)),
+        _dual_rows(A, subs, [dualities[i] for i in picks]),
         [full[i] for i in picks],
     )
 
@@ -891,3 +916,89 @@ def test_one_gram_index_per_group(monkeypatch, orders):
         list(duals_table(A, subs))
         search_duality_for_pair(subs[1], subs[-2])
     assert len(calls) == len(automorphism_group(A))
+
+
+def _backtracking_cyclic_basis(orders, S):
+    """Oracle: the depth-first search for a cyclic basis of S that
+    `_direct_sum_basis` replaced by one greedy pass.  Candidates come by
+    (-order, x); a choice that cannot be completed is taken back."""
+    candidates = sorted((-_order(orders, x), x) for x in S.members if any(x))
+
+    def recurse(basis, size):
+        if size == S.order:
+            return basis
+        for minus_o, x in candidates:
+            grown = len(_span(orders, basis + [x])[1])
+            if grown == -minus_o * size:
+                out = recurse(basis + [x], grown)
+                if out is not None:
+                    return out
+        return None
+
+    return recurse([], 1)
+
+
+def _subgroups_by_joins(A):
+    """Every subgroup of A, grown from {0} by joining one cyclic subgroup
+    at a time: one span per cyclic subgroup rather than per element, which
+    keeps (4,8,8) within a few seconds."""
+    orders = A.orders
+    cyclic = {}
+    for x in product(*map(range, orders)):
+        cyclic.setdefault(frozenset(_span(orders, [x])[1]), x)
+    found = {frozenset([(0,) * A.rank]): []}
+    frontier = list(found.items())
+    while frontier:
+        grown = []
+        for inside, basis in frontier:
+            for C, x in cyclic.items():
+                if not C <= inside:
+                    more, span = _span(orders, basis + [x])
+                    if frozenset(span) not in found:
+                        found[frozenset(span)] = more
+                        grown.append((frozenset(span), more))
+        frontier = grown
+    return [subgroup_closure(A, map(A.element, basis)) for basis in found.values()]
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS + ([2, 4, 8], [4, 4, 4], [4, 8, 8]))
+def test_direct_sum_basis_matches_the_backtracking_search(orders):
+    # The greedy pass never backtracks, so it picks the bases the search
+    # did, on every pair H (+) K = A.
+    A = make_group(orders)
+    subs = _subgroups_by_joins(A)
+    by_order = {}
+    for S in subs:
+        by_order.setdefault(S.order, []).append(S)
+    oracle, pairs = {}, 0
+    for H in subs:
+        for K in by_order[A.cardinality // H.order]:
+            if len(H.element_set() & K.element_set()) > 1:
+                continue
+            for S in (H, K):
+                if S not in oracle:
+                    oracle[S] = _backtracking_cyclic_basis(A.orders, S)
+            basis, _ = codes_module._direct_sum_basis(A, H, K)
+            assert basis == oracle[H] + oracle[K]
+            pairs += 1
+    if A.cardinality <= 64:
+        assert len(subs) == len(all_subgroups(A))
+    assert pairs >= 2
+
+
+FILTRATION_GROUPS = [o for o in CENSUS_GROUPS if len(make_group(o).primes()) == 1]
+
+
+@pytest.mark.parametrize("orders", FILTRATION_GROUPS + [[2, 4, 8], [3, 9]])
+def test_filtration_levels_keep_an_independent_basis(orders):
+    # Each level's basis is independent: its span has the product of the
+    # basis orders as its order, and that span is the level.  The
+    # generators stay the greedy basis of the sorted members.
+    A = make_group(orders)
+    for level in mult_by_p_filtration(A, A.primes()[0]):
+        for S in level:
+            assert list(S.members) == sorted(S.members)
+            span = _span(A.orders, S.basis)[1]
+            assert len(span) == math.prod(_order(A.orders, b) for b in S.basis)
+            assert span == S.element_set()
+            assert [g.coords for g in S.generators] == _span(A.orders, S.members)[0]

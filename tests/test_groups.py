@@ -29,7 +29,7 @@ from groupdual import (
     subgroup_from_elements,
 )
 from groupdual.dualities import _elementary_generators, _gram_index
-from groupdual.groups import _closed_subgroup, _lattice, _span
+from groupdual.groups import _lattice, _span
 
 CENSUS_GROUPS = (
     [2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27]
@@ -446,7 +446,7 @@ def _map_subgroup(hom, H):
     if H.parent != hom.source:
         raise ValueError("subgroup does not live in the source group")
     image = _span(hom.target.orders, (hom.apply(h).coords for h in H.generators))[1]
-    return _closed_subgroup(hom.target, sorted(image))
+    return subgroup_from_elements(hom.target, map(hom.target.element, image))
 
 
 @pytest.mark.parametrize("orders", CENSUS_GROUPS)

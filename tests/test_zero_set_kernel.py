@@ -3,7 +3,8 @@
 `_zero_set` is the oracle: it tests every x of the ambient group against
 every form.  `groups._zero_subgroup` finds generators of the same set by
 extended-gcd steps and must return the same subgroup, down to its
-generators, for the duals, the annihilator and `_duals_by_image`.
+generators, for the duals, the annihilator and `duals_table` under given
+dualities.
 """
 
 import math
@@ -28,11 +29,12 @@ from groupdual import (
     make_group,
     right_dual,
     subgroup_closure,
+    subgroup_from_elements,
 )
 from groupdual import groups
-from groupdual.codes import PowerGroup, _duals_by_image, duals_table
+from groupdual.codes import PowerGroup, duals_table
 from groupdual.dualities import _pairing_forms
-from groupdual.groups import _closed_subgroup, _kernel_generators, _span, _zero_subgroup
+from groupdual.groups import _kernel_generators, _span, _zero_subgroup
 
 
 def _zero_set(orders, m, forms):
@@ -46,7 +48,8 @@ def _zero_set(orders, m, forms):
 
 
 def _scanned(spec, forms):
-    return _closed_subgroup(spec, _zero_set(spec.orders, spec.exponent, forms))
+    members = _zero_set(spec.orders, spec.exponent, forms)
+    return subgroup_from_elements(spec, map(spec.element, members))
 
 
 def _same(got, want):
@@ -97,8 +100,9 @@ def test_duals_by_image_match_the_scan(orders):
     A = make_group(orders)
     subs = all_subgroups(A)
     dualities = all_dualities(A)
-    for phi, row in zip(dualities, _duals_by_image(A, subs, dualities, None)):
-        for H, (L, R) in zip(subs, row):
+    for phi, row in zip(dualities, duals_table(A, subs, dualities)):
+        for H, duals in zip(subs, row["duals"]):
+            L, R = duals["left"], duals["right"]
             coords = [g.coords for g in H.generators]
             _same(L, _scanned(A, _pairing_forms(phi, coords, True)))
             _same(R, _scanned(A, _pairing_forms(phi, coords, False)))
