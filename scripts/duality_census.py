@@ -7,19 +7,17 @@ Usage: python3 scripts/duality_census.py 2,2 2,4 3,3
 
 import sys
 
-from groupdual import all_dualities, congruence_classes, is_symmetric, make_group
+from groupdual import aut_order, congruence_classes, count_symmetric_dualities, make_group
 
 
 def main() -> int:
     specs = sys.argv[1:] or ["2,2", "2,4", "3,3"]
     for spec in specs:
         A = make_group([int(d) for d in spec.split(",")])
-        dualities = all_dualities(A)
-        sym = sum(is_symmetric(phi) for phi in dualities)
         sizes = sorted(len(c) for c in congruence_classes(A))
         print(
             f"Z/{' x Z/'.join(map(str, A.orders))}: "
-            f"{len(dualities)} dualities, {sym} symmetric, "
+            f"{aut_order(A)} dualities, {count_symmetric_dualities(A)} symmetric, "
             f"class sizes {sizes}"
         )
     return 0

@@ -12,6 +12,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
     all_subgroups,
+    aut_order,
     automorphism_group,
     identity_automorphism,
     is_characteristic,
@@ -42,6 +43,7 @@ from .dualities import (
     congruence_classes,
     congruent,
     conjugate_duality,
+    count_symmetric_dualities,
     count_symmetric_invertible,
     duality_from_matrix,
     gl_order,

@@ -26,7 +26,13 @@ from .codes import (
     right_dual,
     search_duality_for_pair,
 )
-from .dualities import Duality, all_dualities, congruence_classes, is_symmetric
+from .dualities import (
+    Duality,
+    _congruence_orbits,
+    all_dualities,
+    count_symmetric_dualities,
+    is_symmetric,
+)
 from .enumerators import (
     NonIntegralError,
     cwe,
@@ -39,11 +45,12 @@ from .groups import (
     _closure,
     _lattice,
     all_subgroups,
+    aut_order,
     automorphism_group,
     make_group,
     primary_decomposition,
 )
-from .limits import LimitExceededError, Limits
+from .limits import LimitExceededError, Limits, check_enumeration
 from .tables import paper_table
 
 
@@ -119,12 +126,16 @@ def _cmd_group(args) -> int:
 
 def _cmd_dualities(args) -> int:
     A = _parse_group(args.group)
-    dualities = all_dualities(A, _limits(args))
-    sym = [is_symmetric(phi) for phi in dualities]
+    limits = _limits(args)
     if args.count_only:
-        line = f"{len(dualities)} total, {sum(sym)} symmetric"
-        _emit(args, line + "\n", {"total": len(dualities), "symmetric": sum(sym)})
+        # The closed forms build no duality; |A| is still checked.
+        check_enumeration(A.cardinality, limits)
+        total, sym = aut_order(A), count_symmetric_dualities(A)
+        line = f"{total} total, {sym} symmetric"
+        _emit(args, line + "\n", {"total": total, "symmetric": sym})
         return 0
+    dualities = all_dualities(A, limits)
+    sym = [is_symmetric(phi) for phi in dualities]
     rows = (
         (i, [list(r) for r in phi.tau.matrix], s)
         for i, (phi, s) in enumerate(zip(dualities, sym))
@@ -221,15 +232,15 @@ def _cmd_duals_table(args) -> int:
 
 def _cmd_congruence(args) -> int:
     A = _parse_group(args.group)
-    classes = congruence_classes(A, _limits(args))
+    auts = automorphism_group(A, _limits(args))
     json_out = [
         {
-            "size": len(cls),
-            "representative": [list(r) for r in cls[0].tau.matrix],
+            "size": len(orbit),
+            "representative": [list(r) for r in auts[orbit[0]].matrix],
         }
-        for cls in classes
+        for orbit in _congruence_orbits(A)
     ]
-    lines = [f"{len(classes)} congruence classes"]
+    lines = [f"{len(json_out)} congruence classes"]
     for entry in json_out:
         lines.append(f"  size {entry['size']}, rep {entry['representative']}")
     _emit(args, "\n".join(lines) + "\n", json_out)

@@ -23,8 +23,10 @@ from .groups import (
     GroupSpec,
     _automorphisms,
     _elementary_generators,
+    _primary_blocks,
     _unit_rows,
     automorphism_group,
+    gl_order,
     identity_automorphism,
     scalar_automorphism,
 )
@@ -223,24 +225,32 @@ def congruent(
     return None
 
 
+@lru_cache(maxsize=None)
+def _congruence_orbits(A: GroupSpec) -> tuple[array, ...]:
+    """The congruence classes as sorted Aut(A) indices, ordered by their
+    least index.  Each class is one `_walk` from its least index not yet
+    met, read from `_gram_index`: |Aut| x #generators steps in all, once
+    per group.  Kept per group like `_gram_index`; callers check the
+    limits."""
+    index, _ = _gram_index(A)
+    met, orbits = bytearray(len(index)), []
+    for G, i in index.items():
+        if not met[i]:
+            orbit = array("I", sorted(index[H] for H, _, _ in _walk(A, G)))
+            for j in orbit:
+                met[j] = 1
+            orbits.append(orbit)
+    return tuple(orbits)
+
+
 def congruence_classes(
     A: GroupSpec, limits: Limits | None = None
 ) -> list[list[Duality]]:
     """Orbit partition of all dualities under congruence; each class is
     sorted canonically and classes are ordered by their least member.
-
-    Each class is one `_walk` from its least index not yet met, read from
-    `_gram_index`: |Aut| x #generators steps in all; indices sort as members."""
+    Indices sort as members, so the classes wrap `_congruence_orbits`."""
     auts = automorphism_group(A, limits)
-    index, _ = _gram_index(A)
-    met, classes = bytearray(len(auts)), []
-    for G, i in index.items():
-        if not met[i]:
-            orbit = sorted(index[H] for H, _, _ in _walk(A, G))
-            for j in orbit:
-                met[j] = 1
-            classes.append([Duality(auts[j]) for j in orbit])
-    return classes
+    return [[Duality(auts[j]) for j in orbit] for orbit in _congruence_orbits(A)]
 
 
 def power_duality(phi: Duality, mexp: int) -> Duality:
@@ -284,10 +294,6 @@ def negation_duality(phi: Duality) -> Duality:
     return Duality(tau)
 
 
-def gl_order(n: int, q: int) -> int:
-    return math.prod(q**n - q**i for i in range(n))
-
-
 def count_symmetric_invertible(n: int, q: int) -> int:
     """Number of symmetric invertible n x n matrices over F_q."""
     if n < 1:
@@ -297,6 +303,41 @@ def count_symmetric_invertible(n: int, q: int) -> int:
         return math.prod(q ** (2 * t + 1) - q ** (2 * i) for i in range(1, t + 1))
     t = (n - 1) // 2
     return math.prod(q ** (2 * t + 1) - q ** (2 * i) for i in range(0, t + 1))
+
+
+def count_symmetric_dualities(A: GroupSpec) -> int:
+    """The number of symmetric dualities of A in closed form, with no
+    duality built.
+
+    A duality is symmetric when G = G^T (`is_symmetric`), that is when its
+    pairing Phi is a symmetric form; so this counts the nondegenerate
+    symmetric bilinear forms A x A -> Q/Z, which do not depend on the
+    presentation of A.  For primes p != q, Phi(A_p, A_q) = 1, as its values
+    have orders dividing a power of p and a power of q.  So Phi is the
+    orthogonal sum of its restrictions to the A_p, nondegenerate exactly
+    when each is, and the count is a product over p.
+
+    Write A_p = (+)_e (Z/p^e)^(n_e) in a basis g_i of orders p^(e_i).  A
+    form is its values b_ij = Phi(g_i, g_j), each any of p^min(e_i, e_j)
+    roots of unity, and symmetry makes the entries with i <= j free.  In
+    the dual basis of the characters, a -> Phi(a, .) has a matrix whose
+    diagonal block of exponent e is the exponents of b on that block, so
+    by the criterion that `aut_order` uses, Phi is nondegenerate exactly
+    when each such block is invertible mod p.  A symmetric block over
+    Z/p^e is so in s(n_e, p) = `count_symmetric_invertible` ways mod p,
+    each with p^((e-1) n_e (n_e+1)/2) lifts of its free entries, and each
+    pair of blocks e < e' holds n_e n_e' free entries of p^e values:
+
+    prod_p [ prod_e s(n_e, p) p^((e-1) n_e (n_e+1)/2)
+             * prod_(e<e') p^(e n_e n_e') ]."""
+    total = 1
+    for p, blocks in _primary_blocks(A).items():
+        below = 0  # sum of e' n_e' over the blocks e' < e
+        for e, n in blocks.items():
+            lifts = p ** ((e - 1) * n * (n + 1) // 2 + n * below)
+            total *= count_symmetric_invertible(n, p) * lifts
+            below += e * n
+    return total
 
 
 def symmetric_ratio(n: int, q: int) -> Fraction:

@@ -376,17 +376,24 @@ def all_subgroups(
 
 @lru_cache(maxsize=None)
 def _subgroups(A: GroupSpec) -> tuple[Subgroup, ...]:
-    """Breadth-first closure of one-element extensions on coordinate
-    tuples; only the distinct subgroups are wrapped as Subgroups."""
+    """Breadth-first joins of one cyclic subgroup at a time, from {0}.
+
+    Every subgroup <x_1, ..., x_r> is reached along <x_1> < <x_1, x_2> <
+    ..., and joining <x> depends only on the cyclic subgroup, so one
+    generator per cyclic subgroup is tried against each subgroup found:
+    one `_span` per (subgroup, cyclic subgroup outside it) pair.  Only the
+    distinct subgroups are wrapped as Subgroups."""
     orders = A.orders
-    all_elems = list(product(*map(range, orders)))
+    cyclic = {}
+    for x in product(*map(range, orders)):
+        cyclic.setdefault(frozenset(_span(orders, [x])[1]), x)
     trivial = frozenset([(0,) * A.rank])
     found = {trivial}
     frontier = [([], trivial)]
     while frontier:
         next_frontier = []
         for basis, inside in frontier:
-            for x in all_elems:
+            for x in cyclic.values():
                 if x in inside:
                     continue
                 grown, span = _span(orders, basis + [x])
@@ -701,6 +708,51 @@ def primary_decomposition(A: GroupSpec) -> dict[int, GroupSpec]:
                 orders.append(q)
         parts[p] = GroupSpec(tuple(orders))
     return parts
+
+
+def _primary_blocks(A: GroupSpec) -> dict[int, dict[int, int]]:
+    """{p: {e: n_e}} with A_p = (+)_e (Z/p^e)^(n_e), e increasing: the
+    p-valuation of each order of `primary_decomposition(A)`, counted."""
+    blocks = {}
+    for p, part in primary_decomposition(A).items():
+        counts: dict[int, int] = {}
+        for q in part.orders:
+            e = 0
+            while q > 1:
+                q //= p
+                e += 1
+            counts[e] = counts.get(e, 0) + 1
+        blocks[p] = dict(sorted(counts.items()))
+    return blocks
+
+
+def gl_order(n: int, q: int) -> int:
+    return math.prod(q**n - q**i for i in range(n))
+
+
+def aut_order(A: GroupSpec) -> int:
+    """|Aut(A)| in closed form, with no automorphism enumerated (Hillar
+    and Rhea, "Automorphisms of finite abelian groups", Amer. Math.
+    Monthly 2007).
+
+    Aut(A) is the product of the Aut(A_p), as every homomorphism keeps
+    each primary part.  Write A_p = (+)_e (Z/p^e)^(n_e).  An endomorphism
+    of A_p is a matrix whose entry (i, j) is any of the p^min(e_i, e_j)
+    elements of Hom(Z/p^(e_i), Z/p^(e_j)), and it is an automorphism
+    exactly when each diagonal block of equal exponents is invertible mod
+    p (Hillar and Rhea, section 3).  A block over Z/p^e is so in
+    |GL(n_e, p)| ways mod p, each with p^((e-1) n_e^2) lifts, and each
+    pair of blocks e < e' holds 2 n_e n_e' free entries of p^e values:
+
+    |Aut(A_p)| = prod_e |GL(n_e, p)| p^((e-1) n_e^2)
+                 * prod_(e<e') p^(2 e n_e n_e')."""
+    total = 1
+    for p, blocks in _primary_blocks(A).items():
+        below = 0  # sum of e' n_e' over the blocks e' < e
+        for e, n in blocks.items():
+            total *= gl_order(n, p) * p ** ((e - 1) * n * n + 2 * n * below)
+            below += e * n
+    return total
 
 
 def _prime_factors(n: int) -> set[int]:

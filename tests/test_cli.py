@@ -12,6 +12,7 @@ from groupdual import (
     all_dualities,
     all_subgroups,
     cli,
+    congruence_classes,
     duals_table,
     hwe,
     is_symmetric,
@@ -256,7 +257,6 @@ _UNSUPPORTED = ("construct-pair", "--group", "2,4", "--h-gens", "02", "--k-gens"
 
 @pytest.mark.parametrize("argv", [
     ("dualities", "--group", "2,4"),
-    ("dualities", "--group", "2,4", "--count-only"),
     ("congruence", "--group", "2,4"),
     ("duals-table", "--group", "2,4"),
     ("dual", *_BY_INDEX),
@@ -272,6 +272,63 @@ def test_every_aut_route_takes_the_one_enumeration(capsys, monkeypatch, argv):
     monkeypatch.setattr(groups, "_automorphisms", _refuse_aut)
     with pytest.raises(AssertionError, match=r"Aut\(A\) enumerated"):
         run(list(argv))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_only_reads_the_closed_forms(capsys, monkeypatch, fmt):
+    # The enumerated census gives the small lines; the large ones would
+    # enumerate millions of automorphisms.
+    from groupdual import dualities, groups
+
+    want = {}
+    for group in CENSUS_GROUPS + ("2,2,6", "4,2", "12,2"):
+        phis = all_dualities(make_group([int(d) for d in group.split(",")]))
+        want[group] = (len(phis), sum(map(is_symmetric, phis)))
+    want.update({
+        "2,2,2,2,2": (9999360, 13888),
+        "2,2,6,6": (967680, 8064),
+        "5,5,5": (1488000, 12400),
+        "8,8,8": (44040192, 114688),
+    })
+    monkeypatch.setattr(groups, "_automorphisms", _refuse_aut)
+    monkeypatch.setattr(dualities, "_automorphisms", _refuse_aut)
+    for group, (total, sym) in want.items():
+        out = _run(capsys, "dualities", "--group", group, "--count-only", "--format", fmt)
+        if fmt == "json":
+            line = json.dumps({"symmetric": sym, "total": total})
+        else:
+            line = f"{total} total, {sym} symmetric"
+        assert out == (0, line + "\n", "")
+
+
+def test_congruence_walks_each_group_once(capsys, monkeypatch):
+    from groupdual import dualities
+
+    walks = []
+    walk = dualities._walk
+
+    def counted(*args):
+        walks.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(dualities, "_walk", counted)
+    dualities._congruence_orbits.cache_clear()
+    A = make_group([2, 2, 2])
+    argv = ("congruence", "--group", "2,2,2", "--format", "json")
+    first = _run(capsys, *argv)
+    classes = congruence_classes(A)
+    assert len(walks) == len(classes) == len(json.loads(first[1])) > 1
+    walks.clear()
+    assert _run(capsys, *argv) == first
+    assert congruence_classes(A) == classes
+    assert walks == []
+
+
+def test_adk_limit_bounds_a_warm_congruence(capsys, monkeypatch):
+    assert _run(capsys, "congruence", "--group", "2,2,2")[0] == 0
+    monkeypatch.setenv("ADK_LIMIT", "7")
+    err = "error: group of order 8 exceeds enumeration bound 7\n"
+    assert _run(capsys, "congruence", "--group", "2,2,2") == (1, "", err)
 
 
 def test_library_aut_routes_take_the_one_enumeration(capsys, monkeypatch):

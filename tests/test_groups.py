@@ -18,9 +18,12 @@ from groupdual import (
     adjoint,
     all_dualities,
     all_subgroups,
+    aut_order,
     automorphism_group,
+    count_symmetric_dualities,
     identity_automorphism,
     is_characteristic,
+    is_symmetric,
     make_group,
     primary_decomposition,
     scalar_automorphism,
@@ -114,6 +117,40 @@ def test_all_subgroups_of_z2xz4_matches_brute_force():
 def test_all_subgroups_of_klein_group():
     A = make_group([2, 2])
     assert {s.element_set() for s in all_subgroups(A)} == _brute_force_subgroups(A)
+
+
+def _subgroups_by_elements(A):
+    """Oracle: every subgroup, grown breadth-first from {0} by one element
+    at a time, with one span per (subgroup found, element outside it)."""
+    elems = list(product(*map(range, A.orders)))
+    trivial = frozenset([(0,) * A.rank])
+    found = {trivial}
+    frontier = [([], trivial)]
+    while frontier:
+        grown = []
+        for basis, inside in frontier:
+            for x in elems:
+                if x not in inside:
+                    more, span = _span(A.orders, basis + [x])
+                    if frozenset(span) not in found:
+                        found.add(frozenset(span))
+                        grown.append((more, frozenset(span)))
+        frontier = grown
+    return found
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS + (
+    [2, 2, 2, 2], [2, 2, 2, 2, 2], [2, 4, 8], [4, 4, 4], [2, 2, 4, 4], [6, 6], [3, 9], [12, 2],
+))
+def test_all_subgroups_match_the_one_element_extensions(orders):
+    # Cyclic joins find the element sets that one-element extensions find,
+    # each once, in (order, members) order.
+    A = make_group(orders)
+    subs = all_subgroups(A)
+    assert [s.element_set() for s in subs] == sorted(
+        _subgroups_by_elements(A), key=lambda s: (len(s), sorted(s))
+    )
+    assert all(s.members == tuple(sorted(s.element_set())) for s in subs)
 
 
 def test_subgroup_from_elements_rejects_non_closed_sets():
@@ -414,6 +451,16 @@ def test_elementary_generators_generate_aut():
     assert len(_GENERATION_SWEEP) == 247
     for orders in _GENERATION_SWEEP + [(2, 2, 2, 2)]:
         assert _generated_order(make_group(orders)) == _hillar_rhea_order(orders), orders
+
+
+def test_closed_form_counts_match_the_enumeration():
+    # |Aut(A)| and the symmetric count read no automorphism; the sweep
+    # covers mixed primes, and the last groups unsorted presentations.
+    for orders in _GENERATION_SWEEP + [(2, 2, 2, 2), (3, 3, 3), (4, 2), (12, 2), (8, 2, 4)]:
+        A = make_group(orders)
+        dualities = all_dualities(A)
+        assert aut_order(A) == len(dualities) == _hillar_rhea_order(orders), orders
+        assert count_symmetric_dualities(A) == sum(map(is_symmetric, dualities)), orders
 
 
 def test_automorphism_group_repeated_calls_agree():
