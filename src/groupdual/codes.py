@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from operator import add, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -44,9 +44,9 @@ from .groups import (
     _known_automorphism,
     _lattice,
     _order,
-    _span,
     _unit_rows,
     _zero_subgroup,
+    aut_order,
     automorphism_group,
     is_characteristic,
     make_group,
@@ -202,10 +202,10 @@ def construct_duality_for_pair(
     """A symmetric duality making H and K mutual left/right duals.
 
     Supported cases: the parent is elementary abelian, or A = H (+) K.
-    Each picks a basis of A adapted to H and K and a symmetric Gram
-    matrix M on it, and `_pulled_back` carries M to the generators.
-    Anything else raises UnsupportedPairError: with only the size
-    condition such a duality can fail to exist.
+    Both take the duality with a symmetric Gram matrix M on one basis of A
+    adapted to H and K (`_adapted_basis`).  Anything else raises
+    UnsupportedPairError: with only the size condition such a duality can
+    fail to exist.
     """
     A = H.parent
     if K.parent != A:
@@ -213,16 +213,14 @@ def construct_duality_for_pair(
     if H.order * K.order != A.cardinality:
         raise ValueError("size condition |H| * |K| = |A| fails")
     check_enumeration(A.cardinality, limits)
-    if _is_elementary_abelian(A):
-        basis, M = _elementary_basis(A, H, K)
-    elif _is_direct_sum(A, H, K):
-        basis, M = _direct_sum_basis(A, H, K)
-    else:
+    # Every d_i divides m, so a prime exponent makes A elementary abelian;
+    # with the size check, H cap K = 0 makes A = H (+) K.
+    if A.primes() != [A.exponent] and len(H.element_set() & K.element_set()) > 1:
         raise UnsupportedPairError(
             "pair is neither in an elementary abelian group nor a direct sum; "
             "a suitable duality may not exist"
         )
-    phi = _pulled_back(A, basis, M)
+    phi = _adapted_basis(A, H, K)[1]
     _assert_pair_duality(phi, H, K)
     return phi
 
@@ -254,90 +252,57 @@ def _assert_pair_duality(phi: Duality, H: Subgroup, K: Subgroup) -> None:
         raise AssertionError("constructed duality does not pair H with K")
 
 
-def _is_elementary_abelian(A: GroupSpec) -> bool:
-    # Every d_i divides the exponent, so a prime exponent is every d_i.
-    return A.primes() == [A.exponent]
+def _adapted_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
+    """A basis of A adapted to H and K, and the duality with Gram matrix M
+    on it, for A elementary abelian or A = H (+) K.
 
+    One pass over the pools H cap K, H, K and A, each by (-order, x): x
+    joins when <x> meets the span only in 0, that is when no (o/p) x of
+    prime order lies in it.  It never has to go back: let B, the span's
+    part in the pool S, be a summand of S with complement C.  Any y with
+    <y> cap B = 0 has the order of its C-component c', so the first such y
+    of maximal order has c' of maximal order in C, which (per primary
+    part) generates a summand; B + <y> = B (+) <c'> is again a summand.
+    The basis runs through H cap K, H, H + K and A for (Z/p)^n.
 
-def _is_direct_sum(A: GroupSpec, H: Subgroup, K: Subgroup) -> bool:
-    inter = H.element_set() & K.element_set()
-    return len(inter) == 1 and H.order * K.order == A.cardinality
+    M pairs the first i = dim(H cap K) vectors with the last i and each
+    other b with itself, by m / o_b.  For (Z/p)^n, H is spanned by the
+    first h vectors, which M pairs with b_i, ..., b_(h-1) and the last i
+    only, so the annihilator of H on either side is spanned by the rest:
+    the basis of H cap K and the vectors from K that extend H to H + K,
+    which span K.  For A = H (+) K, i = 0 and M = diag(m / o_b) sums the
+    standard dualities of the cyclic factors <b>, which are pairwise
+    orthogonal, so H and K annihilate each other.
 
-
-def _elementary_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
-    """A basis of (Z/p)^n through H cap K, then H, then H + K, then A, each
-    stage extended greedily in canonical element order, and the swap
-    matrix M: the first i = dim(H cap K) vectors pair with the last i, and
-    each vector between them with itself.  H is spanned by the first h
-    vectors, which M pairs with b_i, ..., b_(h-1) and the last i only, so
-    the annihilator of H on either side is spanned by the rest: the basis
-    of H cap K and the vectors from K that extend H to H + K, which span
-    K."""
-    orders = A.orders
-    pools = (sorted(H.element_set().intersection(K.members)), H.members, K.members)
-    basis: list[tuple[int, ...]] = []
-    ends = []
-    for pool in (*pools, product(*map(range, orders))):
-        # `basis` is independent, so the greedy span keeps it as its prefix.
-        basis = _span(orders, chain(basis, pool))[0]
-        ends.append(len(basis))
-    i, _, c, n = ends
-    if n != A.rank:
-        raise AssertionError("basis completion failed")
-    sigma = [c + j if j < i else j if j < c else j - c for j in range(n)]
-    return basis, [[int(s == sigma[r]) for s in range(n)] for r in range(n)]
-
-
-def _direct_sum_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
-    """Cyclic bases of H and K and M = diag(m / o_b): the sum of the
-    standard dualities of the cyclic factors <b> of A = H (+) K, which are
-    pairwise orthogonal, so H and K annihilate each other."""
-    orders = A.orders
-
-    def cyclic_basis(S: Subgroup) -> list[tuple[int, ...]]:
-        """One pass over the nonzero x of S by (-order, x): x joins when
-        |<basis, x>| = o(x) |<basis>|, until the span is S.  It never has
-        to go back: let B = <basis> be a summand of S with complement C.
-        Any y with <y> cap B = 0 has the order of its C-component c', so
-        the first such y of maximal order has c' of maximal order in C,
-        which (per primary part) generates a summand; B + <y> = B (+) <c'>
-        is again a summand of S."""
-        basis, size = [], 1
-        candidates = sorted((-_order(orders, x), x) for x in S.members if any(x))
-        for minus_o, x in candidates:
-            if size == S.order:
-                break
-            grown = len(_span(orders, basis + [x])[1])
-            if grown == -minus_o * size:
-                basis.append(x)
-                size = grown
-        return basis
-
-    basis = cyclic_basis(H) + cyclic_basis(K)
-    w = [A.exponent // _order(orders, b) for b in basis]
-    n = len(basis)
-    return basis, [[w[r] * (r == s) for s in range(n)] for r in range(n)]
-
-
-def _pulled_back(A: GroupSpec, basis, M) -> Duality:
-    """The duality with Gram matrix M on `basis`: G = P M P^T mod m, where
-    row i of P holds the coordinates of g_i in the basis.  They are read
-    from a table of every combination sum_b c_b b, 0 <= c_b < o_b, which
-    must cover A.  M_rs o_r = 0 (mod m), so G does not depend on the
-    representatives c_b."""
-    orders = A.orders
-    table: dict[tuple[int, ...], tuple[int, ...]] = {(0,) * A.rank: ()}
-    for b in basis:
-        grown = {}
-        for x, c in table.items():
-            for k in range(_order(orders, b)):
-                grown[x] = c + (k,)
-                x = tuple(map(mod, map(add, x, b), orders))
-        table = grown
-    if len(table) != A.cardinality:
+    Row i of P, the coordinates c_b < o_b of g_i, is read from the span,
+    and G = P M P^T mod m does not depend on them as M_rs o_r = 0 (mod m).
+    """
+    orders, m, primes = A.orders, A.exponent, A.primes()
+    span: dict[tuple[int, ...], tuple[int, ...]] = {(0,) * A.rank: ()}
+    basis = []
+    inter = H.element_set().intersection(K.members)
+    for pool in (inter, H.members, K.members, product(*map(range, orders))):
+        if len(span) == A.cardinality:
+            break
+        for minus_o, x in sorted((-_order(orders, x), x) for x in pool):
+            o = -minus_o
+            if x in span or any(
+                tuple(o // p * c % d for c, d in zip(x, orders)) in span
+                for p in primes if o % p == 0
+            ):
+                continue
+            steps = [tuple(k * c % d for c, d in zip(x, orders)) for k in range(o)]
+            span = {tuple(map(mod, map(add, y, kx), orders)): c + (k,)
+                    for y, c in span.items() for k, kx in enumerate(steps)}
+            basis.append(x)
+    if len(span) != A.cardinality:
         raise AssertionError("basis does not decompose A")
-    P = [table[g] for g in _unit_rows(A.rank)]
-    return _duality_from_gram(A, _conjugate_gram(M, P, A.exponent))
+    n, i = len(basis), len(inter.intersection(basis))
+    sigma = [*range(n - i, n), *range(i, n - i), *range(i)]
+    w = [m // _order(orders, b) for b in basis]
+    M = [[w_r * (s == t) for s in range(n)] for w_r, t in zip(w, sigma)]
+    P = [span[g] for g in _unit_rows(A.rank)]
+    return basis, _duality_from_gram(A, _conjugate_gram(M, P, m))
 
 
 def mult_by_p_filtration(
@@ -419,7 +384,7 @@ def duality_dependence(
     H: Subgroup, limits: Limits | None = None
 ) -> DependenceReport:
     A = H.parent
-    auts = automorphism_group(A, limits)
+    check_enumeration(A.cardinality, limits)  # before the scan bound
     # Duality indices by image id: L_0 is injective, so equal ids are equal duals.
     left_ids, right_ids = {}, {}
     for idx, (_, ((left, right),)) in enumerate(_image_rows(A, [H], limits)):
@@ -432,8 +397,9 @@ def duality_dependence(
     # Stab(H): the class of the tau with H tau = H, whose right id is H's.
     # By orbit-stabilizer there are |Aut| / |Stab(H)| classes on each side.
     stab = len(right_ids[lattice.id_of(H)])
-    char = stab == len(auts)
-    if not len(right) == len(left) == len(auts) // stab:
+    total = aut_order(A)
+    char = stab == total
+    if not len(right) == len(left) == total // stab:
         raise AssertionError("dual-value classes do not match stabilizer cosets")
     if char != (len(right) == 1):
         raise AssertionError("characteristic test disagrees with dual dependence")

@@ -153,9 +153,13 @@ def adjoint(phi: Duality) -> Duality:
 
 def is_symmetric(phi: Duality) -> bool:
     """phi* = phi.  G determines tau (tau_ij = G_ij / w_j) and G(phi*) =
-    G(phi)^T, so this is G = G^T; phi* itself is never built."""
-    G = _gram(phi)
-    return G == tuple(zip(*G))
+    G(phi)^T, so this is G = G^T: w_j tau_ij = w_i tau_ji (mod m) on the
+    pairs i > j.  Neither G nor phi* is built."""
+    A, t = phi.parent, phi.tau.matrix
+    m, w = A.exponent, A.weights
+    return not any(
+        (w[j] * t[i][j] - w[i] * t[j][i]) % m for i in range(A.rank) for j in range(i)
+    )
 
 
 def conjugate_duality(phi: Duality, tau: Automorphism) -> Duality:

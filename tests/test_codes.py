@@ -328,7 +328,7 @@ def test_pair_check_rejects_a_duality_that_does_not_pair(monkeypatch):
     A = make_group([2, 2])
     H = subgroup_closure(A, [A.parse_element("10")])
     assert is_symmetric(construct_duality_for_pair(H, H))
-    monkeypatch.setattr(codes_module, "_pulled_back", lambda A, basis, M: canonical_duality(A))
+    monkeypatch.setattr(codes_module, "_adapted_basis", lambda A, H, K: ([], canonical_duality(A)))
     with pytest.raises(AssertionError, match="does not pair H with K"):
         construct_duality_for_pair(H, H)
 
@@ -393,6 +393,25 @@ def test_construct_pair_outputs_are_pinned():
     assert (len(out), sum(row[3] is not None for row in out)) == (3090, 2244)
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "52dbd1d383d0dfc762d7566b4a6096954f8ecdbe547ad28d21be1a781d92a339"
+
+
+def test_construct_pair_outputs_are_pinned_on_larger_groups():
+    # The rows of the test above over seven more groups, among them bases
+    # with more vectors than A has factors, as in Z/2 x Z/6 = <10, 03> (+)
+    # <02>.  The digest was recorded from the elementary and direct-sum
+    # constructions that preceded the single adapted basis.
+    groups = [(2, 4, 8), (3, 3, 3), (2, 2, 4), (3, 9), (5, 5), (2, 6), (4, 4, 4)]
+    out = []
+    for orders in groups:
+        for H, K in _size_pairs(make_group(orders)):
+            try:
+                tau = [list(r) for r in construct_duality_for_pair(H, K).tau.matrix]
+            except UnsupportedPairError:
+                tau = None
+            out.append([list(orders), str(H), str(K), tau])
+    assert (len(out), sum(row[3] is not None for row in out)) == (6605, 1684)
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "585a54de490ad4c49c58a174e9075b485abcbaef4093d4148bdb4f87bf14c7a3"
 
 
 @pytest.mark.parametrize("orders", [[2, 4], [4, 4], [2, 8], [2, 2, 3], [27], [6, 6]])
@@ -919,8 +938,8 @@ def test_one_gram_index_per_group(monkeypatch, orders):
 
 
 def _backtracking_cyclic_basis(orders, S):
-    """Oracle: the depth-first search for a cyclic basis of S that
-    `_direct_sum_basis` replaced by one greedy pass.  Candidates come by
+    """Oracle: the depth-first search for a cyclic basis of S that the
+    adapted basis replaced by one greedy pass.  Candidates come by
     (-order, x); a choice that cannot be completed is taken back."""
     candidates = sorted((-_order(orders, x), x) for x in S.members if any(x))
 
@@ -955,7 +974,7 @@ def test_direct_sum_basis_matches_the_backtracking_search(orders):
             for S in (H, K):
                 if S not in oracle:
                     oracle[S] = _backtracking_cyclic_basis(A.orders, S)
-            basis, _ = codes_module._direct_sum_basis(A, H, K)
+            basis, _ = codes_module._adapted_basis(A, H, K)
             assert basis == oracle[H] + oracle[K]
             pairs += 1
     assert pairs >= 2

@@ -141,6 +141,15 @@ def test_is_symmetric_agrees_with_the_adjoint(orders):
     assert [phi for phi in all_dualities(make_group(orders)) if is_symmetric(phi)] == symmetric
 
 
+@pytest.mark.parametrize("orders", CENSUS_GROUPS + ([2, 4, 4],))
+def test_is_symmetric_matches_the_gram_matrix_definition(orders):
+    # is_symmetric compares w_j tau_ij with w_i tau_ji entry by entry; the
+    # definition is G = G^T for the whole Gram matrix.
+    for phi in all_dualities(make_group(orders)):
+        G = _gram(phi)
+        assert is_symmetric(phi) == (G == tuple(zip(*G)))
+
+
 def test_symmetric_iff_matrix_symmetric_on_elementary_abelian():
     for orders in ([2, 2], [3, 3], [2, 2, 2]):
         A = make_group(orders)
