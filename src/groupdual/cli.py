@@ -29,9 +29,7 @@ from .codes import (
 from .dualities import (
     Duality,
     _congruence_orbits,
-    all_dualities,
     count_symmetric_dualities,
-    is_symmetric,
 )
 from .enumerators import (
     NonIntegralError,
@@ -42,11 +40,14 @@ from .enumerators import (
 )
 from .groups import (
     GroupSpec,
+    _adjoints,
+    _aut,
     _closure,
+    _known_automorphism,
     _lattice,
+    _unpacker,
     all_subgroups,
     aut_order,
-    automorphism_group,
     make_group,
     primary_decomposition,
 )
@@ -81,6 +82,15 @@ def _write_json_list(items) -> None:
         sys.stdout.write(sep + item)
         sep = ", "
     sys.stdout.write("]\n" if sep == ", " else "[]\n")
+
+
+_row_text = cache(lambda row: str(list(row)))
+
+
+def _matrix_text(rows) -> str:
+    """str() of the matrix as int lists, which JSON reads the same; each
+    distinct row is formatted once."""
+    return f"[{', '.join(map(_row_text, rows))}]"
 
 
 def _emit(args, text_body: str, json_body) -> None:
@@ -134,16 +144,14 @@ def _cmd_dualities(args) -> int:
         line = f"{total} total, {sym} symmetric"
         _emit(args, line + "\n", {"total": total, "symmetric": sym})
         return 0
-    dualities = all_dualities(A, limits)
-    sym = [is_symmetric(phi) for phi in dualities]
-    rows = (
-        (i, [list(r) for r in phi.tau.matrix], s)
-        for i, (phi, s) in enumerate(zip(dualities, sym))
-    )
+    # phi is symmetric exactly when phi* = phi, a fixed point of tau -> tau*.
+    auts = _aut(A, limits)
+    star, unpack = _adjoints(A), _unpacker(A)
+    rows = ((i, _matrix_text(unpack(v)), star[i] == i) for i, v in enumerate(auts))
     if args.format == "json":
         # Keys in sorted order; an int list reads the same in Python and JSON.
         _write_json_list(
-            f'{{"index": {i}, "symmetric": {json.dumps(s)}, "tau": {mat}}}'
+            f'{{"index": {i}, "symmetric": {("false", "true")[s]}, "tau": {mat}}}'
             for i, mat, s in rows
         )
     else:
@@ -154,10 +162,10 @@ def _cmd_dualities(args) -> int:
 
 
 def _duality_by_index(A: GroupSpec, index: int, limits: Limits) -> Duality:
-    auts = automorphism_group(A, limits)
+    auts = _aut(A, limits)
     if not 0 <= index < len(auts):
         raise IndexError(f"duality index {index} out of range (0..{len(auts) - 1})")
-    return Duality(auts[index])
+    return Duality(_known_automorphism(A, _unpacker(A)(auts[index])))
 
 
 def _parse_code(A: GroupSpec, n: int, gen_words: Sequence[str]) -> AdditiveCode:
@@ -219,7 +227,7 @@ def _cmd_duals_table(args) -> int:
         cell = cache(lambda i, j: json.dumps({"left": name(i), "right": name(j)}))
     else:
         cell = cache(lambda i, j: f"L={name(i)} R={name(j)}")
-    rows = (([list(r) for r in tau.matrix], starmap(cell, pairs)) for tau, pairs in ids)
+    rows = ((_matrix_text(tau), starmap(cell, pairs)) for tau, pairs in ids)
     if args.format == "json":
         _write_json_list(
             f'{{"duals": [{", ".join(cells)}], "tau": {tau}}}' for tau, cells in rows
@@ -232,11 +240,11 @@ def _cmd_duals_table(args) -> int:
 
 def _cmd_congruence(args) -> int:
     A = _parse_group(args.group)
-    auts = automorphism_group(A, _limits(args))
+    auts, unpack = _aut(A, _limits(args)), _unpacker(A)
     json_out = [
         {
             "size": len(orbit),
-            "representative": [list(r) for r in auts[orbit[0]].matrix],
+            "representative": [list(r) for r in unpack(auts[orbit[0]])],
         }
         for orbit in _congruence_orbits(A)
     ]

@@ -31,23 +31,24 @@ from .dualities import (
     Duality,
     _conjugate_gram,
     _duality_from_gram,
-    _gram_index,
     _pairing_forms,
     canonical_duality,
     is_symmetric,
 )
 from .groups import (
-    Automorphism,
     GroupElement,
     GroupSpec,
     Subgroup,
+    _adjoints,
+    _aut,
+    _coords,
     _known_automorphism,
     _lattice,
     _order,
     _unit_rows,
+    _unpacker,
     _zero_subgroup,
     aut_order,
-    automorphism_group,
     is_characteristic,
     make_group,
     subgroup_closure,
@@ -239,7 +240,8 @@ def search_duality_for_pair(
     rows = _image_rows(A, [H], limits)
     lattice = _lattice(A)
     k0 = lattice.id_of(lattice.l0(lattice.id_of(K)))
-    return next((Duality(tau) for tau, ((L, R),) in rows if L == R == k0), None)
+    tau = next((tau for tau, ((L, R),) in rows if L == R == k0), None)
+    return None if tau is None else Duality(_known_automorphism(A, tau))
 
 
 def _assert_pair_duality(phi: Duality, H: Subgroup, K: Subgroup) -> None:
@@ -281,7 +283,7 @@ def _adapted_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
     span: dict[tuple[int, ...], tuple[int, ...]] = {(0,) * A.rank: ()}
     basis = []
     inter = H.element_set().intersection(K.members)
-    for pool in (inter, H.members, K.members, product(*map(range, orders))):
+    for pool in (inter, H.members, K.members, _coords(A)):
         if len(span) == A.cardinality:
             break
         for minus_o, x in sorted((-_order(orders, x), x) for x in pool):
@@ -408,18 +410,18 @@ def duality_dependence(
 
 def _image_rows(
     A: GroupSpec, subgroups: Sequence[Subgroup], limits: Limits | None
-) -> Iterator[tuple[Automorphism, list[tuple[int, int]]]]:
-    """Per tau in Aut(A) order, (tau, [(id of H tau*, id of H tau) for H in
-    subgroups]) in `groups._lattice(A)`: the ids whose L_0 are L_phi(H)
-    and R_phi(H), phi(a) = phi_0(a tau).  The subgroup checks of
-    `duals_table` and those of `automorphism_group` come first."""
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[tuple[int, int]]]]:
+    """Per tau in Aut(A) order, (tau's matrix, [(id of H tau*, id of H tau)
+    for H in subgroups]) in `groups._lattice(A)`: the ids whose L_0 are
+    L_phi(H) and R_phi(H), phi(a) = phi_0(a tau).  The subgroup checks of
+    `duals_table` and the enumeration limits come first."""
     _check_subgroups(A, subgroups, limits)
-    auts = automorphism_group(A, limits)
+    auts = _aut(A, limits)
     lattice = _lattice(A)
     cols = lattice.columns([lattice.id_of(H) for H in subgroups])
     return (
-        (tau, [(col[j], col[i]) for col in cols])
-        for tau, (i, j) in zip(auts, enumerate(_gram_index(A)[1]))
+        (matrix, [(col[j], col[i]) for col in cols])
+        for matrix, (i, j) in zip(map(_unpacker(A), auts), enumerate(_adjoints(A)))
     )
 
 
@@ -451,13 +453,13 @@ def duals_table(
         if any(phi.parent != A for phi in dualities):
             raise ValueError("duality of a different group")
         rows = (
-            (phi.tau, [(_zero_set(A, phi, H, True), _zero_set(A, phi, H, False))
-                       for H in subgroups])
+            (phi.tau.matrix, [(_zero_set(A, phi, H, True), _zero_set(A, phi, H, False))
+                              for H in subgroups])
             for phi in dualities
         )
     return (
         {
-            "tau": [list(r) for r in tau.matrix],
+            "tau": [list(r) for r in tau],
             "duals": [{"left": L, "right": R} for L, R in row],
         }
         for tau, row in rows

@@ -21,10 +21,12 @@ from .groups import (
     Automorphism,
     GroupElement,
     GroupSpec,
+    _aut_index,
     _automorphisms,
     _elementary_generators,
     _primary_blocks,
     _unit_rows,
+    _unpacker,
     automorphism_group,
     gl_order,
     identity_automorphism,
@@ -170,55 +172,46 @@ def conjugate_duality(phi: Duality, tau: Automorphism) -> Duality:
     return _duality_from_gram(A, _conjugate_gram(_gram(phi), tau.matrix, A.exponent))
 
 
-def _flat_gram(tau: Automorphism) -> tuple[int, ...]:
-    m, w = tau.parent.exponent, tau.parent.weights
-    return tuple(t * w_j % m for row in tau.matrix for t, w_j in zip(row, w))
+def _walk(A: GroupSpec, t: tuple[int, ...]):
+    """Breadth-first walk of the congruence orbit of the duality whose tau
+    has the row-major entries t: yields (t, None, None), then (u, parent,
+    (i, j, c)) for each new u = E parent E*, E = I + c E_ij.
 
-
-@lru_cache(maxsize=None)
-def _gram_index(A: GroupSpec) -> tuple[dict[tuple[int, ...], int], array]:
-    """The Aut(A) index of each tau keyed by its flat Gram matrix, the keys
-    in index order, and tau -> tau* on those indices: G(phi*) = G(phi)^T,
-    so the index of phi* is that of the transposed Gram matrix.  Kept per
-    group like Aut(A); callers check the limits."""
-    index, k = {_flat_gram(tau): i for i, tau in enumerate(_automorphisms(A))}, A.rank
-    star = array("I", (index[sum((G[i::k] for i in range(k)), ())] for G in index))
-    return index, star
-
-
-def _walk(A: GroupSpec, G: tuple[int, ...]):
-    """Breadth-first walk of the orbit of G = `_flat_gram(tau)`: yields (G,
-    None, None), then (H, parent, (i, j, c)) for each new H = E parent E^T
-    mod m, E = I + c E_ij: row i += c row j, then column i += c column j."""
-    k, m = A.rank, A.exponent
-    steps = [([(i * k + l, j * k + l) for l in range(k)]
-              + [(l * k + i, l * k + j) for l in range(k)], (i, j, c))
+    Phi'(a, b) = Phi(a S, b S) has Gram matrix S G S^T; with G = tau W, W =
+    diag(w), its tau is S tau S*, S* = W S^T W^-1 the adjoint of S under
+    phi_0 (`groups._adjoints`).  So a step is row i += c row j, then column
+    i += (c d_i / d_j) column j, each column l mod d_l; c d_i / d_j is an
+    integer for each generator."""
+    k, orders = A.rank, A.orders
+    steps = [([(i * k + l, j * k + l, c, orders[l]) for l in range(k)]
+              + [(l * k + i, l * k + j, c * orders[i] // orders[j], orders[i])
+                 for l in range(k)], (i, j, c))
              for i, j, c in _elementary_generators(A)]
-    seen, queue = {G}, [G]
-    yield G, None, None
+    seen, queue = {t}, [t]
+    yield t, None, None
     for H in queue:
-        for pairs, step in steps:
+        for ops, step in steps:
             g = list(H)
-            for p, q in pairs:
-                g[p] = (g[p] + step[2] * g[q]) % m
-            if (t := tuple(g)) not in seen:
-                seen.add(t)
-                queue.append(t)
-                yield t, H, step
+            for p, q, c, d in ops:
+                g[p] = (g[p] + c * g[q]) % d
+            if (u := tuple(g)) not in seen:
+                seen.add(u)
+                queue.append(u)
+                yield u, H, step
 
 
 def congruent(
     phi1: Duality, phi2: Duality, limits: Limits | None = None
 ) -> Optional[Automorphism]:
     """A witness tau with phi2 = tau* o phi1 o tau, or None when the walk of
-    G(phi1)'s orbit ends first.  For each H met it carries the S with H =
-    S G(phi1) S^T, one row operation (mod d_j) on the parent's S a step."""
+    phi1's orbit ends first.  For each u met it carries the S with u = S
+    tau_1 S*, one row operation (mod d_j) on the parent's S a step."""
     if phi1.parent != phi2.parent:
         raise ValueError("dualities of different groups")
     A = phi1.parent
     check_enumeration(A.cardinality, limits)
-    target, witness = _flat_gram(phi2.tau), {None: _unit_rows(A.rank)}
-    for H, parent, step in _walk(A, _flat_gram(phi1.tau)):
+    target, witness = sum(phi2.tau.matrix, ()), {None: _unit_rows(A.rank)}
+    for H, parent, step in _walk(A, sum(phi1.tau.matrix, ())):
         S = list(witness[parent])
         if step:
             i, j, c = step
@@ -233,17 +226,18 @@ def congruent(
 def _congruence_orbits(A: GroupSpec) -> tuple[array, ...]:
     """The congruence classes as sorted Aut(A) indices, ordered by their
     least index.  Each class is one `_walk` from its least index not yet
-    met, read from `_gram_index`: |Aut| x #generators steps in all, once
-    per group.  Kept per group like `_gram_index`; callers check the
-    limits."""
-    index, _ = _gram_index(A)
-    met, orbits = bytearray(len(index)), []
-    for G, i in index.items():
-        if not met[i]:
-            orbit = array("I", sorted(index[H] for H, _, _ in _walk(A, G)))
-            for j in orbit:
-                met[j] = 1
-            orbits.append(orbit)
+    met, each tau met located by `_aut_index`: |Aut| x #generators steps in
+    all, once per group.  Callers check the limits."""
+    auts, unpack, index = _automorphisms(A), _unpacker(A), _aut_index(A)
+    met, orbits = bytearray(len(auts)), []
+    i = met.find(0)
+    while i >= 0:
+        t = sum(unpack(auts[i]), ())
+        orbit = array("I", sorted(index(u) for u, _, _ in _walk(A, t)))
+        for j in orbit:
+            met[j] = 1
+        orbits.append(orbit)
+        i = met.find(0, i)
     return tuple(orbits)
 
 

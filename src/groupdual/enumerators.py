@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import product
 from operator import mul
 from typing import Mapping
 
@@ -22,7 +21,7 @@ from .cyclotomic import CycInt, _reduce
 from .characters import annihilator
 from .codes import AdditiveCode, PowerGroup
 from .dualities import Duality, _pairing_forms
-from .groups import GroupElement, GroupSpec, Subgroup
+from .groups import GroupElement, GroupSpec, Subgroup, _coords
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,6 @@ class CompleteEnumerator:
         return sum(c for _, c in self.terms)
 
 
-def _letters(A: GroupSpec) -> list[tuple[int, ...]]:
-    """The coordinate tuples of A, in canonical element order."""
-    return list(product(*map(range, A.orders)))
-
-
 def hamming_weight(power: PowerGroup, x: GroupElement) -> int:
     return sum(map(any, zip(*[iter(x.coords)] * power.base.rank)))
 
@@ -76,7 +70,7 @@ def cwe(C: AdditiveCode) -> CompleteEnumerator:
     key does.  Only the distinct keys are decoded, by `int.to_bytes`."""
     n, k, card = C.power.n, C.power.base.rank, C.power.base.cardinality
     w = (n.bit_length() + 7) // 8
-    letters = reversed(_letters(C.power.base))
+    letters = reversed(_coords(C.power.base))
     place = {a: 1 << 8 * w * i for i, a in enumerate(letters)}.__getitem__
     keys = Counter(sum(map(place, zip(*[iter(c)] * k))) for c in C.subgroup.members)
     terms = []
@@ -177,7 +171,7 @@ def mw_complete_transform(
     radix = deg + 1
     mass = max(1, sum(abs(c) for _, c in terms)) * card**deg
     width = mass.bit_length() + 1
-    letters = _letters(A)
+    letters = _coords(A)
     z_key = [radix ** (card - 1 - a) for a in range(card)]
 
     # form_b = sum_a x^e(b, a) Z_a with zeta_m^e(b, a) = Phi(b, a) when
@@ -268,7 +262,7 @@ def _transform(A: GroupSpec, f: Mapping, characters) -> dict:
     the elements a with a value, shifted by pi's pairing exponent, the dot
     product of (w_i pi_i) with a."""
     m = A.exponent
-    values = [(a, value) for a in _letters(A) if (value := f.get(a))]
+    values = [(a, value) for a in _coords(A) if (value := f.get(a))]
     if any(v.modulus != m for _, value in values for v in value.values()):
         raise ValueError("mixed moduli: embed into a common cyclotomic ring first")
     out = {}
@@ -283,7 +277,7 @@ def fourier_transform(
 ) -> dict[tuple[int, ...], dict]:
     """f-hat(pi) = sum_a <pi, a> f(a); keys are coordinate tuples, character
     keys are exponent tuples."""
-    return _transform(A, f, _letters(A))
+    return _transform(A, f, _coords(A))
 
 
 def poisson_check(H: Subgroup, f: Mapping[tuple[int, ...], Mapping]) -> bool:

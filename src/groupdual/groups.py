@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import product, repeat
@@ -385,7 +386,7 @@ def _subgroups(A: GroupSpec) -> tuple[Subgroup, ...]:
     distinct subgroups are wrapped as Subgroups."""
     orders = A.orders
     cyclic = {}
-    for x in product(*map(range, orders)):
+    for x in _coords(A):
         cyclic.setdefault(frozenset(_span(orders, [x])[1]), x)
     trivial = frozenset([(0,) * A.rank])
     found = {trivial}
@@ -516,48 +517,110 @@ def scalar_automorphism(A: GroupSpec, n: int) -> Automorphism:
 def automorphism_group(
     A: GroupSpec, limits: Limits | None = None
 ) -> list[Automorphism]:
-    """Aut(A) in lexicographic matrix order; every enumeration comes here."""
+    """Aut(A) in lexicographic matrix order, built as objects."""
+    unpack = _unpacker(A)
+    return [_known_automorphism(A, unpack(v)) for v in _aut(A, limits)]
+
+
+# Aut(A) is kept as one increasing sequence of ints, one per automorphism:
+# row j of tau, an element of A, packs as its index sum_i x_i R_i in product
+# order (R_i = d_(i+1) ... d_k), and tau as sum_j index(row j) |A|^(k-1-j).
+# So integer order is lexicographic matrix order, and the Aut index of tau
+# is its position.  Only this module reads the format; the others decode
+# with `_unpacker`, locate with `_aut_index` and read tau* from `_adjoints`.
+
+
+def _aut(A: GroupSpec, limits: Limits | None) -> Sequence[int]:
+    """Aut(A) packed, after the limits: the other modules' checked route."""
     check_enumeration(A.cardinality, limits)
-    return list(_automorphisms(A))
+    return _automorphisms(A)
+
+
+def _coords(A: GroupSpec) -> list[tuple[int, ...]]:
+    """The elements of A in product order: element index -> coordinates."""
+    return list(product(*map(range, A.orders)))
+
+
+def _places(A: GroupSpec) -> list[int]:
+    """The place value R_i |A|^(k-1-j) of each entry (j, i), row-major."""
+    k, N = A.rank, A.cardinality
+    R = [math.prod(A.orders[i + 1 :]) for i in range(k)]
+    return [R[i] * N ** (k - 1 - j) for j in range(k) for i in range(k)]
 
 
 @lru_cache(maxsize=None)
-def _automorphisms(A: GroupSpec) -> tuple[Automorphism, ...]:
-    """Aut(A) by depth-first choice of the generator images.
+def _unpacker(A: GroupSpec):
+    """The decoder of A's packed automorphisms: an int -> its matrix rows."""
+    coords, N = _coords(A), A.cardinality
+    powers = [N**e for e in reversed(range(A.rank))]
+    return lambda v: tuple([coords[v // p % N] for p in powers])
+
+
+def _aut_index(A: GroupSpec):
+    """The Aut index of an automorphism from its row-major entries, by
+    bisection on its packed int.  Callers check the limits."""
+    auts, places = _automorphisms(A), _places(A)
+    return lambda flat: bisect_left(auts, sum(map(mul, places, flat)))
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(A: GroupSpec) -> Sequence[int]:
+    """Aut(A), packed, by depth-first choice of the generator images.
 
     Row j must have order d_j and <row j> must meet the span of rows
-    0..j-1 only in 0.  Every bijection passes this test at each depth, and
-    at depth k the rows span d_1 ... d_k = |A| elements, so the leaves are
-    exactly the automorphisms.  Candidates are tried in sorted order, which
-    yields the matrices in lexicographic order.  The rows are reduced and
-    of order d_j, hence admissible, so the leaves go through
-    `_known_automorphism`."""
-    orders = A.orders
-    k = len(orders)
-    elements = list(product(*map(range, orders)))
-    candidates = [[x for x in elements if _order(orders, x) == d] for d in orders]
-    primes = [sorted(_prime_factors(d)) for d in orders]
-    auts: list[Automorphism] = []
+    0..j-1 only in 0; as a nontrivial subgroup of <r> holds some (d_j/p) r
+    of prime order, that is that none of these lies in the span.  Every
+    bijection passes this test at each depth, and at depth k the rows span
+    d_1 ... d_k = |A| elements, so the leaves are exactly the
+    automorphisms.  Candidates are tried in element order, so the leaves,
+    prefix |A| + row, come out increasing.  Each candidate's prime
+    multiples are found once per group.  An `array("Q")` holds them, or a
+    list when |A|^k exceeds 2^64."""
+    orders, N, k = A.orders, A.cardinality, A.rank
+    coords = _coords(A)
+    levels = [
+        [(i, tuple(tuple(d // p * c % e for c, e in zip(x, orders))
+                   for p in _prime_factors(d)))
+         for i, x in enumerate(coords) if _order(orders, x) == d]
+        for d in orders
+    ]
+    auts = array("Q") if N**k <= 2**64 else []
 
-    def extend(rows: list[tuple[int, ...]], span: set[tuple[int, ...]]) -> None:
+    def extend(rows: list[tuple[int, ...]], prefix: int, span) -> None:
         j = len(rows)
-        if j == k:
-            auts.append(_known_automorphism(A, rows))
+        if j == k - 1:
+            auts.extend(prefix + i for i, mults in levels[j] if span.isdisjoint(mults))
             return
-        d = orders[j]
-        for r in candidates[j]:
-            # A nontrivial subgroup of <r> contains some (d/p) r of prime order.
-            if any(
-                tuple(d // p * c % e for c, e in zip(r, orders)) in span
-                for p in primes[j]
-            ):
-                continue
-            rows.append(r)
-            extend(rows, _span(orders, rows)[1] if j + 1 < k else span)
-            rows.pop()
+        for i, mults in levels[j]:
+            if span.isdisjoint(mults):
+                grown = rows + [coords[i]]
+                extend(grown, (prefix + i) * N, _span(orders, grown)[1])
 
-    extend([], {(0,) * k})
-    return tuple(auts)
+    extend([], 0, {(0,) * k})
+    return auts
+
+
+@lru_cache(maxsize=None)
+def _adjoints(A: GroupSpec) -> array:
+    """tau -> tau* on Aut indices, tau* the adjoint of tau under the
+    canonical pairing <a, b>_0 = sum_l w_l a_l b_l.  <a tau, b>_0 =
+    <a, b tau*>_0 for all a, b exactly when w_l tau_il = w_i tau*_li (mod
+    m), that is tau*_ij = d_j tau_ji / d_i, an integer as tau is
+    admissible.  Row j = x of tau adds d_j x_i / d_i to entry (i, j) of
+    tau*, so the packed tau* is a sum of one table entry per row, found by
+    one bisection.  Callers check the limits."""
+    auts, orders, N, k = _automorphisms(A), A.orders, A.cardinality, A.rank
+    coords, places = _coords(A), _places(A)
+    tables = [
+        [sum(d_j * c // d_i * places[i * k + j] for i, (c, d_i) in enumerate(zip(x, orders)))
+         for x in coords]
+        for j, d_j in enumerate(orders)
+    ]
+    powers = [N**e for e in reversed(range(k))]
+    return array("I", (
+        bisect_left(auts, sum(t[v // p % N] for t, p in zip(tables, powers)))
+        for v in auts
+    ))
 
 
 class _Lattice:
@@ -620,8 +683,8 @@ class _Lattice:
 
             slots = [[step(w) for w in self._gens[i]] for i in missing]
             cols = [array("I") for _ in missing]
-            for tau in _automorphisms(self.A):
-                matrix, values = tau.matrix, []
+            for matrix in map(_unpacker(self.A), _automorphisms(self.A)):
+                values = []
                 for p, i, c in steps:
                     row = matrix[i] if c == 1 else map(mul, matrix[i], repeat(c))
                     if p is not None:
@@ -648,12 +711,14 @@ def _lattice(A: GroupSpec) -> _Lattice:
 def stabilizer(
     H: Subgroup, limits: Limits | None = None
 ) -> list[Automorphism]:
-    """Every tau with H tau = H: the fixed points of H's column."""
-    auts = automorphism_group(H.parent, limits)
-    lattice = _lattice(H.parent)
+    """Every tau with H tau = H: the fixed points of H's column, built as
+    objects."""
+    A, unpack = H.parent, _unpacker(H.parent)
+    auts = _aut(A, limits)
+    lattice = _lattice(A)
     h = lattice.id_of(H)
     (col,) = lattice.columns([h])
-    return [tau for tau, i in zip(auts, col) if i == h]
+    return [_known_automorphism(A, unpack(v)) for v, i in zip(auts, col) if i == h]
 
 
 def _elementary_generators(A: GroupSpec) -> list[tuple[int, int, int]]:

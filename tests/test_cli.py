@@ -274,6 +274,20 @@ def test_every_aut_route_takes_the_one_enumeration(capsys, monkeypatch, argv):
         run(list(argv))
 
 
+@pytest.mark.parametrize("group", CENSUS_GROUPS + ("2,2,2,2",))
+def test_listing_flags_the_fixed_points_of_the_adjoint(capsys, group):
+    # The listing reads phi as symmetric when tau* = tau; the oracle is
+    # is_symmetric, the Gram test, on each duality in the same order.
+    phis = all_dualities(make_group([int(d) for d in group.split(",")]))
+    code, out, err = _run(capsys, "dualities", "--group", group, "--list", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [r["tau"] for r in rows] == [[list(t) for t in phi.tau.matrix] for phi in phis]
+    flags = [r["symmetric"] for r in rows]
+    assert flags == [is_symmetric(phi) for phi in phis]
+    assert True in flags and (False in flags or "," not in group)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_count_only_reads_the_closed_forms(capsys, monkeypatch, fmt):
     # The enumerated census gives the small lines; the large ones would

@@ -829,7 +829,6 @@ def test_no_group_element_in_the_loops_over_a_group(monkeypatch):
     # Fourier, Poisson, the dual-dependence report and a cold Aut(A)
     # enumeration loop over A, or Aut(A), on coordinate tuples only.
     from groupdual import fourier_transform, groups as groups_module, poisson_check
-    from groupdual.dualities import _gram_index
 
     A = make_group([4, 4])
     m = A.exponent
@@ -843,7 +842,7 @@ def test_no_group_element_in_the_loops_over_a_group(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(groups_module.GroupElement, "__post_init__", counting)
-    for cache in (groups_module._automorphisms, groups_module._lattice, _gram_index):
+    for cache in (groups_module._automorphisms, groups_module._lattice, groups_module._adjoints):
         cache.cache_clear()
     assert len(groups_module._automorphisms(A)) == 96
     fourier_transform(A, f)
@@ -915,26 +914,29 @@ def test_search_duality_for_pair_refuses_subgroups_of_different_groups():
 @pytest.mark.parametrize("orders", [[2, 4], [2, 2, 2], [3, 3], [2, 2, 3]])
 def test_one_gram_index_per_group(monkeypatch, orders):
     # congruence_classes, duals_table and the pair search share one index
-    # of Aut(A) by flat Gram matrix, built once per group.
+    # of Aut(A), built once per group: each tau is located by bisection
+    # once for tau -> tau* and once in its congruence class.
     from groupdual import automorphism_group, congruence_classes
     from groupdual import dualities as dualities_module
+    from groupdual import groups as groups_module
 
     A = make_group(orders)
     subs = all_subgroups(A)
     calls = []
-    flat_gram = dualities_module._flat_gram
+    bisect_left = groups_module.bisect_left
 
-    def counting(tau):
+    def counting(*args):
         calls.append(1)
-        return flat_gram(tau)
+        return bisect_left(*args)
 
-    monkeypatch.setattr(dualities_module, "_flat_gram", counting)
-    dualities_module._gram_index.cache_clear()
+    monkeypatch.setattr(groups_module, "bisect_left", counting)
+    groups_module._adjoints.cache_clear()
+    dualities_module._congruence_orbits.cache_clear()
     for _ in range(3):
         congruence_classes(A)
         list(duals_table(A, subs))
         search_duality_for_pair(subs[1], subs[-2])
-    assert len(calls) == len(automorphism_group(A))
+    assert len(calls) == 2 * len(automorphism_group(A))
 
 
 def _backtracking_cyclic_basis(orders, S):

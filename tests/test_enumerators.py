@@ -23,11 +23,11 @@ from groupdual.characters import Character, pairing_exponent
 from groupdual.codes import PowerGroup
 from groupdual.cyclotomic import root_power
 from groupdual.dualities import inner_product_exponent
+from groupdual.groups import _coords
 from groupdual.enumerators import (
     CompleteEnumerator,
     HammingEnumerator,
     NonIntegralError,
-    _letters,
     fourier_transform,
     hamming_weight,
     poisson_check,
@@ -111,7 +111,7 @@ def _fourier_inverse_check(A, f):
 def _complete_value_function(power):
     """Oracle: x -> prod_i Z_{x_i} as a value keyed by count vectors."""
     m = power.spec.exponent
-    base_index = {a: i for i, a in enumerate(_letters(power.base))}
+    base_index = {a: i for i, a in enumerate(_coords(power.base))}
     return lambda x: {_count_key(power, x.coords, base_index): CycInt.from_int(m, 1)}
 
 
@@ -146,7 +146,7 @@ def test_cwe_matches_the_count_vector_oracle(orders, n):
 
     A = make_group(orders)
     power = PowerGroup(A, n)
-    base_index = {a: i for i, a in enumerate(_letters(A))}
+    base_index = {a: i for i, a in enumerate(_coords(A))}
     rng = random.Random(n)
     for _ in range(4):
         words = [
@@ -631,7 +631,7 @@ def _seeded_two_key_function(rng, A):
     rest."""
     m = A.exponent
     f = {}
-    for a in _letters(A):
+    for a in _coords(A):
         roll = rng.random()
         if roll < 0.15:
             continue
@@ -665,15 +665,15 @@ def test_fourier_transform_matches_the_object_oracle(orders):
     got = fourier_transform(A, f)
     assert got == _object_fourier_transform(A, f)
     assert {} in got.values()
-    assert list(got) == _letters(A)
+    assert list(got) == _coords(A)
 
 
 def test_a_value_of_another_modulus_raises():
     A = make_group([2, 4])
     H = all_subgroups(A)[1]
-    outside = next(a for a in _letters(A) if a not in H.element_set())
+    outside = next(a for a in _coords(A) if a not in H.element_set())
     for foreign in (CycInt.from_int(8, 1), CycInt.zero(2)):
-        f = {a: {"x": CycInt.from_int(4, 1)} for a in _letters(A)}
+        f = {a: {"x": CycInt.from_int(4, 1)} for a in _coords(A)}
         f[outside] = {"x": CycInt.from_int(4, 1), "y": foreign}
         with pytest.raises(ValueError, match="mixed moduli"):
             _object_fourier_transform(A, f)
@@ -698,7 +698,7 @@ def test_a_corrupted_transform_fails_the_poisson_check(monkeypatch):
 
     A = make_group([2, 4])
     H = next(H for H in all_subgroups(A) if H.order == 2)
-    f = {a: {"x": CycInt.from_int(4, 1)} for a in _letters(A)}
+    f = {a: {"x": CycInt.from_int(4, 1)} for a in _coords(A)}
     assert poisson_check(H, f)
     monkeypatch.setattr(enumerators, "_transform", corrupted)
     assert poisson_check(H, f) is False

@@ -31,8 +31,17 @@ from groupdual import (
     subgroup_closure,
     subgroup_from_elements,
 )
-from groupdual.dualities import _elementary_generators, _gram_index
-from groupdual.groups import _lattice, _span
+from groupdual.dualities import _elementary_generators
+from groupdual.groups import (
+    _adjoints,
+    _automorphisms,
+    _known_automorphism,
+    _lattice,
+    _order,
+    _prime_factors,
+    _span,
+    _unpacker,
+)
 
 CENSUS_GROUPS = (
     [2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27]
@@ -281,6 +290,50 @@ def _brute_force_automorphisms(A):
 def test_automorphism_group_matches_brute_force_in_order(orders):
     A = make_group(orders)
     assert [t.matrix for t in automorphism_group(A)] == _brute_force_automorphisms(A)
+
+
+def _object_automorphisms(A):
+    """Oracle: Aut(A) as `Automorphism` objects by the depth-first search
+    that the packed enumeration replaced.  Row j must have order d_j and
+    <row j> must meet the span of rows 0..j-1 only in 0; candidates come in
+    sorted order, so the matrices come in lexicographic order."""
+    orders = A.orders
+    k = len(orders)
+    elements = list(product(*map(range, orders)))
+    candidates = [[x for x in elements if _order(orders, x) == d] for d in orders]
+    primes = [sorted(_prime_factors(d)) for d in orders]
+    auts = []
+
+    def extend(rows, span):
+        j = len(rows)
+        if j == k:
+            auts.append(_known_automorphism(A, rows))
+            return
+        d = orders[j]
+        for r in candidates[j]:
+            # A nontrivial subgroup of <r> contains some (d/p) r of prime order.
+            if any(
+                tuple(d // p * c % e for c, e in zip(r, orders)) in span
+                for p in primes[j]
+            ):
+                continue
+            rows.append(r)
+            extend(rows, _span(orders, rows)[1] if j + 1 < k else span)
+            rows.pop()
+
+    extend([], {(0,) * k})
+    return tuple(auts)
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS + ([2, 4, 8], [3, 3, 3], [4, 4, 4], [2, 2, 6]))
+def test_packed_automorphisms_decode_to_the_object_enumeration(orders):
+    # The packed ints increase strictly, so the Aut index of tau is its
+    # position, and they decode to the oracle's matrices in its order.
+    A = make_group(orders)
+    packed = _automorphisms(A)
+    assert all(a < b for a, b in zip(packed, packed[1:]))
+    unpack = _unpacker(A)
+    assert [unpack(v) for v in packed] == [t.matrix for t in _object_automorphisms(A)]
 
 
 def _bfs_closure(A, gens):
@@ -537,7 +590,7 @@ def test_generator_test_matches_the_stabilizer(orders):
 def test_lattice_star_is_the_adjoint_on_aut_indices(orders):
     A = make_group(orders)
     dualities = all_dualities(A)
-    _, star = _gram_index(A)
+    star = _adjoints(A)
     assert sorted(star) == list(range(len(dualities)))
     for phi, j in zip(dualities, star):
         assert dualities[j] == adjoint(phi)
