@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import starmap
+from itertools import starmap, takewhile
 from typing import Sequence
 
 from .codes import (
@@ -208,8 +208,6 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_duals_table(args) -> int:
-    if args.order is not None and args.order < 0:
-        raise _UsageError(f"--order must be at least 0, got {args.order}")
     A = _parse_group(args.group)
     limits = _limits(args)
     subs = all_subgroups(A, limits)
@@ -256,8 +254,6 @@ def _cmd_congruence(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
-    if args.p is not None and args.p < 2:
-        raise _UsageError(f"--p must be at least 2, got {args.p}")
     A = _parse_group(args.group)
     limits = _limits(args)
     primes = A.primes()
@@ -469,13 +465,144 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _table(parser: argparse.ArgumentParser):
+    """What the argv reader needs of `parser`: (options, defaults, required,
+    commands), or None where the reader declines every argv.
+
+    options maps each option string to its action, except -h and --help,
+    which argparse prints.  commands is (dest, {name: table}) for a parser
+    whose only other action is -h.  Any other action kind, positional or
+    parser setting is left to argparse."""
+    if (
+        parser.prefix_chars != "-"
+        or parser.fromfile_prefix_chars
+        or parser._mutually_exclusive_groups
+        or parser._has_negative_number_optionals
+    ):
+        return None
+    options, defaults, required, commands = {}, {}, [], None
+    for action in parser._actions:
+        # argparse gives each dest the default of its first action.
+        if action.dest is not argparse.SUPPRESS:
+            if action.default is not argparse.SUPPRESS:
+                defaults.setdefault(action.dest, action.default)
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue
+        if kind is argparse._SubParsersAction:
+            tables = {name: _table(sub) for name, sub in action.choices.items()}
+            commands = action.dest, tables
+            continue
+        if kind is argparse._StoreAction:
+            known = (
+                action.nargs in (None, "+")
+                and action.const is None
+                and action.type in (None, int)
+                # argparse would pass a str default through the type.
+                and not (action.type and isinstance(action.default, str))
+            )
+        else:
+            known = kind is argparse._StoreTrueAction
+        deprecated = getattr(action, "deprecated", False)  # Python 3.13+
+        if not known or not action.option_strings or deprecated:
+            return None
+        options.update(dict.fromkeys(action.option_strings, action))
+        if action.required:
+            required.append(action)
+    if commands is not None and options:
+        return None
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, defaults, required, commands
+
+
+@cache
+def _reader():
+    """The argv reader's table of the parser, built with it on first use."""
+    return _table(_parser())
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads `token` as a value, in a parser with no option
+    that looks like a negative number: no leading '-', or a negative
+    integer in ASCII digits."""
+    return token[:1] != "-" or (token[1:].isdigit() and token[1:].isascii())
+
+
+def _read(table, argv: list[str], i: int = 0) -> dict | None:
+    """The attributes that argparse sets from argv[i:], or None where the
+    reader leaves argv to argparse: help, every error, and every form
+    beyond exact option strings with their values."""
+    if table is None:
+        return None
+    options, defaults, required, commands = table
+    ns = dict(defaults)
+    if commands is not None:
+        dest, tables = commands
+        if i == len(argv) or argv[i] not in tables:
+            return None
+        sub = _read(tables[argv[i]], argv, i + 1)
+        if sub is None:
+            return None
+        ns[dest] = argv[i]
+        ns.update(sub)
+        return ns
+    seen = set()
+    while i < len(argv):
+        action = options.get(argv[i])
+        if action is None:
+            return None
+        seen.add(action)
+        i += 1
+        if action.nargs == 0:
+            ns[action.dest] = action.const
+            continue
+        end = len(argv) if action.nargs == "+" else i + 1
+        values = list(takewhile(_is_value, argv[i:end]))
+        if not values:
+            return None
+        i += len(values)
+        if action.type is int:
+            try:
+                values = list(map(int, values))
+            except ValueError:
+                return None
+        if action.choices is not None and any(v not in action.choices for v in values):
+            return None
+        ns[action.dest] = values if action.nargs == "+" else values[0]
+    if any(action not in seen for action in required):
+        return None
+    return ns
+
+
+# The least value of each integer option; below it is a usage error.
+_LEAST = {"limit": 0, "n": 1, "order": 0, "p": 2}
+
+
+def _check_least(args) -> None:
+    for dest, least in _LEAST.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            raise _UsageError(f"--{dest} must be at least {least}, got {value}")
+
+
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one command line; argv defaults to sys.argv[1:].
+
+    Accepted argv is read from the parser's own actions by `_read`, which
+    gives the Namespace of parse_args; help and usage errors are argparse's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _read(_reader(), argv)
+    if ns is not None:
+        args = argparse.Namespace(**ns)
+    else:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help.
+            return int(exc.code or 0)
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help.
-        return int(exc.code or 0)
-    try:
+        _check_least(args)
         return args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,17 @@
 """CLI surface: exit codes, text/JSON output, golden table stability."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupdual import (
     all_dualities,
@@ -121,6 +126,38 @@ def test_filtration_p_below_two_is_a_usage_error(capsys, p):
     code, out, err = _run(capsys, "filtration", "--group", "4", "--p", p)
     assert (code, out) == (2, "")
     assert err == f"error: --p must be at least 2, got {p}\n"
+
+
+_CODE_ARGS = ("--group", "2,2", "--code-gens", "10", "--duality-index", "0", "--side", "left")
+
+
+@pytest.mark.parametrize("command", [("dual",), ("macwilliams", "verify")])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_length_below_one_is_a_usage_error(capsys, command, n):
+    assert _run(capsys, *command, *_CODE_ARGS, "--n", n) == (
+        2, "", f"error: --n must be at least 1, got {n}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("group", "--group", "2,4"),
+        ("dualities", "--group", "2,4", "--count-only"),
+        ("dual", *_CODE_ARGS),
+        ("duals-table", "--group", "2,4"),
+        ("congruence", "--group", "2,4"),
+        ("filtration", "--group", "8"),
+        ("macwilliams", "verify", *_CODE_ARGS),
+        ("construct-pair", "--group", "2,2", "--h-gens", "10", "--k-gens", "01"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("limit", ["-1", "-4096"])
+def test_limit_below_zero_is_a_usage_error(capsys, argv, limit):
+    assert _run(capsys, *argv, "--limit", limit) == (
+        2, "", f"error: --limit must be at least 0, got {limit}\n"
+    )
 
 
 def _duals_table_in_memory(A, subs, fmt):
@@ -596,12 +633,192 @@ def test_consecutive_runs_match_separate_runs(capsys):
 
 
 def test_parser_is_not_built_at_import():
-    code = "import groupdual.cli as c; print(c._parser.cache_info().currsize)"
+    code = (
+        "import groupdual.cli as c; "
+        "print(c._parser.cache_info().currsize, c._reader.cache_info().currsize)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0"
+
+
+def _argparse_vars(argv):
+    """Oracle: vars of parse_args(argv), or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _check_reader(argv):
+    """The reader returns None, or argparse's attributes; None wherever
+    argparse exits.  Returns what the reader returned."""
+    got = cli._read(cli._reader(), list(argv))
+    assert got is None or got == _argparse_vars(argv)
+    return got
+
+
+def _option_strings(parser):
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+
+
+_PARSER = cli.build_parser()
+_OPTIONS = sorted(set(_option_strings(_PARSER)))
+_SUBCOMMANDS = [
+    name
+    for action in _PARSER._actions
+    if isinstance(action, argparse._SubParsersAction)
+    for name in action.choices
+]
+_WORDS = (
+    ["2,4", "2,2", "8", "01", "10", "12", "11:10", "0", "3", "-1", "-0", "7", "-12"]
+    + ["left", "right", "text", "json", "hamming", "complete", "4.4", "verify"]
+    + ["", "-", "--", "-h", "-x", "--no-such-flag", "stray", " 5", "1_0", "-1.5", "-1 2"]
+    + [option[:3] for option in _OPTIONS if option.startswith("--")]
+    + [option[:-1] for option in _OPTIONS if option.startswith("--")]
+    + [option + "=3" for option in _OPTIONS]
+    + _SUBCOMMANDS
+)
+
+
+def _readme_examples():
+    """The argv of each `groupdual ...` example in the README's CLI section."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("groupdual ")
+    ]
+
+
+# Option groups that some subcommand accepts.
+_GROUPS = [
+    ("--group", "2,4"), ("--format", "json"), ("--limit", "-1"), ("--limit", "0"),
+    ("--n", "1"), ("--n", "-0"), ("--duality-index", "-12"), ("--side", "right"),
+    ("--enumerator", "hamming"), ("--code-gens", "01", "-1"), ("--code-gens", ""),
+    ("--order", "2"), ("--p", "3"), ("--h-gens", "10"), ("--k-gens", "01", "10"),
+    ("--count-only",), ("--list",), ("--subgroups",), ("--search",),
+]
+
+
+@given(
+    st.sampled_from(_readme_examples()),
+    st.sets(st.integers(0, 20), max_size=2),
+    st.lists(
+        st.tuples(
+            st.integers(0, 20),
+            st.one_of(
+                st.sampled_from(_GROUPS),
+                st.lists(st.sampled_from(_OPTIONS + _WORDS), min_size=1, max_size=3),
+            ),
+        ),
+        max_size=3,
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_the_reader_agrees_with_argparse(base, drops, inserts):
+    # A README example with tokens dropped and words inserted at the end or
+    # before an option.
+    argv = [token for k, token in enumerate(base) if k not in drops]
+    for at, tokens in inserts:
+        points = [k for k in range(len(argv)) if argv[k][:2] == "--"] + [len(argv)]
+        at = points[at % len(points)]
+        argv[at:at] = tokens
+    _check_reader(argv)
+
+
+_DUAL = ["dual", "--group", "2,4", "--code-gens", "01", "--duality-index", "3", "--side", "left"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dualities", "--group", "2,2", "--count-only", "--count-only"],
+        ["dualities", "--group", "2,2", "--group", "3,3", "--list"],
+        ["dual", "--group", "2,4", "--code-gens", "01", "-1", "--duality-index", "-0",
+         "--side", "left"],
+        [*_DUAL, "--code-gens", "10", "11", "--n", "1", "--format", "json"],
+        ["filtration", "--group", "8", "--limit", "-1", "--p", " 3"],
+        ["group", "--group", "", "--subgroups"],
+        ["duals-table", "--group", "2,2", "--order", "1_0", "--limit", "٣"],
+        ["congruence", "--group", "3,3", "--format", "json", "--format", "text"],
+        ["macwilliams", "verify", *_DUAL[1:], "--enumerator", "complete", "--n", "1"],
+        ["construct-pair", "--group", "2,2", "--h-gens", "10", "--k-gens", "01", "--search"],
+    ],
+)
+def test_the_reader_takes_exact_options_and_their_values(argv):
+    assert _check_reader(argv) is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["dualities", "-h"],
+        ["dualities", "--group", "2,2", "--help"],
+        ["macwilliams"],
+        ["macwilliams", "-h"],
+        ["macwilliams", "verif", *_DUAL[1:]],
+        ["macwilliams", "verify", "--help"],
+        ["dualities", "--group=2,2"],
+        ["dualities", "--gr", "2,2"],
+        ["dualities", "--group", "2,2", "--count"],
+        ["dualities", "--", "--group", "2,2"],
+        ["dualities", "--group", "2,2", "--"],
+        ["dualities", "--group", "--", "2,2"],
+        [*_DUAL, "--code-gens", "-x"],
+        [*_DUAL, "--code-gens", "01", "-"],
+        [*_DUAL, "--duality-index", "-1.5"],
+        [*_DUAL, "--duality-index", "-٣"],
+        [*_DUAL, "--code-gens"],
+        [*_DUAL, "--side", "up"],
+        [*_DUAL, "--n", "x"],
+        _DUAL[:-2],
+        ["paper-table", "4.4"],
+        ["no-such-command"],
+        ["dualitie", "--group", "2,2"],
+        ["--group", "2,2", "dualities"],
+        ["dualities", "--group", "2,2", "stray"],
+        ["dualities", "--group", "2,2", "-5"],
+        ["dualities", "--group", "2,2", "--no-such-flag"],
+        ["dualities", "--group", "2,2", "--format", "yaml"],
+        ["dualities", "--group", "2,2", "--limit", "1e3"],
+        ["dualities"],
+        ["dualities", "--group"],
+    ],
+)
+def test_the_reader_leaves_help_errors_and_other_forms_to_argparse(argv):
+    assert _check_reader(argv) is None
+
+
+_FAST_EXAMPLES = [argv for argv in _readme_examples() if argv[0] != "paper-table"]
+
+
+def test_the_readme_has_an_example_of_every_subcommand():
+    assert {argv[0] for argv in _readme_examples()} == set(_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", _FAST_EXAMPLES, ids=" ".join)
+def test_readme_examples_are_read_without_argparse(capsys, monkeypatch, argv):
+    args = cli.build_parser().parse_args(argv)
+    code = args.fn(args)
+    want = capsys.readouterr()
+
+    def refuse(*_):
+        raise AssertionError("argparse was asked to parse an accepted argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert _run(capsys, *argv) == (code, want.out, want.err)
 
 
 def test_limit_flag_triggers_limit_error(capsys):
