@@ -370,92 +370,73 @@ def _cmd_construct_pair(args) -> int:
     return 0
 
 
+# The command line, declared once: each command's words map to its help,
+# its options as (flag, add_argument kwargs) pairs in help order, and its
+# fn.  `build_parser` builds argparse from it, `_reader` the argv reader.
+_FLAG = {"action": "store_true"}
+_INT = {"type": int, "default": None}
+_WORDS = {"nargs": "+", "required": True}
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_GROUP = (
+    ("--group", {"required": True,
+                 "help": "comma-separated cyclic orders, e.g. 2,4 for Z/2 x Z/4"}),
+    _FORMAT,
+    ("--limit", {**_INT, "help": "override enumeration/scan bound"}),
+)
+_CODE = (
+    ("--code-gens", _WORDS),
+    ("--n", {"type": int, "default": 1}),
+    ("--duality-index", {"type": int, "required": True}),
+)
+_SIDE = ("--side", {"choices": ("left", "right"), "required": True})
+_COMMANDS = {
+    ("group",): (
+        "describe a group; optionally list subgroups",
+        (*_GROUP, ("--subgroups", _FLAG)), _cmd_group),
+    ("dualities",): (
+        "enumerate dualities",
+        (*_GROUP, ("--list", {**_FLAG, "help": "no-op: listing is the default"}),
+         ("--count-only", _FLAG)), _cmd_dualities),
+    ("dual",): ("left or right dual of a code", (*_GROUP, *_CODE, _SIDE), _cmd_dual),
+    ("duals-table",): (
+        "left/right duals of subgroups under every duality",
+        (*_GROUP, ("--order", {**_INT, "help": "filter by subgroup order"})), _cmd_duals_table),
+    ("congruence",): ("congruence classes of dualities", _GROUP, _cmd_congruence),
+    ("filtration",): (
+        "multiplication-by-p filtration and its duals",
+        (*_GROUP, ("--p", _INT)), _cmd_filtration),
+    ("macwilliams", "verify"): (
+        "verify a MacWilliams identity",
+        (*_GROUP, *_CODE,
+         ("--enumerator", {"choices": ("hamming", "complete"), "default": "hamming"}), _SIDE),
+        _cmd_macwilliams),
+    ("paper-table",): (
+        "emit a worked table byte-stably", (("table_id", {}), _FORMAT), _cmd_paper_table),
+    ("construct-pair",): (
+        "symmetric duality making two subgroups mutual duals",
+        (*_GROUP, ("--h-gens", _WORDS), ("--k-gens", _WORDS),
+         ("--search", {**_FLAG, "help": "fall back to exhaustive search"})), _cmd_construct_pair),
+}
+# The attribute that each command word sets: `subcommand`, then `action`.
+_WORD_DESTS = ("subcommand", "action")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser of `_COMMANDS`; a second command word, as in
+    `macwilliams verify`, is the one subcommand of the first word's parser."""
     parser = argparse.ArgumentParser(
         prog="groupdual",
         description="Exact dualities, dual codes, and MacWilliams identities "
         "over finite abelian groups.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, group_required=True):
-        p.add_argument(
-            "--group",
-            required=group_required,
-            help="comma-separated cyclic orders, e.g. 2,4 for Z/2 x Z/4",
-        )
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--limit", type=int, default=None, help="override enumeration/scan bound"
-        )
-
-    p = sub.add_parser("group", help="describe a group; optionally list subgroups")
-    common(p)
-    p.add_argument("--subgroups", action="store_true")
-    p.set_defaults(fn=_cmd_group)
-
-    p = sub.add_parser("dualities", help="enumerate dualities")
-    common(p)
-    p.add_argument("--list", action="store_true", help="no-op: listing is the default")
-    p.add_argument("--count-only", action="store_true")
-    p.set_defaults(fn=_cmd_dualities)
-
-    p = sub.add_parser("dual", help="left or right dual of a code")
-    common(p)
-    p.add_argument("--code-gens", nargs="+", required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--duality-index", type=int, required=True)
-    p.add_argument("--side", choices=("left", "right"), required=True)
-    p.set_defaults(fn=_cmd_dual)
-
-    p = sub.add_parser(
-        "duals-table", help="left/right duals of subgroups under every duality"
-    )
-    common(p)
-    p.add_argument("--order", type=int, default=None, help="filter by subgroup order")
-    p.set_defaults(fn=_cmd_duals_table)
-
-    p = sub.add_parser("congruence", help="congruence classes of dualities")
-    common(p)
-    p.set_defaults(fn=_cmd_congruence)
-
-    p = sub.add_parser(
-        "filtration", help="multiplication-by-p filtration and its duals"
-    )
-    common(p)
-    p.add_argument("--p", type=int, default=None)
-    p.set_defaults(fn=_cmd_filtration)
-
-    p = sub.add_parser("macwilliams", help="verify a MacWilliams identity")
-    msub = p.add_subparsers(dest="action", required=True)
-    pv = msub.add_parser("verify")
-    common(pv)
-    pv.add_argument("--code-gens", nargs="+", required=True)
-    pv.add_argument("--n", type=int, default=1)
-    pv.add_argument("--duality-index", type=int, required=True)
-    pv.add_argument(
-        "--enumerator", choices=("hamming", "complete"), default="hamming"
-    )
-    pv.add_argument("--side", choices=("left", "right"), required=True)
-    pv.set_defaults(fn=_cmd_macwilliams)
-
-    p = sub.add_parser("paper-table", help="emit a worked table byte-stably")
-    p.add_argument("table_id")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_paper_table)
-
-    p = sub.add_parser(
-        "construct-pair",
-        help="symmetric duality making two subgroups mutual duals",
-    )
-    common(p)
-    p.add_argument("--h-gens", nargs="+", required=True)
-    p.add_argument("--k-gens", nargs="+", required=True)
-    p.add_argument(
-        "--search", action="store_true", help="fall back to exhaustive search"
-    )
-    p.set_defaults(fn=_cmd_construct_pair)
-
+    sub = parser.add_subparsers(dest=_WORD_DESTS[0], required=True)
+    for words, (text, options, fn) in _COMMANDS.items():
+        p = sub.add_parser(words[0], help=text)
+        if len(words) == 2:
+            p = p.add_subparsers(dest=_WORD_DESTS[1], required=True).add_parser(words[1])
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -465,61 +446,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _table(parser: argparse.ArgumentParser):
-    """What the argv reader needs of `parser`: (options, defaults, required,
-    commands), or None where the reader declines every argv.
-
-    options maps each option string to its action, except -h and --help,
-    which argparse prints.  commands is (dest, {name: table}) for a parser
-    whose only other action is -h.  Any other action kind, positional or
-    parser setting is left to argparse."""
-    if (
-        parser.prefix_chars != "-"
-        or parser.fromfile_prefix_chars
-        or parser._mutually_exclusive_groups
-        or parser._has_negative_number_optionals
-    ):
-        return None
-    options, defaults, required, commands = {}, {}, [], None
-    for action in parser._actions:
-        # argparse gives each dest the default of its first action.
-        if action.dest is not argparse.SUPPRESS:
-            if action.default is not argparse.SUPPRESS:
-                defaults.setdefault(action.dest, action.default)
-        kind = type(action)
-        if kind is argparse._HelpAction:
-            continue
-        if kind is argparse._SubParsersAction:
-            tables = {name: _table(sub) for name, sub in action.choices.items()}
-            commands = action.dest, tables
-            continue
-        if kind is argparse._StoreAction:
-            known = (
-                action.nargs in (None, "+")
-                and action.const is None
-                and action.type in (None, int)
-                # argparse would pass a str default through the type.
-                and not (action.type and isinstance(action.default, str))
-            )
-        else:
-            known = kind is argparse._StoreTrueAction
-        deprecated = getattr(action, "deprecated", False)  # Python 3.13+
-        if not known or not action.option_strings or deprecated:
-            return None
-        options.update(dict.fromkeys(action.option_strings, action))
-        if action.required:
-            required.append(action)
-    if commands is not None and options:
-        return None
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    return options, defaults, required, commands
-
-
 @cache
 def _reader():
-    """The argv reader's table of the parser, built with it on first use."""
-    return _table(_parser())
+    """The argv reader's view of `_COMMANDS`, built on first use: words ->
+    (flags, defaults, required).  flags maps each flag to (dest, kwargs);
+    defaults are the attributes that argparse sets before reading any
+    option, the command words and fn among them; required lists the
+    required flags.  A command with a positional is left to argparse."""
+    view = {}
+    for words, (_, options, fn) in _COMMANDS.items():
+        if any(flag[0] != "-" for flag, _ in options):
+            continue
+        flags, defaults = {}, dict(zip(_WORD_DESTS, words), fn=fn)
+        for flag, kwargs in options:
+            dest = flag[2:].replace("-", "_")
+            flags[flag] = dest, kwargs
+            store_true = kwargs.get("action") == "store_true"
+            defaults[dest] = False if store_true else kwargs.get("default")
+        required = [flag for flag, kwargs in options if kwargs.get("required")]
+        view[words] = flags, defaults, required
+    return view
 
 
 def _is_value(token: str) -> bool:
@@ -529,48 +475,41 @@ def _is_value(token: str) -> bool:
     return token[:1] != "-" or (token[1:].isdigit() and token[1:].isascii())
 
 
-def _read(table, argv: list[str], i: int = 0) -> dict | None:
-    """The attributes that argparse sets from argv[i:], or None where the
-    reader leaves argv to argparse: help, every error, and every form
-    beyond exact option strings with their values."""
-    if table is None:
+def _read(view, argv: list[str]) -> dict | None:
+    """The attributes that argparse sets from argv, or None where the reader
+    leaves argv to argparse: help, every error, and every form beyond the
+    exact command words and flags with their values."""
+    i = 1 if tuple(argv[:1]) in view else 2
+    command = view.get(tuple(argv[:i]))
+    if command is None:
         return None
-    options, defaults, required, commands = table
-    ns = dict(defaults)
-    if commands is not None:
-        dest, tables = commands
-        if i == len(argv) or argv[i] not in tables:
-            return None
-        sub = _read(tables[argv[i]], argv, i + 1)
-        if sub is None:
-            return None
-        ns[dest] = argv[i]
-        ns.update(sub)
-        return ns
-    seen = set()
+    flags, defaults, required = command
+    ns, seen = dict(defaults), set()
     while i < len(argv):
-        action = options.get(argv[i])
-        if action is None:
+        option = flags.get(argv[i])
+        if option is None:
             return None
-        seen.add(action)
+        dest, kwargs = option
+        seen.add(argv[i])
         i += 1
-        if action.nargs == 0:
-            ns[action.dest] = action.const
+        if kwargs.get("action") == "store_true":
+            ns[dest] = True
             continue
-        end = len(argv) if action.nargs == "+" else i + 1
-        values = list(takewhile(_is_value, argv[i:end]))
+        many = kwargs.get("nargs") == "+"
+        values = list(takewhile(_is_value, argv[i : len(argv) if many else i + 1]))
         if not values:
             return None
         i += len(values)
-        if action.type is int:
+        if kwargs.get("type") is int:
             try:
                 values = list(map(int, values))
             except ValueError:
                 return None
-        if action.choices is not None and any(v not in action.choices for v in values):
+        choices = kwargs.get("choices")
+        if choices is not None and any(v not in choices for v in values):
             return None
-        ns[action.dest] = values if action.nargs == "+" else values[0]
-    if any(action not in seen for action in required):
+        ns[dest] = values if many else values[0]
+    if not seen.issuperset(required):
         return None
     return ns
 
@@ -589,8 +528,8 @@ def _check_least(args) -> None:
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one command line; argv defaults to sys.argv[1:].
 
-    Accepted argv is read from the parser's own actions by `_read`, which
-    gives the Namespace of parse_args; help and usage errors are argparse's."""
+    Accepted argv is read from `_COMMANDS` by `_read`, which gives the
+    Namespace of parse_args; help and usage errors are argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _read(_reader(), argv)
     if ns is not None:

@@ -236,7 +236,6 @@ def search_duality_for_pair(
     A = H.parent
     if K.parent != A:
         raise ValueError("subgroups of different groups")
-    check_enumeration(A.cardinality, limits)  # before the scan bound
     rows = _image_rows(A, [H], limits)
     lattice = _lattice(A)
     k0 = lattice.id_of(lattice.l0(lattice.id_of(K)))
@@ -386,7 +385,6 @@ def duality_dependence(
     H: Subgroup, limits: Limits | None = None
 ) -> DependenceReport:
     A = H.parent
-    check_enumeration(A.cardinality, limits)  # before the scan bound
     # Duality indices by image id: L_0 is injective, so equal ids are equal duals.
     left_ids, right_ids = {}, {}
     for idx, (_, ((left, right),)) in enumerate(_image_rows(A, [H], limits)):
@@ -413,10 +411,10 @@ def _image_rows(
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[tuple[int, int]]]]:
     """Per tau in Aut(A) order, (tau's matrix, [(id of H tau*, id of H tau)
     for H in subgroups]) in `groups._lattice(A)`: the ids whose L_0 are
-    L_phi(H) and R_phi(H), phi(a) = phi_0(a tau).  The subgroup checks of
-    `duals_table` and the enumeration limits come first."""
-    _check_subgroups(A, subgroups, limits)
-    auts = _aut(A, limits)
+    L_phi(H) and R_phi(H), phi(a) = phi_0(a tau).  The parents, Aut(A)
+    against the enumeration bound and each dual against the scan bound are
+    checked at the call, in that order."""
+    auts = _check_subgroups(A, subgroups, limits, aut=True)
     lattice = _lattice(A)
     cols = lattice.columns([lattice.id_of(H) for H in subgroups])
     return (
@@ -425,12 +423,15 @@ def _image_rows(
     )
 
 
-def _check_subgroups(A: GroupSpec, subgroups, limits: Limits | None) -> None:
-    """The parents, and each dual's order |A| / |H| against the scan bound."""
+def _check_subgroups(A: GroupSpec, subgroups, limits: Limits | None, aut: bool = False):
+    """The parents, then with `aut` Aut(A) after the enumeration bound (which
+    is returned), then each dual's order |A| / |H| against the scan bound."""
     if any(H.parent != A for H in subgroups):
         raise ValueError("subgroup does not live in the given group")
+    auts = _aut(A, limits) if aut else None
     for H in subgroups:
         check_scan(A.cardinality // H.order, limits)
+    return auts
 
 
 def duals_table(

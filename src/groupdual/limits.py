@@ -27,6 +27,8 @@ class Limits:
             bound = int(raw)
         except ValueError:
             raise ValueError(f"ADK_LIMIT must be an integer, got {raw!r}") from None
+        if bound < 0:
+            raise ValueError(f"ADK_LIMIT must be at least 0, got {bound}")
         return Limits(enumeration_bound=bound, scan_bound=bound)
 
 

@@ -612,9 +612,16 @@ def test_limit_flag_overrides_a_malformed_adk_limit(capsys, monkeypatch):
     assert code == 1 and "ADK_LIMIT must be an integer, got 'abc'" in err
 
 
+def test_a_negative_adk_limit_is_refused_unless_limit_overrides_it(capsys, monkeypatch):
+    monkeypatch.setenv("ADK_LIMIT", "-1")
+    argv = ["dualities", "--group", "2", "--count-only"]
+    assert _run(capsys, *argv) == (1, "", "error: ADK_LIMIT must be at least 0, got -1\n")
+    assert _run(capsys, *argv, "--limit", "5") == (0, "1 total, 1 symmetric\n", "")
+
+
 def test_consecutive_runs_match_separate_runs(capsys):
     argvs = [
-        ["dualities", "--group", "3,3", "--count-only"],
+        ["dualities", "--group", "2,4", "--count-only"],
         ["dualities", "--group", "2,4", "--no-such-flag"],
         ["congruence", "--group", "2,2", "--format", "json"],
         ["dual", "--group", "2,4", "--code-gens", "02", "--duality-index", "0"],
@@ -802,13 +809,28 @@ def test_the_reader_leaves_help_errors_and_other_forms_to_argparse(argv):
 
 
 _FAST_EXAMPLES = [argv for argv in _readme_examples() if argv[0] != "paper-table"]
+# One argv of each shape that the benchmark decks send (perfbench/workloads.py).
+_DECK_SHAPES = [
+    ["dualities", "--group", "2,4", "--list", "--format", "json"],
+    ["dualities", "--group", "2,4", "--count-only"],
+    ["congruence", "--group", "2,2", "--format", "json"],
+    ["filtration", "--group", "2,4", "--format", "json"],
+    ["duals-table", "--group", "2,4", "--format", "json"],
+    ["construct-pair", "--group", "2,2", "--format", "json", "--h-gens", "10", "--k-gens", "01"],
+    ["dual", "--group", "2,4", "--n", "2", "--code-gens", "01:10", "11:02",
+     "--duality-index", "3", "--side", "right", "--format", "json"],
+    ["macwilliams", "verify", "--group", "3,3", "--n", "2", "--code-gens", "10:01",
+     "--duality-index", "5", "--enumerator", "complete", "--side", "left", "--format", "json"],
+    ["macwilliams", "verify", "--group", "2,4", "--n", "3", "--code-gens", "01:10:11",
+     "--duality-index", "3", "--enumerator", "hamming", "--side", "right", "--format", "json"],
+]
 
 
 def test_the_readme_has_an_example_of_every_subcommand():
     assert {argv[0] for argv in _readme_examples()} == set(_SUBCOMMANDS)
 
 
-@pytest.mark.parametrize("argv", _FAST_EXAMPLES, ids=" ".join)
+@pytest.mark.parametrize("argv", _FAST_EXAMPLES + _DECK_SHAPES, ids=" ".join)
 def test_readme_examples_are_read_without_argparse(capsys, monkeypatch, argv):
     args = cli.build_parser().parse_args(argv)
     code = args.fn(args)
@@ -819,6 +841,114 @@ def test_readme_examples_are_read_without_argparse(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     assert _run(capsys, *argv) == (code, want.out, want.err)
+
+
+# The shape that build_parser() keeps, independent of the Python version's
+# help layout: per (sub)parser by its command words, (help, fn, actions),
+# each action (option strings, dest, nargs, type, choices, default,
+# required, help).
+_HELP = (("-h", "--help"), "help", 0, None, None, "==SUPPRESS==", False,
+         "show this help message and exit")
+_GROUP = [
+    (("--group",), "group", None, None, None, None, True,
+     "comma-separated cyclic orders, e.g. 2,4 for Z/2 x Z/4"),
+    (("--format",), "format", None, None, ("text", "json"), "text", False, None),
+    (("--limit",), "limit", None, "int", None, None, False, "override enumeration/scan bound"),
+]
+_PARSER_SHAPE = {
+    (): (
+        "Exact dualities, dual codes, and MacWilliams identities over finite abelian groups.",
+        None,
+        [
+            _HELP,
+            ((), "subcommand", "A...", None,
+             ("group", "dualities", "dual", "duals-table", "congruence", "filtration",
+              "macwilliams", "paper-table", "construct-pair"), None, True, None),
+        ],
+    ),
+    ("group",): ("describe a group; optionally list subgroups", "_cmd_group", [
+        _HELP,
+        *_GROUP,
+        (("--subgroups",), "subgroups", 0, None, None, False, False, None),
+    ]),
+    ("dualities",): ("enumerate dualities", "_cmd_dualities", [
+        _HELP,
+        *_GROUP,
+        (("--list",), "list", 0, None, None, False, False, "no-op: listing is the default"),
+        (("--count-only",), "count_only", 0, None, None, False, False, None),
+    ]),
+    ("dual",): ("left or right dual of a code", "_cmd_dual", [
+        _HELP,
+        *_GROUP,
+        (("--code-gens",), "code_gens", "+", None, None, None, True, None),
+        (("--n",), "n", None, "int", None, 1, False, None),
+        (("--duality-index",), "duality_index", None, "int", None, None, True, None),
+        (("--side",), "side", None, None, ("left", "right"), None, True, None),
+    ]),
+    ("duals-table",): ("left/right duals of subgroups under every duality", "_cmd_duals_table", [
+        _HELP,
+        *_GROUP,
+        (("--order",), "order", None, "int", None, None, False, "filter by subgroup order"),
+    ]),
+    ("congruence",): ("congruence classes of dualities", "_cmd_congruence", [
+        _HELP,
+        *_GROUP,
+    ]),
+    ("filtration",): ("multiplication-by-p filtration and its duals", "_cmd_filtration", [
+        _HELP,
+        *_GROUP,
+        (("--p",), "p", None, "int", None, None, False, None),
+    ]),
+    ("macwilliams",): ("verify a MacWilliams identity", None, [
+        _HELP,
+        ((), "action", "A...", None, ("verify",), None, True, None),
+    ]),
+    ("macwilliams", "verify"): (None, "_cmd_macwilliams", [
+        _HELP,
+        *_GROUP,
+        (("--code-gens",), "code_gens", "+", None, None, None, True, None),
+        (("--n",), "n", None, "int", None, 1, False, None),
+        (("--duality-index",), "duality_index", None, "int", None, None, True, None),
+        (("--enumerator",), "enumerator", None, None, ("hamming", "complete"), "hamming", False,
+         None),
+        (("--side",), "side", None, None, ("left", "right"), None, True, None),
+    ]),
+    ("paper-table",): ("emit a worked table byte-stably", "_cmd_paper_table", [
+        _HELP,
+        ((), "table_id", None, None, None, None, True, None),
+        (("--format",), "format", None, None, ("text", "json"), "text", False, None),
+    ]),
+    ("construct-pair",): (
+        "symmetric duality making two subgroups mutual duals", "_cmd_construct_pair", [
+        _HELP,
+        *_GROUP,
+        (("--h-gens",), "h_gens", "+", None, None, None, True, None),
+        (("--k-gens",), "k_gens", "+", None, None, None, True, None),
+        (("--search",), "search", 0, None, None, False, False, "fall back to exhaustive search"),
+    ]),
+}
+
+
+def _parser_shape(parser, words=(), help=None, shape=None):
+    shape = {} if shape is None else shape
+    actions = [
+        (tuple(a.option_strings), a.dest, a.nargs, a.type and a.type.__name__,
+         a.choices if a.choices is None else tuple(a.choices), a.default, a.required, a.help)
+        for a in parser._actions
+    ]
+    fn = parser._defaults.get("fn")
+    shape[words] = (help, fn and fn.__name__, actions)
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            helps = {choice.dest: choice.help for choice in a._choices_actions}
+            for name, sub in a.choices.items():
+                _parser_shape(sub, words + (name,), helps.get(name), shape)
+    return shape
+
+
+def test_the_parser_keeps_its_shape():
+    parser = cli.build_parser()
+    assert _parser_shape(parser, help=parser.description) == _PARSER_SHAPE
 
 
 def test_limit_flag_triggers_limit_error(capsys):

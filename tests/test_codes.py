@@ -674,6 +674,24 @@ def test_duals_table_limit_applies_after_the_duals_are_cached():
         duals_table(A, subs, limits=Limits(enumeration_bound=7))
 
 
+def test_every_route_over_aut_checks_the_enumeration_bound_before_the_scan_bound():
+    A = make_group([2, 2, 2])
+    subs = all_subgroups(A)
+    H = next(S for S in subs if S.order == 2)
+    K = next(S for S in subs if S.order == 4)
+    limits = Limits(enumeration_bound=1, scan_bound=1)
+    calls = [
+        lambda: duals_table(A, [H], limits=limits),
+        lambda: search_duality_for_pair(H, K, limits),
+        lambda: duality_dependence(H, limits),
+    ]
+    for call in calls:
+        with pytest.raises(
+            LimitExceededError, match="^group of order 8 exceeds enumeration bound 1$"
+        ):
+            call()
+
+
 def _search_by_scans(H, K):
     """Oracle: the first duality in Aut order under which the left and the
     right dual of H are K and those of K are H, else None."""
