@@ -199,11 +199,11 @@ def _code_and_dual(args):
 def _cmd_dual(args) -> int:
     _, _, C, D = _code_and_dual(args)
     words = list(map(C.power.spec.format_coords, D.subgroup.members))
-    _emit(
-        args,
-        f"{args.side} dual ({D.order} elements): " + " ".join(words) + "\n",
-        {"side": args.side, "order": D.order, "elements": words},
-    )
+    if args.format == "json":
+        json_out = {"side": args.side, "order": D.order, "elements": words}
+        print(json.dumps(json_out, sort_keys=True))
+    else:
+        sys.stdout.write(f"{args.side} dual ({D.order} elements): {' '.join(words)}\n")
     return 0
 
 
@@ -288,41 +288,39 @@ def _cmd_macwilliams(args) -> int:
         expected = hwe(D)
         code_hwe = hwe(C)
         got = mw_hamming_transform(code_hwe, A.cardinality, code_hwe.total)
-        ok = got == expected
-        json_out = {
-            "enumerator": "hamming",
-            "transformed": list(got.coeffs),
-            "direct": list(expected.coeffs),
-            "match": ok,
-        }
-        lines = [
-            f"hwe(C)          = {list(code_hwe.coeffs)}",
-            f"transform       = {list(got.coeffs)}",
-            f"hwe({args.side} dual) = {list(expected.coeffs)}",
-            "match" if ok else "MISMATCH",
-        ]
+        transformed, direct = list(got.coeffs), list(expected.coeffs)
     else:
         expected = cwe(D)
         got = mw_complete_transform(
             cwe(C), phi, args.side, direction="dual_from_code"
         )
-        ok = got == expected
-        def terms_out(E):
-            return [
-                {"counts": list(k), "coeff": c} for k, c in E.terms
-            ]
+        transformed, direct = (
+            [{"counts": list(k), "coeff": c} for k, c in E.terms]
+            for E in (got, expected)
+        )
+    ok = got == expected
+    if args.format == "json":
         json_out = {
-            "enumerator": "complete",
-            "transformed": terms_out(got),
-            "direct": terms_out(expected),
+            "enumerator": args.enumerator,
+            "transformed": transformed,
+            "direct": direct,
             "match": ok,
         }
+        print(json.dumps(json_out, sort_keys=True))
+        return 0 if ok else 1
+    if args.enumerator == "hamming":
         lines = [
-            f"cwe transform terms: {terms_out(got)}",
-            f"cwe direct terms:    {terms_out(expected)}",
-            "match" if ok else "MISMATCH",
+            f"hwe(C)          = {list(code_hwe.coeffs)}",
+            f"transform       = {transformed}",
+            f"hwe({args.side} dual) = {direct}",
         ]
-    _emit(args, "\n".join(lines) + "\n", json_out)
+    else:
+        lines = [
+            f"cwe transform terms: {transformed}",
+            f"cwe direct terms:    {direct}",
+        ]
+    lines.append("match" if ok else "MISMATCH")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

@@ -74,6 +74,22 @@ def cyclotomic_poly(m: int) -> CycPoly:
     return num
 
 
+@lru_cache(maxsize=None)
+def power_height(m: int) -> int:
+    """H_m, the largest |coefficient| of x^r mod Phi_m over 0 <= r < m: one
+    multiplication by x and one reduction step per r.  It is 1 for m < 105,
+    2 at m = 105 and 3 at m = 385."""
+    low = cyclotomic_poly(m).coeffs[:-1]
+    row = [0] * (len(low) - 1) + [1]
+    height = 1
+    for _ in range(len(low), m):
+        top = row.pop()
+        row.insert(0, 0)
+        row = [c - top * d for c, d in zip(row, low)]
+        height = max(height, *map(abs, row))
+    return height
+
+
 def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     """Canonical residue of an integer polynomial in zeta_m."""
     # Phi_m is monic, so c x^k = -c x^(k - deg) (Phi_m - x^deg) mod Phi_m.

@@ -3,10 +3,9 @@ transforms.
 
 Every coefficient is an integer or a cyclotomic integer; the transforms
 divide exactly and signal an internal error on any non-integral result.
-The complete transform expands over Z[x], which maps onto Z[zeta_m] by
-x -> zeta_m: each monomial's powers of x are packed unreduced into one int,
-multiplied by x^e with a shift, folded modulo m by one remainder and reduced
-modulo Phi_m once, exactly and with no floating point.
+The complete transform expands over Z[x], mapped onto Z[zeta_m] by x -> zeta_m:
+each monomial's coefficient P is one int P(2^width), multiplied by x^e with a
+shift and reduced modulo Phi_m by one balanced remainder modulo Phi_m(2^width).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Mapping
 
-from .cyclotomic import CycInt, _reduce
+from .cyclotomic import CycInt, cyclotomic_poly, power_height
 from .characters import annihilator
 from .codes import AdditiveCode, PowerGroup
 from .dualities import Duality, _pairing_forms
@@ -139,6 +138,14 @@ def mw_complete_transform(
     is the enumerator of the left (or right) dual of D under phi.
     direction="code_from_dual": E is the enumerator of the left (or right)
     dual of some code C; the result is the enumerator of C.
+
+    Each output coefficient P in Z[x] is held as the int P(X), X = 2^width.
+    R = P mod Phi_m has |R_j| <= B = mass H_m (`power_height`), as x^s =
+    x^(s mod m) mod Phi_m, and B, L_m <= (X - 1)/8, L_m = max |Phi_m's coeffs|.
+    So |R(X)| < X^phi/8 < N/2, phi = deg Phi_m, N = Phi_m(X) > 7 X^phi/8,
+    and the balanced remainder r of P(X) = R(X) mod N is R(X), the R_j its
+    balanced base-X digits.  R is an integer iff |r| <= B: then r = R_0;
+    else |r| >= X^j - X^j/8 > 7B at R's degree j >= 1.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -162,15 +169,14 @@ def mw_complete_transform(
 
     # A monomial prod_a Z_a^(k_a) is keyed by its count vector read in base
     # `radix`, k_0 the most significant digit, so that keys add as monomials
-    # multiply and sort as the count vectors do.  Its coefficient, a
-    # polynomial in x with exponents summed unreduced, is packed into one int
-    # with `width`-bit signed slots.  Every partial result is a sum of
-    # +-coefficient products of at most `deg` linear forms of |A| unit terms,
-    # so the absolute values of its slots sum to at most `mass`.
+    # multiply and sort as the count vectors do.  Its coefficient P in x, with
+    # exponents unreduced, is held as P(X); a sum of +-coefficient products of
+    # at most `deg` forms of |A| unit terms, its |coefficients| sum to <= mass.
     deg = max(sum(counts) for counts, _ in terms)
     radix = deg + 1
     mass = max(1, sum(abs(c) for _, c in terms)) * card**deg
-    width = mass.bit_length() + 1
+    cyc, bound = cyclotomic_poly(m).coeffs, mass * power_height(m)
+    width = (8 * max(bound, *map(abs, cyc))).bit_length()
     letters = _coords(A)
     z_key = [radix ** (card - 1 - a) for a in range(card)]
 
@@ -210,22 +216,16 @@ def mw_complete_transform(
             level[prefix] = acc
     (expansion,) = level.values()
 
-    # x -> zeta_m maps Z[x] onto Z[zeta_m] through Z[x]/(x^m - 1).  With
-    # X = 2^width, X^m = 1 modulo M = X^m - 1: a packed sum_s t_s X^s is
-    # sum_r T_r X^r modulo M, T_r summing the t_s at s = r mod m, and
-    # sum_r |T_r| <= mass < X/2.  Biased by half = X/2, every slot is in
-    # [1, X - 1], not all X - 1, as m >= 2 slots of X/2 - 1 >= mass would
-    # pass mass: the biased sum is its own remainder.  Then reduce by Phi_m.
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    modulus = (1 << width * m) - 1
-    bias = modulus // mask * half
-    out = []
+    modulus = sum(c << width * j for j, c in enumerate(cyc))
+    half, out = modulus >> 1, []
     for key in sorted(expansion):
-        folded = (expansion[key] + bias) % modulus
-        c, *rest = _reduce(m, [(folded >> width * r & mask) - half for r in range(m)])
-        if any(rest) or c % divisor:
+        c = (expansion[key] + half) % modulus - half
+        if abs(c) > bound or c % divisor:
+            slot, span = 1 << (width - 1), range(len(cyc) - 1)
+            c += sum(slot << width * j for j in span)
+            digits = tuple((c >> width * j) % (2 * slot) - slot for j in span)
             raise NonIntegralError(
-                f"transform coefficient {(c, *rest)} in powers of zeta_{m} "
+                f"transform coefficient {digits} in powers of zeta_{m} "
                 f"is not an integer divisible by {divisor}"
             )
         c //= divisor

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupdual import CycInt, cyclotomic_poly, root_power
-from groupdual.cyclotomic import CycPoly, _reduce
+from groupdual.cyclotomic import CycPoly, _reduce, power_height
 
 KNOWN_PHI = {
     1: (-1, 1),
@@ -81,6 +81,18 @@ def test_reduce_is_a_residue_modulo_the_cyclotomic_polynomial(m, data):
     n = max(len(coeffs), len(got))
     padded = [list(v) + [0] * (n - len(v)) for v in (coeffs, got)]
     CycPoly(tuple(map(sub, *padded))).divide_exact(phi)
+
+
+def test_power_height_is_the_largest_coefficient_of_a_reduced_power():
+    # Oracle: each x^r, r < m, reduced by `_reduce` on its own.
+    heights = {}
+    for m in range(1, 401):
+        want = max(max(map(abs, _reduce(m, (0,) * r + (1,)))) for r in range(m))
+        assert power_height(m) == want, m
+        heights[m] = want
+    assert {m for m, h in heights.items() if h > 1} >= {105, 165, 385}
+    assert min(m for m, h in heights.items() if h > 1) == 105
+    assert (heights[105], heights[385]) == (2, 3)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 9, 12])

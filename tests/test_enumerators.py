@@ -1,8 +1,10 @@
 """Weight enumerators, MacWilliams transforms, Fourier and Poisson."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupdual import (
     CycInt,
@@ -21,7 +23,7 @@ from groupdual import (
 )
 from groupdual.characters import Character, pairing_exponent
 from groupdual.codes import PowerGroup
-from groupdual.cyclotomic import root_power
+from groupdual.cyclotomic import _reduce, root_power
 from groupdual.dualities import inner_product_exponent
 from groupdual.groups import _coords
 from groupdual.enumerators import (
@@ -303,11 +305,10 @@ def _reference_complete_transform(E, phi, side, direction):
     return CompleteEnumerator(A, E.n, tuple(sorted(out.items())))
 
 
-def _group_ring_complete_transform(E, phi, side, direction):
+def _group_ring_slots(E, phi, side, direction):
     """The transform expanded term by term in Z[x]/(x^m - 1), one linear
-    factor at a time, keyed by (count vector, power of x): the second
-    reference, with the library's NonIntegralError on a non-integral
-    result."""
+    factor at a time, keyed by (count vector, power of x): per count vector,
+    the m coefficients of its powers of x, before the division."""
     A = E.base
     b_first = _REFERENCE_B_FIRST[(direction, side)]
     m = A.exponent
@@ -342,15 +343,37 @@ def _group_ring_complete_transform(E, phi, side, direction):
                 poly = nxt
         for (key, s), val in poly.items():
             acc.setdefault(key, [0] * m)[s] += val
+    return acc
+
+
+def _group_ring_complete_transform(E, phi, side, direction):
+    """The second reference: the slots of `_group_ring_slots` reduced by
+    CycInt, with the library's NonIntegralError on a non-integral result."""
+    m = E.base.exponent
     out = {}
-    for key, powers in acc.items():
+    for key, powers in _group_ring_slots(E, phi, side, direction).items():
         try:
             c = CycInt(m, tuple(powers)).divide_exact(E.total).as_int()
         except ValueError as exc:
             raise NonIntegralError(str(exc)) from exc
         if c:
             out[key] = c
-    return CompleteEnumerator(A, E.n, tuple(sorted(out.items())))
+    return CompleteEnumerator(E.base, E.n, tuple(sorted(out.items())))
+
+
+def _non_integral_message(E, phi, side, direction):
+    """The NonIntegralError text for the first count vector, in sorted
+    order, whose folded slots `_reduce` to no integer divisible by the total;
+    None if there is none."""
+    m = E.base.exponent
+    for key, powers in sorted(_group_ring_slots(E, phi, side, direction).items()):
+        c, *rest = _reduce(m, powers)
+        if any(rest) or c % E.total:
+            return (
+                f"transform coefficient {(c, *rest)} in powers of zeta_{m} "
+                f"is not an integer divisible by {E.total}"
+            )
+    return None
 
 
 _SIDES_AND_DIRECTIONS = [
@@ -432,10 +455,11 @@ def test_complete_transform_edge_enumerators_match_group_ring_reference(label):
             assert mw_complete_transform(E, phi, side, direction) == expected
 
 
-# Hand-built enumerators for the packed fold, with negative coefficients and
-# mass = sum|coeff| |A|^deg on 2^k - 1, the largest mass a slot width of
-# mass.bit_length() + 1 bits takes, or on 2^k, the smallest: (orders, n,
-# terms, mass, whether the transform is an integral enumerator).
+# Hand-built enumerators for the packed remainder, with negative coefficients
+# and mass = sum|coeff| |A|^deg on 2^k - 1, the largest mass a width of
+# (8 mass H_m).bit_length() bits takes (H_m = 1 here), or on 2^k, the
+# smallest: (orders, n, terms, mass, whether the transform is an integral
+# enumerator).
 _FOLD_EDGES = {
     # 3 Z_0 - Z_1 - Z_2: transforms to 1 at a = 0 and 4 elsewhere.
     "2^4-1, integral": ((3,), 1, (((1, 0, 0), 3), ((0, 1, 0), -1), ((0, 0, 1), -1)), 15, True),
@@ -480,8 +504,118 @@ def test_complete_transform_fold_edges_match_group_ring_reference(label):
                 continue
             with pytest.raises(NonIntegralError):
                 _group_ring_complete_transform(E, phi, side, direction)
-            with pytest.raises(NonIntegralError):
+            with pytest.raises(NonIntegralError) as info:
                 mw_complete_transform(E, phi, side, direction)
+            assert str(info.value) == _non_integral_message(E, phi, side, direction)
+
+
+def _combination(A, n, *scaled):
+    """sum c E over the (c, E) in `scaled`, as one enumerator."""
+    acc = {}
+    for c, E in scaled:
+        for k, v in E.terms:
+            acc[k] = acc.get(k, 0) + c * v
+    return CompleteEnumerator(A, n, tuple(sorted(acc.items())))
+
+
+def _height_edges():
+    """Hand-built enumerators with negative coefficients over Z/105, where
+    H_105 = 2, and over Z/2, where deg Phi_2 = 1: (enumerator, whether the
+    transform is an integral enumerator)."""
+    Z105, Z2 = make_group([105]), make_group([2])
+
+    def code(g):
+        return cwe(code_from_generators(Z105, 1, [Z105.element([g])]))
+
+    return {
+        # 2 cwe(<35>) - cwe(<21>), total 2 * 3 - 5 = 1.
+        "Z/105, integral": (
+            _combination(Z105, 1, (2, code(35)), (-1, code(21))), True,
+        ),
+        # 3 cwe(<35>) - cwe(<21>), total 4: rational values 9, -5, 4 and 0.
+        "Z/105, rational, not divisible": (
+            _combination(Z105, 1, (3, code(35)), (-1, code(21))), False,
+        ),
+        # 3 Z_0 - 2 Z_1: 3 - 2 zeta_105^e is not rational for e != 0.
+        "Z/105, not rational": (
+            CompleteEnumerator(
+                Z105, 1, (((1,) + (0,) * 104, 3), ((0, 1) + (0,) * 103, -2))
+            ),
+            False,
+        ),
+        # -Z_0 + 2 Z_1 -> Z_0 - 3 Z_1, total 1.
+        "Z/2, integral": (
+            CompleteEnumerator(Z2, 1, (((1, 0), -1), ((0, 1), 2))), True,
+        ),
+        # Z_0^2 - 2 Z_0 Z_1 + 2 Z_1^2, total 1.
+        "Z/2 n=2, integral": (
+            CompleteEnumerator(Z2, 2, (((2, 0), 1), ((1, 1), -2), ((0, 2), 2))), True,
+        ),
+        # 4 Z_0 - Z_1 -> 3 Z_0 + 5 Z_1, total 3.
+        "Z/2, not divisible": (
+            CompleteEnumerator(Z2, 1, (((1, 0), 4), ((0, 1), -1))), False,
+        ),
+    }
+
+
+@pytest.mark.parametrize("label", list(_height_edges()))
+def test_complete_transform_height_edges_match_group_ring_reference(label):
+    E, integral = _height_edges()[label]
+    assert any(c < 0 for _, c in E.terms)
+    dualities = all_dualities(E.base)
+    for phi in (dualities[0], dualities[-1]):
+        for side, direction in _SIDES_AND_DIRECTIONS:
+            message = _non_integral_message(E, phi, side, direction)
+            assert (message is None) == integral
+            if integral:
+                expected = _group_ring_complete_transform(E, phi, side, direction)
+                assert mw_complete_transform(E, phi, side, direction) == expected
+                continue
+            with pytest.raises(NonIntegralError) as info:
+                mw_complete_transform(E, phi, side, direction)
+            assert str(info.value) == message
+
+
+# Exponents 2 to 9 and 12.
+_PROPERTY_BASES = [
+    [2], [3], [4], [5], [6], [7], [8], [9], [12], [2, 2], [2, 4], [3, 3], [2, 6]
+]
+
+
+@functools.cache
+def _group_and_dualities(orders):
+    A = make_group(list(orders))
+    return A, all_dualities(A)
+
+
+@given(st.sampled_from(_PROPERTY_BASES), st.integers(0, 2), st.data())
+@settings(max_examples=300, deadline=None)
+def test_complete_transform_matches_group_ring_reference_on_random_enumerators(
+    orders, n, data
+):
+    A, dualities = _group_and_dualities(tuple(orders))
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        counts = [0] * A.cardinality
+        letters = st.integers(0, A.cardinality - 1)
+        for a in data.draw(st.lists(letters, min_size=n, max_size=n)):
+            counts[a] += 1
+        terms.append((tuple(counts), data.draw(st.integers(-3, 3))))
+    E = CompleteEnumerator(A, n, tuple(terms))
+    phi = data.draw(st.sampled_from(dualities))
+    side, direction = data.draw(st.sampled_from(_SIDES_AND_DIRECTIONS))
+    if E.total == 0:
+        with pytest.raises(ValueError, match="total 0"):
+            mw_complete_transform(E, phi, side, direction)
+        return
+    try:
+        expected = _group_ring_complete_transform(E, phi, side, direction)
+    except NonIntegralError:
+        with pytest.raises(NonIntegralError) as info:
+            mw_complete_transform(E, phi, side, direction)
+        assert str(info.value) == _non_integral_message(E, phi, side, direction)
+        return
+    assert mw_complete_transform(E, phi, side, direction) == expected
 
 
 def test_a_zero_total_or_divisor_is_refused():
@@ -497,12 +631,10 @@ def test_a_zero_total_or_divisor_is_refused():
         mw_hamming_transform(HammingEnumerator(1, (1, 3)), 4, 0)
 
 
-def test_complete_transform_builds_no_cycint_and_reduces_once_per_monomial(monkeypatch):
-    # On success the output stage folds each monomial's powers of x itself
-    # and reduces them once, through cyclotomic._reduce, with no CycInt.
-    import math
-
-    from groupdual import cyclotomic, enumerators
+def test_complete_transform_builds_no_cycint_and_never_reduces_on_success(monkeypatch):
+    # On success the output stage takes one balanced remainder of each
+    # monomial's packed int: no CycInt is built and no _reduce is called.
+    from groupdual import cyclotomic
 
     A = make_group([9])
     C = _richest_code(random.Random(9), A, 3)
@@ -527,15 +659,11 @@ def test_complete_transform_builds_no_cycint_and_reduces_once_per_monomial(monke
         return reduce(m, coeffs)
 
     monkeypatch.setattr(CycInt, "__post_init__", counting_post_init)
-    for module in (cyclotomic, enumerators):
-        monkeypatch.setattr(module, "_reduce", counting_reduce)
-    monomials = math.comb(3 + A.cardinality - 1, 3)
+    monkeypatch.setattr(cyclotomic, "_reduce", counting_reduce)
     assert len(cases[0][0].terms) == 81
     for (E, side, direction), want in zip(cases, expected):
-        reduced.clear()
         assert mw_complete_transform(E, phi, side, direction) == want
-        assert 0 < len(reduced) <= monomials
-    assert built == []
+    assert built == [] and reduced == []
 
 
 def test_complete_transform_rejects_count_vectors_of_the_wrong_length():
