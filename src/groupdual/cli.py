@@ -7,6 +7,7 @@ error.  Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,6 +34,7 @@ from .dualities import (
 )
 from .enumerators import (
     NonIntegralError,
+    _forward_follows,
     cwe,
     hwe,
     mw_complete_transform,
@@ -93,11 +95,13 @@ def _matrix_text(rows) -> str:
     return f"[{', '.join(map(_row_text, rows))}]"
 
 
-def _emit(args, text_body: str, json_body) -> None:
+def _emit(args, text, body) -> None:
+    """Print body() as JSON under `--format json`, else text(): only the
+    output asked for is built."""
     if args.format == "json":
-        print(json.dumps(json_body, sort_keys=True))
+        print(json.dumps(body(), sort_keys=True))
     else:
-        sys.stdout.write(text_body)
+        sys.stdout.write(text())
 
 
 def _sub_json(A: GroupSpec, sub) -> dict:
@@ -109,28 +113,30 @@ def _sub_json(A: GroupSpec, sub) -> dict:
 
 def _cmd_group(args) -> int:
     A = _parse_group(args.group)
-    info = {
-        "orders": list(A.orders),
-        "exponent": A.exponent,
-        "cardinality": A.cardinality,
-        "weights": list(A.weights),
-        "primary": {
-            str(p): list(part.orders)
-            for p, part in primary_decomposition(A).items()
-        },
-    }
-    lines = [
-        f"group Z/{' x Z/'.join(str(d) for d in A.orders)}",
+    subs = all_subgroups(A, _limits(args)) if args.subgroups else None
+    if args.format == "json":
+        info = {
+            "orders": list(A.orders),
+            "exponent": A.exponent,
+            "cardinality": A.cardinality,
+            "weights": list(A.weights),
+            "primary": {
+                str(p): list(part.orders)
+                for p, part in primary_decomposition(A).items()
+            },
+        }
+        if subs is not None:
+            info["subgroups"] = [_sub_json(A, s) for s in subs]
+        print(json.dumps(info, sort_keys=True))
+        return 0
+    sys.stdout.write(
+        f"group Z/{' x Z/'.join(str(d) for d in A.orders)}\n"
         f"exponent {A.exponent}  cardinality {A.cardinality}  "
-        f"weights {','.join(str(w) for w in A.weights)}",
-    ]
-    if args.subgroups:
-        subs = all_subgroups(A, _limits(args))
-        info["subgroups"] = [_sub_json(A, s) for s in subs]
-        lines.append(f"{len(subs)} subgroups:")
-        for s in subs:
-            lines.append(f"  order {s.order}: {s}")
-    _emit(args, "\n".join(lines) + "\n", info)
+        f"weights {','.join(str(w) for w in A.weights)}\n"
+    )
+    if subs is not None:
+        sys.stdout.write(f"{len(subs)} subgroups:\n")
+        sys.stdout.writelines(f"  order {s.order}: {s}\n" for s in subs)
     return 0
 
 
@@ -141,8 +147,11 @@ def _cmd_dualities(args) -> int:
         # The closed forms build no duality; |A| is still checked.
         check_enumeration(A.cardinality, limits)
         total, sym = aut_order(A), count_symmetric_dualities(A)
-        line = f"{total} total, {sym} symmetric"
-        _emit(args, line + "\n", {"total": total, "symmetric": sym})
+        _emit(
+            args,
+            lambda: f"{total} total, {sym} symmetric\n",
+            lambda: {"total": total, "symmetric": sym},
+        )
         return 0
     # phi is symmetric exactly when phi* = phi, a fixed point of tau -> tau*.
     auts = _aut(A, limits)
@@ -239,17 +248,16 @@ def _cmd_duals_table(args) -> int:
 def _cmd_congruence(args) -> int:
     A = _parse_group(args.group)
     auts, unpack = _aut(A, _limits(args)), _unpacker(A)
-    json_out = [
-        {
-            "size": len(orbit),
-            "representative": [list(r) for r in unpack(auts[orbit[0]])],
-        }
+    classes = [
+        (len(orbit), [list(r) for r in unpack(auts[orbit[0]])])
         for orbit in _congruence_orbits(A)
     ]
-    lines = [f"{len(json_out)} congruence classes"]
-    for entry in json_out:
-        lines.append(f"  size {entry['size']}, rep {entry['representative']}")
-    _emit(args, "\n".join(lines) + "\n", json_out)
+    _emit(
+        args,
+        lambda: f"{len(classes)} congruence classes\n"
+        + "".join(f"  size {size}, rep {rep}\n" for size, rep in classes),
+        lambda: [{"size": size, "representative": rep} for size, rep in classes],
+    )
     return 0
 
 
@@ -263,22 +271,20 @@ def _cmd_filtration(args) -> int:
     # mult_by_p_filtration has checked that every level is characteristic.
     pairs = mult_by_p_filtration(A, p, limits)
     ok = _swapped_by_l0(A, pairs)
-    json_out = {
-        "p": p,
-        "levels": [
-            {"ker": _sub_json(A, ker), "im": _sub_json(A, im)}
-            for ker, im in pairs
-        ],
-        "mutual_duals_under_every_duality": ok,
-    }
-    lines = [f"multiplication-by-{p} filtration:"]
-    for j, (ker, im) in enumerate(pairs):
-        lines.append(f"  j={j}: ker {ker}  im {im}")
-    lines.append(
-        "kernels and images are mutual left/right duals under every duality: "
-        + ("yes" if ok else "NO")
+    _emit(
+        args,
+        lambda: f"multiplication-by-{p} filtration:\n"
+        + "".join(f"  j={j}: ker {ker}  im {im}\n" for j, (ker, im) in enumerate(pairs))
+        + "kernels and images are mutual left/right duals under every duality: "
+        + ("yes\n" if ok else "NO\n"),
+        lambda: {
+            "p": p,
+            "levels": [
+                {"ker": _sub_json(A, ker), "im": _sub_json(A, im)} for ker, im in pairs
+            ],
+            "mutual_duals_under_every_duality": ok,
+        },
     )
-    _emit(args, "\n".join(lines) + "\n", json_out)
     return 0 if ok else 1
 
 
@@ -290,22 +296,25 @@ def _cmd_macwilliams(args) -> int:
         got = mw_hamming_transform(code_hwe, A.cardinality, code_hwe.total)
         transformed, direct = list(got.coeffs), list(expected.coeffs)
     else:
-        expected = cwe(D)
-        got = mw_complete_transform(
-            cwe(C), phi, args.side, direction="dual_from_code"
-        )
+        code_cwe, expected, got = cwe(C), cwe(D), None
+        # If cwe(D) has fewer terms and transforms back to cwe(C), then the
+        # forward transform gives cwe(D) (`_forward_follows`).
+        if len(expected.terms) < len(code_cwe.terms) and _forward_follows(
+            code_cwe, expected
+        ):
+            with contextlib.suppress(NonIntegralError):
+                back = mw_complete_transform(expected, phi, args.side, "code_from_dual")
+                got = expected if back == code_cwe else None
+        if got is None:
+            got = mw_complete_transform(code_cwe, phi, args.side, "dual_from_code")
         transformed, direct = (
             [{"counts": list(k), "coeff": c} for k, c in E.terms]
             for E in (got, expected)
         )
     ok = got == expected
     if args.format == "json":
-        json_out = {
-            "enumerator": args.enumerator,
-            "transformed": transformed,
-            "direct": direct,
-            "match": ok,
-        }
+        json_out = {"enumerator": args.enumerator, "transformed": transformed,
+                    "direct": direct, "match": ok}
         print(json.dumps(json_out, sort_keys=True))
         return 0 if ok else 1
     if args.enumerator == "hamming":
@@ -315,10 +324,7 @@ def _cmd_macwilliams(args) -> int:
             f"hwe({args.side} dual) = {direct}",
         ]
     else:
-        lines = [
-            f"cwe transform terms: {transformed}",
-            f"cwe direct terms:    {direct}",
-        ]
+        lines = [f"cwe transform terms: {transformed}", f"cwe direct terms:    {direct}"]
     lines.append("match" if ok else "MISMATCH")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
@@ -335,7 +341,7 @@ _TABLE_ALIASES = {
 def _cmd_paper_table(args) -> int:
     table_id = _TABLE_ALIASES.get(args.table_id, args.table_id)
     body = paper_table(table_id)
-    _emit(args, body, {"id": table_id, "text": body})
+    _emit(args, lambda: body, lambda: {"id": table_id, "text": body})
     return 0
 
 
@@ -360,11 +366,7 @@ def _cmd_construct_pair(args) -> int:
         phi = found
         how = "found by search"
     mat = [list(r) for r in phi.tau.matrix]
-    _emit(
-        args,
-        f"{how}: tau = {mat}\n",
-        {"tau": mat, "method": how},
-    )
+    _emit(args, lambda: f"{how}: tau = {mat}\n", lambda: {"tau": mat, "method": how})
     return 0
 
 

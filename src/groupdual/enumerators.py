@@ -110,11 +110,10 @@ def mw_hamming_transform(
     return HammingEnumerator(n, tuple(v // divisor for v in out))
 
 
-def _times(p: dict[int, int], form: dict[int, int]) -> dict[int, int]:
-    """Product of p, keyed by monomial key with its x-polynomial packed into
-    one int, and a form of entries x^e Z_a stored as Z_a's key and the shift
-    width*e: adding keys multiplies monomials, a shift multiplies by x^e."""
-    out: dict[int, int] = {}
+def _times(p: dict[int, int], form: dict[int, int], out: dict[int, int]) -> dict:
+    """out + p form, added into out: p keyed by monomial key, its x-polynomial
+    packed into one int, and form's x^e Z_a held as Z_a's key and the shift
+    width*e; adding keys multiplies monomials, shifting multiplies by x^e."""
     inner = list(p.items())
     for k2, sh in form.items():
         for k1, v1 in inner:
@@ -193,28 +192,41 @@ def mw_complete_transform(
         )
     }
 
-    # Horner walk over the count-vector trie, deepest letter first.  The
-    # terms under each prefix counts[:b] are summed first: with S_j the sum
-    # under counts[:b] + (j,), their node holds sum_j S_j form_b^j, taken by
-    # Horner's rule as (..(S_J form_b + S_(J-1)) form_b + ..) form_b + S_0.
-    level: dict[tuple[int, ...], dict[int, int]] = {}
+    # Horner walk over the count-vector trie.  The distinct count vectors are
+    # sorted, so the terms under a prefix are a run, ascending in counts[b].
+    # With S_j the sum under counts[:b] + (j,), a node holds sum_j S_j form_b^j,
+    # by Horner's rule (..(S_J form_b + S_(J-1)) form_b + ..) form_b + S_0,
+    # each product added into the S_j after it.  The run with counts[b] = 0
+    # goes on in the node's own loop, so only a nonzero count recurses.
+    sums: Counter[tuple[int, ...]] = Counter()
     for counts, coeff in terms:
-        leaf = level.setdefault(counts, {0: 0})
-        leaf[0] += coeff
-    for b in reversed(range(card)):
-        children: dict[tuple[int, ...], dict[int, dict[int, int]]] = {}
-        for prefix, poly in level.items():
-            children.setdefault(prefix[:b], {})[prefix[b]] = poly
-        level = {}
-        for prefix, sums in children.items():
-            top = max(sums)
-            acc = sums[top]
-            for j in reversed(range(top)):
-                acc = _times(acc, forms[b])
-                for k, v in sums.get(j, {}).items():
-                    acc[k] = acc.get(k, 0) + v
-            level[prefix] = acc
-    (expansion,) = level.values()
+        sums[counts] += coeff
+    items = sorted(sums.items())
+
+    def expand(lo: int, hi: int, b: int) -> dict[int, int]:
+        """The node of items[lo:hi], which share counts[:b]."""
+        out: dict[int, int] = {}
+        while b < card:
+            if items[hi - 1][0][b]:
+                runs, end = {}, hi
+                for i in reversed(range(lo, hi)):
+                    j = items[i][0][b]
+                    if i == lo or items[i - 1][0][b] != j:
+                        runs[j], end = (i, end), i
+                zero, form, top = runs.pop(0, None), forms[b], max(runs)
+                acc = expand(*runs[top], b + 1)
+                for j in reversed(range(1, top)):
+                    s_j = expand(*runs[j], b + 1) if j in runs else {}
+                    acc = _times(acc, form, s_j)
+                out = _times(acc, form, out)
+                if zero is None:
+                    return out
+                lo, hi = zero
+            b += 1
+        out[0] = items[lo][1]  # the one term left; no product has key 0
+        return out
+
+    expansion = expand(0, len(items), 0)
 
     modulus = sum(c << width * j for j, c in enumerate(cyc))
     half, out = modulus >> 1, []
@@ -235,6 +247,32 @@ def mw_complete_transform(
                 key, counts[a] = divmod(key, radix)
             out.append((tuple(counts), c))
     return CompleteEnumerator(A, E.n, tuple(out))
+
+
+def _forward_follows(code: CompleteEnumerator, dual: CompleteEnumerator) -> bool:
+    """Whether mw_complete_transform(code, phi, side) == dual follows, for
+    any duality phi and side, from the transform back of dual giving code:
+    code and dual are homogeneous of degree n, dual's terms are sorted,
+    distinct and nonzero, |code| |dual| = |A|^n, and dual is fixed by the
+    letter map a -> -a.  Checked in O(terms |A|).
+
+    With B(u, v) = Phi(u, v) on the left and Phi(v, u) on the right, forward
+    substitutes Z_a <- sum_c B(c, a) Z_c and back Z_b <- sum_a B(b, a) Z_a.
+    Back then forward is Z_b <- sum_c sum_a B(b + c, a) Z_c = |A| Z_-b, as B
+    is nondegenerate.  So if code = dual(back Z) / |dual|, then forward(code)
+    = |A|^n dual(Z_-a) / (|dual| |code|) = dual, exactly and in sorted order.
+    """
+    A, n = dual.base, dual.n
+    index = {a: i for i, a in enumerate(_coords(A))}
+    neg = [index[tuple(-x % d for x, d in zip(a, A.orders))] for a in index]
+    terms = dict(dual.terms)
+    return (
+        code.base == A and code.n == n and code.total * dual.total == A.cardinality**n
+        and all(sum(k) == n for k, _ in code.terms)
+        and all(len(k) == len(neg) and sum(k) == n and c for k, c in dual.terms)
+        and [k for k, _ in dual.terms] == sorted(terms)
+        and all(terms.get(tuple(k[i] for i in neg)) == c for k, c in terms.items())
+    )
 
 
 # ---------------------------------------------------------------------------

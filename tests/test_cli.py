@@ -18,10 +18,12 @@ from groupdual import (
     all_subgroups,
     cli,
     congruence_classes,
+    cwe,
     duals_table,
     hwe,
     is_symmetric,
     make_group,
+    mw_complete_transform,
 )
 from groupdual.cli import run
 from groupdual.tables import PAPER_TABLES, paper_table
@@ -496,6 +498,100 @@ def test_macwilliams_hamming_enumerates_each_code_once(capsys, monkeypatch):
     assert code == 0 and out.endswith("match\n")
     assert len(codes) == len(set(codes)) == 2
 
+
+
+# `macwilliams verify --enumerator complete` argv, with the direction it
+# transforms in: |C| = 8,192 with a dual of 4 words, then |C| = 8 with a
+# dual of 64 words.
+_COMPLETE_VERIFY = [
+    (("--group", "2,4", "--n", "5", "--code-gens", "13:00:00:00:00", "01:10:00:00:00",
+      "00:12:00:00:00", "00:00:10:00:00", "00:00:01:00:00", "00:00:00:10:00",
+      "00:00:00:01:00", "00:00:00:00:10", "00:01:00:00:03", "--duality-index", "3",
+      "--side", "left"), "code_from_dual"),
+    (("--group", "2,4", "--n", "3", "--code-gens", "01:13:00", "--duality-index", "5",
+      "--side", "right"), "dual_from_code"),
+]
+
+
+def _forward_output(argv, fmt, dual=None):
+    """The output of `macwilliams verify`, from mw_complete_transform of
+    cwe(C) called directly; dual replaces cwe(D) if given."""
+    ns = cli._read(cli._reader(), ["macwilliams", "verify", *argv])
+    _, phi, C, D = cli._code_and_dual(argparse.Namespace(**ns))
+    got = mw_complete_transform(cwe(C), phi, ns["side"])
+    expected = cwe(D) if dual is None else dual
+    transformed, direct = (
+        [{"counts": list(k), "coeff": c} for k, c in E.terms] for E in (got, expected)
+    )
+    ok = got == expected
+    if fmt == "json":
+        out = {"enumerator": "complete", "transformed": transformed, "direct": direct,
+               "match": ok}
+        return json.dumps(out, sort_keys=True) + "\n"
+    return (f"cwe transform terms: {transformed}\ncwe direct terms:    {direct}\n"
+            + ("match\n" if ok else "MISMATCH\n"))
+
+
+def _spy_directions(monkeypatch):
+    directions = []
+
+    def spy(E, phi, side, direction="dual_from_code"):
+        directions.append(direction)
+        return mw_complete_transform(E, phi, side, direction)
+
+    monkeypatch.setattr(cli, "mw_complete_transform", spy)
+    return directions
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,direction", _COMPLETE_VERIFY)
+def test_complete_verify_prints_the_forward_transform_on_both_paths(
+    capsys, monkeypatch, fmt, argv, direction
+):
+    directions = _spy_directions(monkeypatch)
+    code, out, _ = _run(capsys, "macwilliams", "verify", *argv,
+                        "--enumerator", "complete", "--format", fmt)
+    assert code == 0 and directions == [direction]
+    assert out == _forward_output(argv, fmt)
+
+
+# Changes to cwe(D) of the first argv above.  Over Z/2 x Z/4 negation swaps
+# letters 1, 3 and 5, 7: it fixes the zero word's count vector (5, 0, ...)
+# and (3, 0, 2, 0, ...), and moves (2, 1, 0, 0, 0, 1, 1, 0).
+_ZERO, _FIXED = (5,) + (0,) * 7, (3, 0, 2) + (0,) * 5
+_MOVED = (2, 1, 0, 0, 0, 1, 1, 0)
+_CORRUPTIONS = {
+    "moved": {_ZERO: 1, _FIXED: -1},
+    "not-invariant": {_ZERO: 1, _MOVED: -1},
+    "wrong-total": {_ZERO: 1},
+}
+
+
+@pytest.mark.parametrize("kind", list(_CORRUPTIONS))
+def test_complete_verify_falls_back_to_the_forward_transform(capsys, monkeypatch, kind):
+    # cwe(D) corrupted: the output is the forward transform, never the input.
+    argv, real, bad = _COMPLETE_VERIFY[0][0], cli.cwe, []
+
+    def corrupting(C):
+        E = real(C)
+        if C.order == 8192:
+            return E
+        terms = dict(E.terms)
+        for k, d in _CORRUPTIONS[kind].items():
+            terms[k] += d
+        bad.append(type(E)(E.base, E.n, tuple((k, c) for k, c in sorted(terms.items()) if c)))
+        return bad[-1]
+
+    monkeypatch.setattr(cli, "cwe", corrupting)
+    directions = _spy_directions(monkeypatch)
+    code, out, _ = _run(capsys, "macwilliams", "verify", *argv,
+                        "--enumerator", "complete", "--format", "json")
+    # Only a moved coefficient passes the preconditions; the transform back
+    # then differs from cwe(C).
+    assert code == 1
+    assert directions == ["code_from_dual"] * (kind == "moved") + ["dual_from_code"]
+    assert out == _forward_output(argv, "json", dual=bad[0])
+    assert json.loads(out)["transformed"] != json.loads(out)["direct"]
 
 def test_construct_pair(capsys):
     code, out, _ = _run(

@@ -2,6 +2,8 @@
 
 import functools
 import random
+from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from groupdual import (
     code_from_subgroup,
     cwe,
     hwe,
+    is_symmetric,
     left_dual,
     make_group,
     mw_complete_transform,
@@ -23,13 +26,14 @@ from groupdual import (
 )
 from groupdual.characters import Character, pairing_exponent
 from groupdual.codes import PowerGroup
-from groupdual.cyclotomic import _reduce, root_power
-from groupdual.dualities import inner_product_exponent
+from groupdual.cyclotomic import _reduce, cyclotomic_poly, power_height, root_power
+from groupdual.dualities import _pairing_forms, inner_product_exponent
 from groupdual.groups import _coords
 from groupdual.enumerators import (
     CompleteEnumerator,
     HammingEnumerator,
     NonIntegralError,
+    _forward_follows,
     fourier_transform,
     hamming_weight,
     poisson_check,
@@ -713,6 +717,232 @@ def test_complete_transform_matches_cycint_reference(orders):
                     E, phi, side, direction
                 ) == _reference_complete_transform(E, phi, side, direction)
 
+
+def _level_walk_transform(E, phi, side, direction):
+    """The transform with the trie walked level by level, every node of a
+    letter regrouped at once, deepest letter first, and each S_j added after
+    its product: the oracle for the walk over the sorted terms.  Set-up and
+    output stage as in `mw_complete_transform`."""
+    A = E.base
+    b_first = _REFERENCE_B_FIRST[(direction, side)]
+    m, card, terms, divisor = A.exponent, A.cardinality, E.terms, E.total
+    deg = max(sum(counts) for counts, _ in terms)
+    radix = deg + 1
+    mass = max(1, sum(abs(c) for _, c in terms)) * card**deg
+    cyc, bound = cyclotomic_poly(m).coeffs, mass * power_height(m)
+    width = (8 * max(bound, *map(abs, cyc))).bit_length()
+    letters = _coords(A)
+    z_key = [radix ** (card - 1 - a) for a in range(card)]
+    forms = {
+        b: {
+            z_key[a]: width * (sum(map(mul, f, x)) % m)
+            for a, x in enumerate(letters)
+        }
+        for b, f in enumerate(_pairing_forms(phi, letters, left=not b_first))
+    }
+
+    def times(p, form):
+        out = {}
+        for k2, sh in form.items():
+            for k1, v1 in p.items():
+                out[k1 + k2] = out.get(k1 + k2, 0) + (v1 << sh)
+        return out
+
+    level = {}
+    for counts, coeff in terms:
+        leaf = level.setdefault(counts, {0: 0})
+        leaf[0] += coeff
+    for b in reversed(range(card)):
+        children = {}
+        for prefix, poly in level.items():
+            children.setdefault(prefix[:b], {})[prefix[b]] = poly
+        level = {}
+        for prefix, sums in children.items():
+            top = max(sums)
+            acc = sums[top]
+            for j in reversed(range(top)):
+                acc = times(acc, forms[b])
+                for k, v in sums.get(j, {}).items():
+                    acc[k] = acc.get(k, 0) + v
+            level[prefix] = acc
+    (expansion,) = level.values()
+
+    modulus = sum(c << width * j for j, c in enumerate(cyc))
+    half, out = modulus >> 1, []
+    for key in sorted(expansion):
+        c = (expansion[key] + half) % modulus - half
+        if abs(c) > bound or c % divisor:
+            slot, span = 1 << (width - 1), range(len(cyc) - 1)
+            c += sum(slot << width * j for j in span)
+            digits = tuple((c >> width * j) % (2 * slot) - slot for j in span)
+            raise NonIntegralError(
+                f"transform coefficient {digits} in powers of zeta_{m} "
+                f"is not an integer divisible by {divisor}"
+            )
+        c //= divisor
+        if c:
+            counts = [0] * card
+            for a in reversed(range(card)):
+                key, counts[a] = divmod(key, radix)
+            out.append((tuple(counts), c))
+    return CompleteEnumerator(A, E.n, tuple(out))
+
+
+@given(st.sampled_from(_PROPERTY_BASES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_the_level_by_level_walk_on_arbitrary_enumerators(orders, data):
+    # Degrees differ between terms, count vectors may repeat, and the
+    # coefficients may be negative: enumerators that no code has.
+    A, dualities = _group_and_dualities(tuple(orders))
+    letters = st.integers(0, A.cardinality - 1)
+    terms = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        counts = [0] * A.cardinality
+        for a in data.draw(st.lists(letters, max_size=3)):
+            counts[a] += 1
+        terms.append((tuple(counts), data.draw(st.integers(-3, 3))))
+    E = CompleteEnumerator(A, data.draw(st.integers(0, 3)), tuple(terms))
+    phi = data.draw(st.sampled_from(dualities))
+    side, direction = data.draw(st.sampled_from(_SIDES_AND_DIRECTIONS))
+    if E.total == 0:
+        with pytest.raises(ValueError, match="total 0"):
+            mw_complete_transform(E, phi, side, direction)
+        return
+    try:
+        expected = _level_walk_transform(E, phi, side, direction)
+    except NonIntegralError as exc:
+        with pytest.raises(NonIntegralError) as info:
+            mw_complete_transform(E, phi, side, direction)
+        assert str(info.value) == str(exc)
+        return
+    assert mw_complete_transform(E, phi, side, direction) == expected
+
+
+def _reverse_check(code, dual, phi, side):
+    """What `macwilliams verify` checks before it prints dual as the forward
+    transform of code: the preconditions, then the transform back."""
+    if not _forward_follows(code, dual):
+        return False
+    try:
+        return mw_complete_transform(dual, phi, side, "code_from_dual") == code
+    except NonIntegralError:
+        return False
+
+
+# The groups of the census workload of the benchmark.
+_CENSUS_BASES = [[2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27]]
+
+
+@pytest.mark.parametrize("orders", _CENSUS_BASES)
+def test_reverse_check_holds_exactly_when_the_forward_transform_gives_the_dual(orders):
+    # Genuine pairs on both sides, and a code against its dual on the other
+    # side and against itself, under non-symmetric dualities and one other.
+    rng = random.Random(len(orders) * 100 + sum(orders))
+    A = make_group(orders)
+    dualities = all_dualities(A)
+    chosen = [phi for phi in dualities if not is_symmetric(phi)][:2] + dualities[:1]
+    P = PowerGroup(A, 2)
+    codes = [code_from_subgroup(A, 1, H) for H in all_subgroups(A)]
+    codes.append(code_from_generators(
+        A, 2, [P.spec.element([rng.randrange(d) for d in P.spec.orders]) for _ in range(2)]
+    ))
+    held = 0
+    for C in codes:
+        code = cwe(C)
+        for phi in chosen:
+            L, R = cwe(left_dual(C, phi)), cwe(right_dual(C, phi))
+            for side, D, other in (("left", L, R), ("right", R, L)):
+                forward = mw_complete_transform(code, phi, side)
+                assert forward == D
+                for dual in (D, other, code):
+                    holds = _reverse_check(code, dual, phi, side)
+                    assert holds == (forward == dual)
+                    held += holds
+    assert held >= 2 * len(codes) * len(chosen)
+
+
+def _negation(A):
+    index = {a: i for i, a in enumerate(_coords(A))}
+    return [index[tuple(-x % d for x, d in zip(a, A.orders))] for a in index]
+
+
+def _corrupted(dual):
+    """(kind, enumerator) for each corruption of dual: one coefficient moved
+    between two negation-invariant count vectors, total kept; one moved from
+    a count vector that negation moves; one coefficient raised by 1."""
+    neg = _negation(dual.base)
+    terms = dict(dual.terms)
+
+    def rebuilt(changes):
+        new = dict(terms)
+        for k, d in changes:
+            new[k] = new.get(k, 0) + d
+        return CompleteEnumerator(
+            dual.base, dual.n, tuple(sorted((k, c) for k, c in new.items() if c))
+        )
+
+    fixed = [k for k in terms if tuple(k[i] for i in neg) == k]
+    moved = [k for k in terms if tuple(k[i] for i in neg) != k]
+    for src in fixed:
+        for dst in fixed:
+            if src != dst:
+                yield "moved", rebuilt([(src, -1), (dst, 1)])
+    for src in moved:
+        yield "not-invariant", rebuilt([(src, -1), (fixed[0], 1)])
+    for k in terms:
+        yield "wrong-total", rebuilt([(k, 1)])
+
+
+@pytest.mark.parametrize(
+    "orders,n", [([2, 4], 3), ([2, 2], 3), ([3, 3], 2), ([8], 2), ([9], 2), ([5], 2)]
+)
+def test_corrupted_duals_fail_the_reverse_check(orders, n):
+    # Of each kind, up to 12 corruptions per dual, drawn from all of them.
+    rng = random.Random(len(orders) * 10 + n)
+    A = make_group(orders)
+    P = PowerGroup(A, n)
+    kinds = Counter()
+    for _ in range(3):
+        word = P.spec.element([rng.randrange(d) for d in P.spec.orders])
+        C = code_from_generators(A, n, [word])
+        phi = rng.choice(all_dualities(A))
+        for side, dual_fn in (("left", left_dual), ("right", right_dual)):
+            code, dual = cwe(C), cwe(dual_fn(C, phi))
+            assert _reverse_check(code, dual, phi, side)
+            forward = mw_complete_transform(code, phi, side)
+            by_kind = {}
+            for kind, bad in _corrupted(dual):
+                by_kind.setdefault(kind, []).append(bad)
+            for kind, bads in by_kind.items():
+                for bad in rng.sample(bads, min(12, len(bads))):
+                    kinds[kind] += 1
+                    # Only the transform back can refuse a moved coefficient.
+                    assert _forward_follows(code, bad) == (kind == "moved")
+                    assert not _reverse_check(code, bad, phi, side)
+                    assert forward != bad
+    assert kinds["wrong-total"] and kinds["moved"] + kinds["not-invariant"]
+
+
+def test_forward_does_not_follow_for_a_dual_in_another_form():
+    # The forward transform returns sorted, distinct, nonzero terms of
+    # degree n, so a dual written any other way is never its result.
+    A = make_group([2, 4])
+    P = PowerGroup(A, 2)
+    C = code_from_generators(A, 2, [P.word([A.element([1, 2]), A.element([0, 1])])])
+    phi = all_dualities(A)[3]
+    code, dual = cwe(C), cwe(left_dual(C, phi))
+    assert _forward_follows(code, dual)
+    i = next(i for i, (_, c) in enumerate(dual.terms) if c > 1)
+    k, c = dual.terms[i]
+    split = (*dual.terms[:i], (k, 1), (k, c - 1), *dual.terms[i + 1 :])
+    zero = tuple(sorted([*dual.terms, ((0,) * 7 + (2,), 0)]))
+    for terms in (tuple(reversed(dual.terms)), split, zero):
+        assert not _forward_follows(code, CompleteEnumerator(A, 2, terms))
+    assert not _forward_follows(code, CompleteEnumerator(A, 3, dual.terms))
+    assert not _forward_follows(CompleteEnumerator(A, 3, code.terms), dual)
+    (_, c), *rest = code.terms
+    cubic = CompleteEnumerator(A, 2, (((3,) + (0,) * 7, c), *rest))
+    assert cubic.total == code.total and not _forward_follows(cubic, dual)
 
 def test_fourier_inversion_on_seeded_random_functions():
     rng = random.Random(20260823)
