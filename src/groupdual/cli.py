@@ -47,6 +47,7 @@ from .groups import (
     _closure,
     _known_automorphism,
     _lattice,
+    _packing,
     _unpacker,
     all_subgroups,
     aut_order,
@@ -104,11 +105,8 @@ def _emit(args, text, body) -> None:
         sys.stdout.write(text())
 
 
-def _sub_json(A: GroupSpec, sub) -> dict:
-    return {
-        "order": sub.order,
-        "elements": [A.format_coords(c) for c in sub.members],
-    }
+def _sub_json(sub) -> dict:
+    return {"order": sub.order, "elements": sub.words()}
 
 
 def _cmd_group(args) -> int:
@@ -126,7 +124,7 @@ def _cmd_group(args) -> int:
             },
         }
         if subs is not None:
-            info["subgroups"] = [_sub_json(A, s) for s in subs]
+            info["subgroups"] = [_sub_json(s) for s in subs]
         print(json.dumps(info, sort_keys=True))
         return 0
     sys.stdout.write(
@@ -179,18 +177,17 @@ def _duality_by_index(A: GroupSpec, index: int, limits: Limits) -> Duality:
 
 def _parse_code(A: GroupSpec, n: int, gen_words: Sequence[str]) -> AdditiveCode:
     """The code generated by length-n codewords, each written as n base-group
-    element words joined by ':'; each distinct block is parsed once."""
-    power, blocks, gens = PowerGroup(A, n), {}, []
-    for word in gen_words:
-        parts = word.split(":")
-        if len(parts) != n:
-            raise ValueError(f"expected {n} blocks in {word!r}")
-        coords: tuple[int, ...] = ()
-        for part in parts:
-            if part not in blocks:
-                blocks[part] = A.parse_coords(part)
-            coords += blocks[part]
-        gens.append(coords)
+    element words joined by ':'.  Words all in reduced ASCII digits are
+    packed in one pass; else each distinct block is parsed once."""
+    power = PowerGroup(A, n)
+    P = _packing(power.spec)
+    gens = P.from_digits(gen_words, A.rank)
+    if gens is None:
+        block, gens = cache(A.parse_coords), []
+        for word in gen_words:
+            if word.count(":") != n - 1:
+                raise ValueError(f"expected {n} blocks in {word!r}")
+            gens.append(P.pack(sum(map(block, word.split(":")), ())))
     return AdditiveCode(power, _closure(power.spec, tuple(gens)))
 
 
@@ -207,7 +204,7 @@ def _code_and_dual(args):
 
 def _cmd_dual(args) -> int:
     _, _, C, D = _code_and_dual(args)
-    words = list(map(C.power.spec.format_coords, D.subgroup.members))
+    words = D.subgroup.words()
     if args.format == "json":
         json_out = {"side": args.side, "order": D.order, "elements": words}
         print(json.dumps(json_out, sort_keys=True))
@@ -280,7 +277,7 @@ def _cmd_filtration(args) -> int:
         lambda: {
             "p": p,
             "levels": [
-                {"ker": _sub_json(A, ker), "im": _sub_json(A, im)} for ker, im in pairs
+                {"ker": _sub_json(ker), "im": _sub_json(im)} for ker, im in pairs
             ],
             "mutual_duals_under_every_duality": ok,
         },
@@ -348,8 +345,9 @@ def _cmd_paper_table(args) -> int:
 def _cmd_construct_pair(args) -> int:
     A = _parse_group(args.group)
     limits = _limits(args)
-    H = _closure(A, tuple(map(A.parse_coords, args.h_gens)))
-    K = _closure(A, tuple(map(A.parse_coords, args.k_gens)))
+    pack = _packing(A).pack
+    H, K = (_closure(A, tuple(map(pack, map(A.parse_coords, words))))
+            for words in (args.h_gens, args.k_gens))
     try:
         phi = construct_duality_for_pair(H, K, limits)
         how = "constructed"

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product, repeat
 from operator import add, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -44,6 +43,7 @@ from .groups import (
     _coords,
     _known_automorphism,
     _lattice,
+    _multiples,
     _order,
     _unit_rows,
     _unpacker,
@@ -328,16 +328,6 @@ def mult_by_p_filtration(
     if not all(is_characteristic(H, limits) for H in proper):
         raise AssertionError("filtration subgroup is not characteristic")
     return pairs
-
-
-def _multiples(A: GroupSpec, steps: Sequence[int]) -> Subgroup:
-    """The x with each x_i a multiple of steps[i], a divisor of d_i: the
-    members come sorted out of the factor ranges, and the basis is the
-    independent s_i e_i other than 0 (`gens` stays the lazy greedy one)."""
-    members = tuple(product(*map(range, repeat(0), A.orders, steps)))
-    units = zip(steps, A.orders, _unit_rows(A.rank))
-    basis = tuple(tuple(s * u for u in e) for s, d, e in units if s < d)
-    return Subgroup(A, members, _basis=basis)
 
 
 def verify_filtration_duality(

@@ -20,7 +20,7 @@ from .cyclotomic import CycInt, cyclotomic_poly, power_height
 from .characters import annihilator
 from .codes import AdditiveCode, PowerGroup
 from .dualities import Duality, _pairing_forms
-from .groups import GroupElement, GroupSpec, Subgroup, _coords
+from .groups import GroupElement, GroupSpec, Subgroup, _block_letters, _coords
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ def hamming_weight(power: PowerGroup, x: GroupElement) -> int:
 
 
 def hwe(C: AdditiveCode) -> HammingEnumerator:
-    n, k = C.power.n, C.power.base.rank
-    weights = Counter(sum(map(any, zip(*[iter(c)] * k))) for c in C.subgroup.members)
+    n = C.power.n
+    weights = Counter(n - w.count(0) for w in _block_letters(C.subgroup, C.power.base))
     return HammingEnumerator(n, tuple(weights[w] for w in range(n + 1)))
 
 
@@ -67,11 +67,10 @@ def cwe(C: AdditiveCode) -> CompleteEnumerator:
     """Each word's count vector, packed with a w-byte slot per letter (the
     sum over its blocks of 256^(w (|A|-1-letter)), n < 256^w), sorts as its
     key does.  Only the distinct keys are decoded, by `int.to_bytes`."""
-    n, k, card = C.power.n, C.power.base.rank, C.power.base.cardinality
+    n, card = C.power.n, C.power.base.cardinality
     w = (n.bit_length() + 7) // 8
-    letters = reversed(_coords(C.power.base))
-    place = {a: 1 << 8 * w * i for i, a in enumerate(letters)}.__getitem__
-    keys = Counter(sum(map(place, zip(*[iter(c)] * k))) for c in C.subgroup.members)
+    place = [1 << 8 * w * (card - 1 - i) for i in range(card)].__getitem__
+    keys = Counter(sum(map(place, word)) for word in _block_letters(C.subgroup, C.power.base))
     terms = []
     for key in sorted(keys):
         raw = key.to_bytes(card * w, "big")

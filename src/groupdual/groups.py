@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import product, repeat
-from operator import add, mod, mul
+from operator import add, lshift, mod, mul
 from typing import Iterable, Iterator, Sequence
 
 from .limits import Limits, check_enumeration
@@ -150,28 +150,35 @@ class GroupElement:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup stored once, as the sorted coordinate tuples of its
-    members, with two generating sets in coordinates.  `gens`, which
+    """A subgroup stored once, as the sorted packed ints of its members
+    (`_Packing`), with two packed generating sets.  `gens`, which
     `generators` and `extend_character` read, is the one it was built from,
-    or else the greedy basis of the sorted members, found when first read.
-    `basis`, which duals, annihilators and orthogonality read, is the greedy
-    basis of a closure's or a zero set's generators, or else `gens`.
-    `elements` and `generators` build `GroupElement`s only when read."""
+    or else the greedy basis of the members.  `basis`, which duals,
+    annihilators and orthogonality read, is the greedy basis of a closure's
+    or a zero set's generators, or else `gens`.  `members`, `gens` and
+    `basis` are decoded to coordinate tuples, `elements` and `generators`
+    to `GroupElement`s, only when read."""
 
     parent: GroupSpec
-    members: tuple[tuple[int, ...], ...]
-    _gens: tuple[tuple[int, ...], ...] | None = None
-    _basis: tuple[tuple[int, ...], ...] | None = None
+    _packed: tuple[int, ...]
+    _gens: tuple[int, ...] | None = None
+    _basis: tuple[int, ...] | None = None
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        return self._unpack(self._packed)
 
     @cached_property
     def gens(self) -> tuple[tuple[int, ...], ...]:
-        if self._gens is not None:
-            return self._gens
-        return tuple(_span(self.parent.orders, self.members)[0])
+        gens = _packing(self.parent).span(self._packed)[0] if self._gens is None else self._gens
+        return self._unpack(gens)
 
-    @property
+    @cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        return self.gens if self._basis is None else self._basis
+        return self.gens if self._basis is None else self._unpack(self._basis)
+
+    def _unpack(self, xs) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(_packing(self.parent).unpack, xs))
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -183,7 +190,7 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return len(self._packed)
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
         return self._element_set
@@ -198,51 +205,128 @@ class Subgroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent == other.parent and self.members == other.members
+        return self.parent == other.parent and self._packed == other._packed
 
     def __hash__(self) -> int:
-        return hash((self.parent, self.members))
+        return hash((self.parent, self._packed))
 
     def is_whole_group(self) -> bool:
         return self.order == self.parent.cardinality
 
+    def words(self) -> list[str]:
+        """The members as `format_coords` writes them, in member order."""
+        return _packing(self.parent).format(self._packed)
+
     def __str__(self) -> str:
-        return "{" + ",".join(map(self.parent.format_coords, self.members)) + "}"
+        return "{" + ",".join(self.words()) + "}"
+
+
+# Subgroup members are packed as ints: coordinate i in a byte-aligned slot
+# of w bits, the first most significant, w the least of 8, 16, 32, ... with
+# 2^(w-1) >= every d_i, so int order is coordinate order.  With corr, high
+# and dd holding 2^(w-1) - d_i, 2^(w-1) and d_i in slot i, s = x + g + corr
+# has the top bit of slot i set exactly when x_i + g_i >= d_i, nothing
+# carries, and x + g = s - corr - (dd & M), M all ones in those slots.
+# Other modules only pass the ints to `_packing`'s methods.
+_FROM_DIGITS = bytes(c - 48 if 48 <= c < 58 else 32 if c == 32 else 128 for c in range(256))
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+class _Packing:
+    """The packed format of the elements of one group."""
+
+    def __init__(self, A: GroupSpec) -> None:
+        w, k = 8, A.rank
+        while 1 << (w - 1) < max(A.orders):
+            w *= 2
+        self.k, self.w, self.size, self.full = k, w, k * w // 8, (1 << w) - 1
+        self.digits = not A._comma
+        self.shifts = [w * (k - 1 - i) for i in range(k)]
+        self.dd = sum(map(lshift, A.orders, self.shifts))
+        self.high = sum(1 << (w - 1) << s for s in self.shifts)
+        self.corr = self.high - self.dd
+
+    def pack(self, coords: Sequence[int]) -> int:
+        if self.w == 8:
+            return int.from_bytes(bytes(coords), "big")
+        return sum(map(lshift, coords, self.shifts))
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        if self.w == 8:
+            return tuple(x.to_bytes(self.k, "big"))
+        return tuple(x >> s & self.full for s in self.shifts)
+
+    def span(self, gens: Iterable[int]) -> tuple[list[int], set[int]]:
+        """Greedy basis and element set of the subgroup generated by `gens`:
+        a generator inside the span is skipped, any other joins the basis
+        and multiplies the span by its cosets H + j g until j g is back in
+        H.  The basis has at most Omega(|H|) members; O(|H| #basis + #gens)."""
+        corr, high, dd, full, top = self.corr, self.high, self.dd, self.full, self.w - 1
+        elems, span, basis = [0], {0}, []
+        for g in gens:
+            if g in span:
+                continue
+            basis.append(g)
+            coset, step, g = elems, g, g + corr
+            while step not in span:
+                coset = [(s := x + g) - corr - (dd & ((s & high) >> top) * full) for x in coset]
+                span.update(coset)
+                elems.extend(coset)
+                s = step + g
+                step = s - corr - (dd & ((s & high) >> top) * full)
+        return basis, span
+
+    def format(self, xs: Iterable[int]) -> list[str]:
+        """`format_coords` of each element, digits by one translate each."""
+        if self.digits:
+            return [x.to_bytes(self.k, "big").translate(_TO_DIGITS).decode() for x in xs]
+        return [",".join(map(str, self.unpack(x))) for x in xs]
+
+    def from_digits(self, texts: Sequence[str], block: int) -> list[int] | None:
+        """The elements in ASCII digits, in blocks of `block` joined by ':',
+        if every text is one and every digit c is below its d_i; else None.
+        Joined by ' ', without ':', c reads c, ' ' 32 and any other byte 128,
+        and adding 2^7 - d_i to a digit slot and 0 to a ' ' sets no top bit
+        exactly when every c < d_i and every ' ' separates two texts."""
+        k, n, count, joined = self.k, self.k // block, len(texts), " ".join(texts)
+        seps = ((":" * (n - 1) + " ") * count)[:-1]
+        if not (self.digits and joined.isascii() and joined[block :: block + 1] == seps
+                and len(joined) == count * (k + n) - 1):
+            return None
+        raw = joined.encode().translate(_FROM_DIGITS, b":")
+        corr = int.from_bytes((self.corr.to_bytes(k, "big") + b"\0") * count, "big") >> 8
+        high = int.from_bytes((b"\x80" * k + b"\0") * count, "big") >> 8
+        if len(raw) != count * (k + 1) - 1 or (int.from_bytes(raw, "big") + corr) & high:
+            return None
+        return list(map(int.from_bytes, raw.split(b" "), repeat("big")))
+
+
+_packing = lru_cache(maxsize=None)(_Packing)  # one format per group
+
+
+def _block_letters(H: Subgroup, base: GroupSpec):
+    """Per member of H, in base^n, the indices of its n blocks among the
+    elements of `base` in product order: bytes when |base| <= 256, else
+    lists.  In the members laid end to end, coordinate i of every block,
+    shifted into the block's last slot, times d_(i+1) ... d_k, summed over
+    i, is the index in that slot."""
+    P, k = _packing(H.parent), base.rank
+    if base.cardinality > 256:
+        index = {a: i for i, a in enumerate(_coords(base))}.__getitem__
+        return ([*map(index, zip(*[iter(c)] * k))] for c in H.members)
+    n, count = P.k // k, len(H._packed)
+    block, slot = P.size // n, P.w // 8
+    words = int.from_bytes(b"".join([x.to_bytes(P.size, "big") for x in H._packed]), "big")
+    low = int.from_bytes((bytes(block - slot) + b"\xff" * slot) * (n * count), "big")
+    y = sum((words >> P.w * (k - 1 - i) & low) * math.prod(base.orders[i + 1 :]) for i in range(k))
+    raw = y.to_bytes(P.size * count, "big")[block - 1 :: block]
+    return [raw[i : i + n] for i in range(0, len(raw), n)]
 
 
 def _order(orders: tuple[int, ...], coords: Sequence[int]) -> int:
     """The order of the element with reduced `coords`: the lcm of the
     orders d_i / gcd(c_i, d_i) of its coordinates."""
     return math.lcm(*(d // math.gcd(c, d) for c, d in zip(coords, orders)))
-
-
-def _span(
-    orders: tuple[int, ...], gens: Iterable[tuple[int, ...]]
-) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
-    """Greedy basis and element set of the subgroup generated by `gens`.
-
-    Coordinates must already be reduced.  A generator inside the current
-    span is skipped; any other one joins the basis and multiplies the span
-    by its cosets H + k g, k = 1, ..., until k g lands back in H.  Each
-    basis element at least doubles the span, so the basis has at most
-    Omega(|H|) members and the cost is O(|H| * #basis + #gens).
-    """
-    zero = (0,) * len(orders)
-    elems = [zero]
-    span = {zero}
-    basis = []
-    for g in gens:
-        if g in span:
-            continue
-        basis.append(g)
-        coset = elems
-        step = g
-        while step not in span:
-            coset = [tuple(map(mod, map(add, x, g), orders)) for x in coset]
-            span.update(coset)
-            elems.extend(coset)
-            step = tuple(map(mod, map(add, step, g), orders))
-    return basis, span
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -270,7 +354,7 @@ def _kernel_generators(
     0.  On that span f . x = c v (mod m) for x = c z_p + y, so the zero set
     of f in it is spanned by the other generators and (m / gcd(v, m)) z_p
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
-    gens = _unit_rows(len(orders))
+    gens = list(_unit_rows(len(orders)))
     for f in forms:
         values = [sum(map(mul, f, z)) % m for z in gens]
         p = None
@@ -283,10 +367,10 @@ def _kernel_generators(
             a = values[p]
             g, s, t = _xgcd(a, v)
             zp, zj = gens[p], gens[j]
-            gens[p] = tuple((s * x + t * y) % d for x, y, d in zip(zp, zj, orders))
-            gens[j] = tuple(
-                (v // g * x - a // g * y) % d for x, y, d in zip(zp, zj, orders)
-            )
+            # t = 0 makes g = a and s = 1: z_p stays.
+            if t:
+                gens[p] = tuple([(s * x + t * y) % d for x, y, d in zip(zp, zj, orders)])
+            gens[j] = tuple([(v // g * x - a // g * y) % d for x, y, d in zip(zp, zj, orders)])
             values[p] = g
         if p is not None:
             c = m // math.gcd(values[p], m)
@@ -295,9 +379,11 @@ def _kernel_generators(
     return gens
 
 
-def _unit_rows(k: int) -> list[tuple[int, ...]]:
-    """The unit vectors e_1, ..., e_k: the generators g_i in coordinates."""
-    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+@lru_cache(maxsize=None)
+def _unit_rows(k: int) -> tuple[tuple[int, ...], ...]:
+    """The unit vectors e_1, ..., e_k: the generators g_i in coordinates,
+    built once per rank."""
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 def _zero_subgroup(
@@ -316,7 +402,8 @@ def _zero_subgroup(
     gens = _kernel_generators(orders, m, forms)
     if any(sum(map(mul, f, z)) % m for z in gens for f in forms):
         raise AssertionError("a zero-set generator fails a form")
-    basis, span = _span(orders, gens)
+    P = _packing(parent)
+    basis, span = P.span(map(P.pack, gens))
     if len(span) * span_order != parent.cardinality:
         raise AssertionError(
             f"zero set of order {len(span)} against forms spanning "
@@ -340,13 +427,25 @@ def subgroup_closure(
     gens = tuple(gens)
     if any(g.parent != parent for g in gens):
         raise ValueError("generator does not belong to the given group")
-    return _closure(parent, tuple(g.coords for g in gens))
+    return _closure(parent, tuple(map(_packing(parent).pack, (g.coords for g in gens))))
 
 
-def _closure(parent: GroupSpec, coords: tuple[tuple[int, ...], ...]) -> Subgroup:
-    """The span of reduced coordinate tuples, which are kept as `gens`."""
-    basis, span = _span(parent.orders, coords)
-    return Subgroup(parent, tuple(sorted(span)), coords, tuple(basis))
+def _closure(parent: GroupSpec, gens: tuple[int, ...]) -> Subgroup:
+    """The span of packed elements, which are kept as `gens`."""
+    basis, span = _packing(parent).span(gens)
+    return Subgroup(parent, tuple(sorted(span)), gens, tuple(basis))
+
+
+def _multiples(A: GroupSpec, steps: Sequence[int]) -> Subgroup:
+    """The x with each x_i a multiple of steps[i], a divisor of d_i: the
+    members come sorted out of the factor ranges, first factor outermost,
+    and the basis is the independent s_i e_i other than 0 (`gens` stays the
+    lazy greedy one)."""
+    members, factors = [0], list(zip(steps, A.orders, _packing(A).shifts))
+    for s, d, shift in factors:
+        members = [x + (c << shift) for x in members for c in range(0, d, s)]
+    basis = tuple(s << shift for s, d, shift in factors if s < d)
+    return Subgroup(A, tuple(members), _basis=basis)
 
 
 def subgroup_from_elements(
@@ -359,11 +458,12 @@ def subgroup_from_elements(
     elements = tuple(elements)
     if any(e.parent != parent for e in elements):
         raise ValueError("element does not belong to the given group")
-    coords = sorted({e.coords for e in elements})
-    basis, span = _span(parent.orders, coords)
-    if len(span) != len(coords):
+    P = _packing(parent)
+    packed = sorted({P.pack(e.coords) for e in elements})
+    basis, span = P.span(packed)
+    if len(span) != len(packed):
         raise ValueError("element set is not closed under addition")
-    return Subgroup(parent, tuple(coords), tuple(basis))
+    return Subgroup(parent, tuple(packed), tuple(basis))
 
 
 def all_subgroups(
@@ -382,13 +482,13 @@ def _subgroups(A: GroupSpec) -> tuple[Subgroup, ...]:
     Every subgroup <x_1, ..., x_r> is reached along <x_1> < <x_1, x_2> <
     ..., and joining <x> depends only on the cyclic subgroup, so one
     generator per cyclic subgroup is tried against each subgroup found:
-    one `_span` per (subgroup, cyclic subgroup outside it) pair.  Only the
-    distinct subgroups are wrapped as Subgroups."""
-    orders = A.orders
+    one span per (subgroup, cyclic subgroup outside it) pair, on packed
+    elements.  Only the distinct subgroups are wrapped as Subgroups."""
+    span_of = _packing(A).span
     cyclic = {}
-    for x in _coords(A):
-        cyclic.setdefault(frozenset(_span(orders, [x])[1]), x)
-    trivial = frozenset([(0,) * A.rank])
+    for x in map(_packing(A).pack, _coords(A)):
+        cyclic.setdefault(frozenset(span_of([x])[1]), x)
+    trivial = frozenset([0])
     found = {trivial}
     frontier = [([], trivial)]
     while frontier:
@@ -397,7 +497,7 @@ def _subgroups(A: GroupSpec) -> tuple[Subgroup, ...]:
             for x in cyclic.values():
                 if x in inside:
                     continue
-                grown, span = _span(orders, basis + [x])
+                grown, span = span_of(basis + [x])
                 key = frozenset(span)
                 if key not in found:
                     found.add(key)
@@ -505,7 +605,7 @@ def _known_automorphism(A: GroupSpec, rows) -> Automorphism:
 
 
 def identity_automorphism(A: GroupSpec) -> Automorphism:
-    return Automorphism(A, A, tuple(_unit_rows(A.rank)))
+    return Automorphism(A, A, _unit_rows(A.rank))
 
 
 def scalar_automorphism(A: GroupSpec, n: int) -> Automorphism:
@@ -576,27 +676,26 @@ def _automorphisms(A: GroupSpec) -> Sequence[int]:
     prefix |A| + row, come out increasing.  Each candidate's prime
     multiples are found once per group.  An `array("Q")` holds them, or a
     list when |A|^k exceeds 2^64."""
-    orders, N, k = A.orders, A.cardinality, A.rank
-    coords = _coords(A)
+    orders, N, k, P = A.orders, A.cardinality, A.rank, _packing(A)
     levels = [
-        [(i, tuple(tuple(d // p * c % e for c, e in zip(x, orders))
-                   for p in _prime_factors(d)))
-         for i, x in enumerate(coords) if _order(orders, x) == d]
+        [(i, P.pack(x), [P.pack([d // p * c % e for c, e in zip(x, orders)])
+                         for p in _prime_factors(d)])
+         for i, x in enumerate(_coords(A)) if _order(orders, x) == d]
         for d in orders
     ]
     auts = array("Q") if N**k <= 2**64 else []
 
-    def extend(rows: list[tuple[int, ...]], prefix: int, span) -> None:
+    def extend(rows: list[int], prefix: int, span) -> None:
         j = len(rows)
         if j == k - 1:
-            auts.extend(prefix + i for i, mults in levels[j] if span.isdisjoint(mults))
+            auts.extend(prefix + i for i, _, mults in levels[j] if span.isdisjoint(mults))
             return
-        for i, mults in levels[j]:
+        for i, x, mults in levels[j]:
             if span.isdisjoint(mults):
-                grown = rows + [coords[i]]
-                extend(grown, (prefix + i) * N, _span(orders, grown)[1])
+                grown = rows + [x]
+                extend(grown, (prefix + i) * N, P.span(grown)[1])
 
-    extend([], 0, {(0,) * k})
+    extend([], 0, {0})
     return auts
 
 
@@ -628,7 +727,8 @@ class _Lattice:
     and the maps on those ids that the dual tables read.  Aut(A) maps
     subgroups to subgroups, so ids never outnumber the subgroups of A.
 
-    An id stands for an element set and keeps a generating set.  `l0` maps
+    An id stands for a set of packed elements and keeps a generating set
+    in coordinates.  `l0` maps
     an id to its annihilator L_0 under the canonical duality; a miss runs
     `_l0_subgroup`, whose zero set checks its certificate.  The column of an id
     holds the id of H tau for every tau in Aut(A) order.  Callers check the
@@ -636,27 +736,27 @@ class _Lattice:
 
     def __init__(self, A: GroupSpec) -> None:
         self.A = A
-        self._ids: dict[frozenset[tuple[int, ...]], int] = {}
-        self._sets: list[frozenset[tuple[int, ...]]] = []
+        self._ids: dict[frozenset[int], int] = {}
+        self._orders: list[int] = []
         self._gens: list[tuple[tuple[int, ...], ...]] = []
         # The id of the span of a tuple of generators, keyed by the tuple.
         self._by_gens: dict[tuple[tuple[int, ...], ...], int] = {}
         self._l0: dict[int, Subgroup] = {}
         self._columns: dict[int, array] = {}
 
-    def _intern(self, elements, gens) -> int:
+    def _intern(self, elements: frozenset[int], gens) -> int:
         if elements not in self._ids:
-            self._ids[elements] = len(self._sets)
-            self._sets.append(elements)
+            self._ids[elements] = len(self._orders)
+            self._orders.append(len(elements))
             self._gens.append(tuple(gens))
         return self._ids[elements]
 
     def id_of(self, H: Subgroup) -> int:
-        return self._intern(H.element_set(), H.basis)
+        return self._intern(frozenset(H._packed), H.basis)
 
     def l0(self, i: int) -> Subgroup:
         if i not in self._l0:
-            self._l0[i] = _l0_subgroup(self.A, self._gens[i], len(self._sets[i]))
+            self._l0[i] = _l0_subgroup(self.A, self._gens[i], self._orders[i])
         return self._l0[i]
 
     def columns(self, ids: Sequence[int]) -> list[array]:
@@ -669,7 +769,7 @@ class _Lattice:
         `steps` holds (earlier word's step or None, i, c)."""
         missing = [i for i in dict.fromkeys(ids) if i not in self._columns]
         if missing:
-            orders, by_gens = self.A.orders, self._by_gens
+            orders, by_gens, P = self.A.orders, self._by_gens, _packing(self.A)
             index: dict[tuple[int, ...], int] = {}
             steps: list[tuple[int | None, int, int]] = []
 
@@ -695,8 +795,8 @@ class _Lattice:
                     key = tuple(map(values.__getitem__, slot))
                     j = by_gens.get(key)
                     if j is None:
-                        basis, span = _span(orders, key)
-                        j = by_gens[key] = self._intern(frozenset(span), basis)
+                        basis, span = P.span(map(P.pack, key))
+                        j = by_gens[key] = self._intern(frozenset(span), map(P.unpack, basis))
                     col.append(j)
             self._columns.update(zip(missing, cols))
         return [self._columns[i] for i in ids]

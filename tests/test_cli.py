@@ -26,6 +26,7 @@ from groupdual import (
     mw_complete_transform,
 )
 from groupdual.cli import run
+from span_oracle import _span
 from groupdual.tables import PAPER_TABLES, paper_table
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -1115,6 +1116,140 @@ def test_code_words_keep_their_parse_errors(capsys):
     assert code == 1 and "expected 1 blocks in '0:1'" in err
     # Coordinates are reduced: 35 is the word 11.
     assert _run(capsys, *base, "--code-gens", "35") == _run(capsys, *base, "--code-gens", "11")
+
+
+def _tuple_parse_code(A, n, gen_words):
+    """Oracle: the reader the packed one replaced.  Each word is split into
+    its n blocks, each distinct block parsed once by `parse_coords`, and
+    the coordinate tuples are spanned by the tuple closure."""
+    blocks, gens = {}, []
+    for word in gen_words:
+        parts = word.split(":")
+        if len(parts) != n:
+            raise ValueError(f"expected {n} blocks in {word!r}")
+        coords = ()
+        for part in parts:
+            if part not in blocks:
+                blocks[part] = A.parse_coords(part)
+            coords += blocks[part]
+        gens.append(coords)
+    return gens, _span(A.orders * n, gens)
+
+
+def _same_parse(A, n, words):
+    """The packed reader parses and prints `words` as the oracle does, or
+    refuses them with the same error."""
+    try:
+        gens, (basis, span) = _tuple_parse_code(A, n, words)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            cli._parse_code(A, n, words)
+        assert str(got.value) == str(exc)
+        return False
+    H = cli._parse_code(A, n, words).subgroup
+    spec = make_group(A.orders * n)
+    assert (H.gens, H.basis, H.members) == (tuple(gens), tuple(basis), tuple(sorted(span)))
+    assert H.words() == [spec.format_coords(c) for c in sorted(span)]
+    return True
+
+
+_PARSE_CASES = [
+    # Digit words, one and several.
+    ("2,4", 3, ["01:13:00", "12:01:13"], True),
+    ("2", 10, ["1:1:0:1:0:0:1:1:1:0", "0:1:1:0:1:0:0:1:0:1"], True),
+    ("3", 1, ["2", "1", "0"], True),
+    # Out-of-range digits are reduced: 3 reads as 1 over Z/2.
+    ("2", 3, ["3:1:0"], True),
+    ("2,4", 2, ["25:09", "01:13"], True),
+    # Non-ASCII digits, which int() reads.
+    ("2,4", 1, ["\uff11\uff10"], True),
+    ("2,4", 2, ["\uff11\uff10:01", "01:13"], True),
+    ("3", 2, ["\u0662:1"], True),
+    # Spaces around a block are stripped; inside one they are not.
+    ("2,4", 2, [" 01:13", "01 :13"], True),
+    ("2", 2, ["0:1 1", "0"], False),
+    ("2,4", 2, ["01:13", "0 :13"], False),
+    # Wrong block and coordinate counts, empty blocks, signs, other bytes.
+    ("2,4", 3, ["01:13"], False),
+    ("2,4", 3, ["01:13:00:00"], False),
+    ("2,4", 3, ["0:113:00"], False),
+    ("2,4", 3, ["011:13:00"], False),
+    ("2,4", 2, ["01::13"], False),
+    ("2,4", 2, ["01:13", ""], False),
+    ("2,4", 2, ["-1:13"], False),
+    ("2,4", 2, ["0x:13"], False),
+    ("2", 2, ["0:1", "0:1:"], False),
+    ("2", 2, ["::1"], False),
+    ("2,4", 2, ["01:13", "0:::3"], False),
+    # Comma words (some d_i > 10), reduced and refused alike.
+    ("3,12", 2, ["1,5:2,11", "0,6:1,3"], True),
+    ("3,12", 2, ["4,13:0,0"], True),
+    ("12,3", 1, ["11, 2"], True),
+    ("3,12", 2, ["1,5,0:2,11"], False),
+    ("3,12", 2, ["15:2,11"], False),
+    ("3,12", 2, ["1;5:2,11"], False),
+]
+
+
+@pytest.mark.parametrize("group, n, words, accepted", _PARSE_CASES)
+def test_code_words_parse_and_print_as_the_tuple_reader_did(group, n, words, accepted):
+    A = make_group([int(d) for d in group.split(",")])
+    assert _same_parse(A, n, words) == accepted
+
+
+@pytest.mark.parametrize("group, n, words, packed", [
+    ("2,4", 3, ["01:13:00", "12:01:13"], True),
+    ("2", 10, ["1:1:0:1:0:0:1:1:1:0"] * 3, True),
+    ("2,2,3", 2, ["012:112", "002:000", "110:001"], True),
+    ("2", 3, ["3:1:0"], False),
+    ("2,4", 2, ["01:13", "02:14"], False),
+    ("2,4", 2, ["\uff11\uff10:01"], False),
+    ("2,4", 2, [" 01:13"], False),
+    ("2,4", 2, ["01:13 ", "01:13"], False),
+    ("2", 2, ["0:1 1", "0"], False),
+    ("2,4", 2, ["01:13:", "01:13"], False),
+    ("2", 2, ["::1"], False),
+    ("2,4", 2, ["01:13", "0:::3"], False),
+    ("3,12", 2, ["1,5:2,11"], False),
+])
+def test_reduced_ascii_digit_words_are_packed_in_one_pass(group, n, words, packed):
+    # Only words all in reduced ASCII digits take the one-pass reader, and
+    # it packs each into the coordinates that the tuple reader gives.
+    from groupdual.groups import _packing
+
+    A = make_group([int(d) for d in group.split(",")])
+    P = _packing(make_group(A.orders * n))
+    got = P.from_digits(words, A.rank)
+    assert (got is not None) == packed
+    if packed:
+        assert [P.unpack(x) for x in got] == _tuple_parse_code(A, n, words)[0]
+
+
+_WORD_GROUPS = [make_group(o) for o in ([2, 4], [2], [3], [2, 2, 3], [12, 3])]
+
+
+@st.composite
+def _code_words(draw):
+    """Words of A^n, most in the right shape, some with a byte changed,
+    added or dropped."""
+    A, n = draw(st.sampled_from(_WORD_GROUPS)), draw(st.integers(1, 4))
+    sep = "," if max(A.orders) > 10 else ""
+    words = []
+    for _ in range(draw(st.integers(1, 4))):
+        word = ":".join(sep.join(str(draw(st.integers(0, 12))) for _ in A.orders)
+                        for _ in range(n))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(word)))
+            junk = draw(st.sampled_from(["", "0", "9", ":", " ", ",", "-", "\uff11", "a"]))
+            word = word[:i] + junk + word[i + draw(st.integers(0, 1)):]
+        words.append(word)
+    return A, n, words
+
+
+@given(_code_words())
+@settings(max_examples=400, deadline=None)
+def test_arbitrary_code_words_parse_as_the_tuple_reader_did(case):
+    _same_parse(*case)
 
 
 def _all_code_words(group, n, gens):

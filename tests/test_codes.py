@@ -41,7 +41,8 @@ from groupdual.codes import (
     duality_dependence,
 )
 from groupdual.cyclotomic import CycInt
-from groupdual.groups import _order, _span
+from groupdual.groups import _order
+from span_oracle import _span
 from groupdual.dualities import inner_product_exponent, inner_product_value
 
 
@@ -265,13 +266,13 @@ def test_a_dual_of_a_dual_spans_no_member_set_again(monkeypatch):
     phi = all_dualities(A)[3]
     spans = []
 
-    def counted(orders, gens):
-        basis, span = real(orders, gens)
+    def counted(packing, gens):
+        basis, span = real(packing, gens)
         spans.append(len(span))
         return basis, span
 
-    real = groups_module._span
-    monkeypatch.setattr(groups_module, "_span", counted)
+    real = groups_module._Packing.span
+    monkeypatch.setattr(groups_module._Packing, "span", counted)
     D = right_dual(C, phi)
     assert left_dual(D, phi) == C
     assert spans == [8**8 // 64, 64]

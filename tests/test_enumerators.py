@@ -164,6 +164,32 @@ def test_cwe_matches_the_count_vector_oracle(orders, n):
         assert cwe(C).terms == tuple(sorted(want.items()))
 
 
+@pytest.mark.parametrize(
+    "orders, n", [((130,), 3), ((65, 2), 2), ((2, 2, 4), 5), ((7,), 1), ((2, 130), 2), ((17, 17), 1)]
+)
+def test_cwe_and_hwe_read_the_letters_of_any_slot_width(orders, n):
+    # Letters are read from the packed members, in 8- or 16-bit slots, when
+    # |A| <= 256, and from coordinate tuples above; both enumerators agree
+    # with the count vectors and weights of the decoded members.
+    A = make_group(orders)
+    power = PowerGroup(A, n)
+    base_index = {a: i for i, a in enumerate(_coords(A))}
+    rng = random.Random(sum(orders) + n)
+    for _ in range(3):
+        # Coordinates of order at most 6 keep the codes small.
+        words = [
+            power.spec.element([d // t * rng.randrange(t) for d in power.spec.orders
+                                for t in [rng.choice([t for t in range(1, 7) if d % t == 0])]])
+            for _ in range(rng.randint(1, 2))
+        ]
+        C = code_from_generators(A, n, words)
+        members = C.subgroup.members
+        want = Counter(_count_key(power, c, base_index) for c in members)
+        assert cwe(C).terms == tuple(sorted(want.items()))
+        weights = Counter(hamming_weight(power, power.spec.element(c)) for c in members)
+        assert hwe(C).coeffs == tuple(weights[w] for w in range(n + 1))
+
+
 def test_hamming_weight():
     A = make_group([3, 3])
     P = PowerGroup(A, 3)

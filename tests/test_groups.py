@@ -35,13 +35,17 @@ from groupdual.dualities import _elementary_generators
 from groupdual.groups import (
     _adjoints,
     _automorphisms,
+    _closure,
+    _kernel_generators,
     _known_automorphism,
     _lattice,
     _order,
+    _packing,
     _prime_factors,
-    _span,
+    _unit_rows,
     _unpacker,
 )
+from span_oracle import _span
 
 CENSUS_GROUPS = (
     [2], [2, 2], [2, 4], [3, 3], [2, 8], [4, 4], [2, 2, 2], [2, 2, 3], [27]
@@ -647,3 +651,86 @@ def test_is_bijective_is_the_span_on_random_admissible_maps(orders):
             assert got == _spans_target(A, target, matrix)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("orders, w", [([2, 4], 8), ([128], 8), ([129, 2], 16), ([2**15], 16),
+                                       ([3, 2**15 + 1], 32), ([2**31 + 1], 64), ([2**63 + 1], 128)])
+def test_slot_width_is_the_least_that_holds_every_order(orders, w):
+    assert _packing(make_group(orders)).w == w
+
+
+# Factors of 2^15 or more: 16-bit slots at 2^15, 32-bit up to 2^31, then 64-bit.
+_BIG_FACTORS = [2**15, 2**15 + 2, 3 * 2**14, 2**31, 2**31 + 2, 3 * 2**32]
+
+
+@st.composite
+def _wide_closures(draw):
+    """A group of rank 1 to 12, factors 2 to 300 and one of 2^15 or more,
+    with up to three generators of small order: each coordinate is a
+    multiple of d_i / t for a divisor t <= 4 of d_i, so no span exceeds
+    12^3 members."""
+    k = draw(st.integers(1, 12))
+    orders = draw(st.lists(st.integers(2, 300), min_size=k - 1, max_size=k - 1))
+    orders.insert(draw(st.integers(0, k - 1)), draw(st.sampled_from(_BIG_FACTORS)))
+
+    def coordinate(d):
+        t = draw(st.sampled_from([t for t in (1, 2, 3, 4) if d % t == 0]))
+        return d // t * draw(st.integers(0, t - 1))
+
+    gens = [tuple(coordinate(d) for d in orders) for _ in range(draw(st.integers(0, 3)))]
+    return make_group(orders), gens
+
+
+@given(_wide_closures())
+@settings(max_examples=150, deadline=None)
+def test_the_packed_closure_matches_the_tuple_closure(case):
+    # Members, greedy basis, order and printed words of the packed closure
+    # agree with the tuple closure it replaced, in 8- to 64-bit slots.
+    A, gens = case
+    P = _packing(A)
+    assert [P.unpack(P.pack(g)) for g in gens] == gens
+    H = _closure(A, tuple(map(P.pack, gens)))
+    basis, span = _span(A.orders, gens)
+    assert H.members == tuple(sorted(span))
+    assert H.basis == tuple(basis)
+    assert H.gens == tuple(gens)
+    assert H.order == len(span)
+    assert H.words() == [A.format_coords(c) for c in H.members]
+
+
+@pytest.mark.parametrize("orders", [[10], [9, 2], [2, 4, 8], [3, 3], [12, 3], [130]])
+def test_subgroups_print_their_members_as_format_coords(orders):
+    A = make_group(orders)
+    for H in all_subgroups(A):
+        words = [A.format_coords(c) for c in H.members]
+        assert H.words() == words
+        assert str(H) == "{" + ",".join(words) + "}"
+
+
+@given(CLOSURE_GROUPS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_packed_and_a_tuple_built_subgroup_are_one_subgroup(A, data):
+    # The packed closure and the subgroup wrapped from the oracle's
+    # coordinate tuples, in any order, are equal, hash alike and agree on
+    # membership and the element set; so does the lattice's entry.
+    elems = list(A.elements())
+    gens = data.draw(st.lists(st.sampled_from(elems), max_size=4))
+    packed = subgroup_closure(A, gens)
+    coords = data.draw(st.permutations(sorted(_bfs_closure(A, gens))))
+    tupled = subgroup_from_elements(A, [A.element(c) for c in coords])
+    (listed,) = [H for H in all_subgroups(A) if H.element_set() == packed.element_set()]
+    for H in (tupled, listed):
+        assert H == packed and hash(H) == hash(packed)
+        assert H.element_set() == packed.element_set() == frozenset(coords)
+        assert [a in H for a in elems] == [a in packed for a in elems]
+    assert len({packed, tupled, listed}) == 1
+    assert [a in packed for a in elems] == [a.coords in set(coords) for a in elems]
+
+
+def test_unit_rows_are_built_once_per_rank():
+    rows = _unit_rows(4)
+    assert rows is _unit_rows(4)
+    assert rows == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    # The kernel starts from a copy of them and leaves the cached rows alone.
+    assert _kernel_generators((2, 2, 2, 2), 2, [(1, 1, 0, 0), (0, 1, 1, 1)])
+    assert _unit_rows(4) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))

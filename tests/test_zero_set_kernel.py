@@ -34,7 +34,8 @@ from groupdual import (
 from groupdual import groups
 from groupdual.codes import PowerGroup, duals_table
 from groupdual.dualities import _pairing_forms
-from groupdual.groups import _kernel_generators, _span, _zero_subgroup
+from groupdual.groups import _kernel_generators, _zero_subgroup
+from span_oracle import _span
 
 
 def _zero_set(orders, m, forms):
