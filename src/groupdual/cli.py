@@ -12,14 +12,15 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import starmap, takewhile
+from itertools import repeat
+from operator import eq, itemgetter
 from typing import Sequence
 
 from .codes import (
     AdditiveCode,
     PowerGroup,
     UnsupportedPairError,
-    _image_rows,
+    _image_columns,
     _swapped_by_l0,
     construct_duality_for_pair,
     left_dual,
@@ -44,7 +45,9 @@ from .groups import (
     GroupSpec,
     _adjoints,
     _aut,
+    _aut_rows,
     _closure,
+    _coords,
     _known_automorphism,
     _lattice,
     _packing,
@@ -77,23 +80,27 @@ def _limits(args) -> Limits:
     return Limits.from_env()
 
 
-def _write_json_list(items) -> None:
-    """Write the encoded `items` to stdout as they come, as the bytes that
-    `json.dumps` gives for the whole list."""
-    sep = "["
-    for item in items:
-        sys.stdout.write(sep + item)
-        sep = ", "
-    sys.stdout.write("]\n" if sep == ", " else "[]\n")
+# Listings over Aut(A) are built and written this many rows at a time.
+_BLOCK = 256
+# str() of each element of A as an int list, which JSON reads the same, in
+# `_coords` order: the text of a tau row.  Kept per group.
+_element_texts = cache(lambda A: [str(list(c)) for c in _coords(A)])
 
 
-_row_text = cache(lambda row: str(list(row)))
-
-
-def _matrix_text(rows) -> str:
-    """str() of the matrix as int lists, which JSON reads the same; each
-    distinct row is formatted once."""
-    return f"[{', '.join(map(_row_text, rows))}]"
+def _write_blocks(A: GroupSpec, count: int, json_out: bool, block) -> None:
+    """Write block(lo, hi, taus) for each run of `_BLOCK` Aut indices below
+    `count`, taus the texts of the tau in Aut(A)[lo:hi] read from the texts
+    of their rows: as text, or as the bytes that `json.dumps` gives for the
+    list of all rows, each block one run of rows joined by ", "."""
+    text, fmt = _element_texts(A).__getitem__, "[" + ", ".join(["{}"] * A.rank) + "]"
+    sep = "[" if json_out else ""
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        taus = map(fmt.format, *(map(text, r) for r in _aut_rows(A, lo, hi)))
+        sys.stdout.write(sep + block(lo, hi, taus))
+        sep = ", " if json_out else ""
+    if json_out:
+        sys.stdout.write("]\n" if count else "[]\n")
 
 
 def _emit(args, text, body) -> None:
@@ -113,16 +120,9 @@ def _cmd_group(args) -> int:
     A = _parse_group(args.group)
     subs = all_subgroups(A, _limits(args)) if args.subgroups else None
     if args.format == "json":
-        info = {
-            "orders": list(A.orders),
-            "exponent": A.exponent,
-            "cardinality": A.cardinality,
-            "weights": list(A.weights),
-            "primary": {
-                str(p): list(part.orders)
-                for p, part in primary_decomposition(A).items()
-            },
-        }
+        info = {"orders": list(A.orders), "exponent": A.exponent, "cardinality": A.cardinality,
+                "weights": list(A.weights), "primary": {
+                    str(p): list(part.orders) for p, part in primary_decomposition(A).items()}}
         if subs is not None:
             info["subgroups"] = [_sub_json(s) for s in subs]
         print(json.dumps(info, sort_keys=True))
@@ -145,26 +145,18 @@ def _cmd_dualities(args) -> int:
         # The closed forms build no duality; |A| is still checked.
         check_enumeration(A.cardinality, limits)
         total, sym = aut_order(A), count_symmetric_dualities(A)
-        _emit(
-            args,
-            lambda: f"{total} total, {sym} symmetric\n",
-            lambda: {"total": total, "symmetric": sym},
-        )
+        _emit(args, lambda: f"{total} total, {sym} symmetric\n",
+              lambda: {"total": total, "symmetric": sym})
         return 0
     # phi is symmetric exactly when phi* = phi, a fixed point of tau -> tau*.
-    auts = _aut(A, limits)
-    star, unpack = _adjoints(A), _unpacker(A)
-    rows = ((i, _matrix_text(unpack(v)), star[i] == i) for i, v in enumerate(auts))
-    if args.format == "json":
-        # Keys in sorted order; an int list reads the same in Python and JSON.
-        _write_json_list(
-            f'{{"index": {i}, "symmetric": {("false", "true")[s]}, "tau": {mat}}}'
-            for i, mat, s in rows
-        )
-    else:
-        sys.stdout.writelines(
-            f"{i}: {mat}{' symmetric' if s else ''}\n" for i, mat, s in rows
-        )
+    count, star, json_out = len(_aut(A, limits)), _adjoints(A), args.format == "json"
+    # Keys in sorted order; the fields are the index, the flag and tau.
+    line, sep, flags = (
+        ('{{"index": {}, "symmetric": {}, "tau": {}}}', ", ", ("false", "true")) if json_out
+        else ("{0}: {2}{1}\n", "", ("", " symmetric")))
+    _write_blocks(A, count, json_out, lambda lo, hi, taus: sep.join(map(
+        line.format, range(lo, hi), map(flags.__getitem__, map(eq, star[lo:hi], range(lo, hi))),
+        taus)))
     return 0
 
 
@@ -221,24 +213,30 @@ def _cmd_duals_table(args) -> int:
         subs = [s for s in subs if s.order == args.order]
     else:
         subs = [s for s in subs if 1 < s.order < A.cardinality]
-    ids = _image_rows(A, subs, limits)
-    # A row holds the ids of images whose L_0 are the duals, a few ids in
-    # many rows: each id is named once and each (left, right) pair of ids
-    # formatted once.  Keys are written in sorted order, and a list of int
-    # lists reads the same in Python and JSON.
-    name = cache(lambda i: str(_lattice(A).l0(i)))
-    if args.format == "json":
-        cell = cache(lambda i, j: json.dumps({"left": name(i), "right": name(j)}))
+    auts, cols = _image_columns(A, subs, limits)
+    # The duals of H under tau are L_0 of H tau* and H tau (`_image_rows`):
+    # H's column at tau* and tau.  Each id is named once, as the text of a
+    # cell before and after its middle; a row is one join of texts.
+    l0, star, json_out = _lattice(A).l0, _adjoints(A), args.format == "json"
+    names = {i: str(l0(i)) for i in set().union(*cols)}
+    if json_out:
+        names = {i: json.dumps(name) for i, name in names.items()}
+        left = {i: f'{{"left": {name}, "right": ' for i, name in names.items()}
+        right = {i: name + "}" for i, name in names.items()}
+        cell_sep, ends = ", ", lambda t: ((repeat('{"duals": ['),), (repeat('], "tau": '), t, repeat("}")))
     else:
-        cell = cache(lambda i, j: f"L={name(i)} R={name(j)}")
-    rows = ((_matrix_text(tau), starmap(cell, pairs)) for tau, pairs in ids)
-    if args.format == "json":
-        _write_json_list(
-            f'{{"duals": [{", ".join(cells)}], "tau": {tau}}}' for tau, cells in rows
-        )
-        return 0
-    sys.stdout.write("subgroups: " + " ".join(str(s) for s in subs) + "\n")
-    sys.stdout.writelines(f"{tau}: {'  '.join(cells)}\n" for tau, cells in rows)
+        sys.stdout.write("subgroups: " + " ".join(str(s) for s in subs) + "\n")
+        left, right = {i: f"L={name} R=" for i, name in names.items()}, names
+        cell_sep, ends = "  ", lambda t: ((t, repeat(": ")), (repeat("\n"),))
+
+    def block(lo: int, hi: int, taus) -> str:
+        cells = [part for col in cols for part in (
+            repeat(cell_sep), map(left.__getitem__, map(col.__getitem__, star[lo:hi])),
+            map(right.__getitem__, col[lo:hi]))]
+        head, tail = ends(taus)
+        return (", " if json_out else "").join(map("".join, zip(*head, *cells[1:], *tail)))
+
+    _write_blocks(A, len(auts), json_out, block)
     return 0
 
 
@@ -274,13 +272,8 @@ def _cmd_filtration(args) -> int:
         + "".join(f"  j={j}: ker {ker}  im {im}\n" for j, (ker, im) in enumerate(pairs))
         + "kernels and images are mutual left/right duals under every duality: "
         + ("yes\n" if ok else "NO\n"),
-        lambda: {
-            "p": p,
-            "levels": [
-                {"ker": _sub_json(ker), "im": _sub_json(im)} for ker, im in pairs
-            ],
-            "mutual_duals_under_every_duality": ok,
-        },
+        lambda: {"p": p, "mutual_duals_under_every_duality": ok, "levels": [
+            {"ker": _sub_json(ker), "im": _sub_json(im)} for ker, im in pairs]},
     )
     return 0 if ok else 1
 
@@ -483,6 +476,9 @@ def _read(view, argv: list[str]) -> dict | None:
         return None
     flags, defaults, required = command
     ns, seen = dict(defaults), set()
+    # A run of values ends at the first token starting with '-' that is not
+    # a negative integer, or at the "-" after the last token.
+    heads = [*map(itemgetter(slice(1)), argv), "-"]
     while i < len(argv):
         option = flags.get(argv[i])
         if option is None:
@@ -493,8 +489,11 @@ def _read(view, argv: list[str]) -> dict | None:
         if kwargs.get("action") == "store_true":
             ns[dest] = True
             continue
+        end = i
+        while (end := heads.index("-", end)) < len(argv) and _is_value(argv[end]):
+            end += 1
         many = kwargs.get("nargs") == "+"
-        values = list(takewhile(_is_value, argv[i : len(argv) if many else i + 1]))
+        values = argv[i : end if many else min(end, i + 1)]
         if not values:
             return None
         i += len(values)

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import add, mod, mul
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dualities import (
@@ -31,7 +32,6 @@ from .dualities import (
     _conjugate_gram,
     _duality_from_gram,
     _pairing_forms,
-    canonical_duality,
     is_symmetric,
 )
 from .groups import (
@@ -40,11 +40,11 @@ from .groups import (
     Subgroup,
     _adjoints,
     _aut,
-    _coords,
+    _element_orders,
     _known_automorphism,
     _lattice,
     _multiples,
-    _order,
+    _packing,
     _unit_rows,
     _unpacker,
     _zero_subgroup,
@@ -216,7 +216,7 @@ def construct_duality_for_pair(
     check_enumeration(A.cardinality, limits)
     # Every d_i divides m, so a prime exponent makes A elementary abelian;
     # with the size check, H cap K = 0 makes A = H (+) K.
-    if A.primes() != [A.exponent] and len(H.element_set() & K.element_set()) > 1:
+    if A.primes() != [A.exponent] and len(set(H._packed).intersection(K._packed)) > 1:
         raise UnsupportedPairError(
             "pair is neither in an elementary abelian group nor a direct sum; "
             "a suitable duality may not exist"
@@ -258,13 +258,15 @@ def _adapted_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
     on it, for A elementary abelian or A = H (+) K.
 
     One pass over the pools H cap K, H, K and A, each by (-order, x): x
-    joins when <x> meets the span only in 0, that is when no (o/p) x of
-    prime order lies in it.  It never has to go back: let B, the span's
+    joins when <x> meets the span only in 0, that is when no k x, 0 < k <
+    o, lies in it.  It never has to go back: let B, the span's
     part in the pool S, be a summand of S with complement C.  Any y with
     <y> cap B = 0 has the order of its C-component c', so the first such y
     of maximal order has c' of maximal order in C, which (per primary
     part) generates a summand; B + <y> = B (+) <c'> is again a summand.
-    The basis runs through H cap K, H, H + K and A for (Z/p)^n.
+    The basis runs through H cap K, H, H + K and A for (Z/p)^n.  The pools
+    are packed, read in `groups._element_orders`, and the span maps each
+    packed member to its coordinates in the basis (`_Packing.extend`).
 
     M pairs the first i = dim(H cap K) vectors with the last i and each
     other b with itself, by m / o_b.  For (Z/p)^n, H is spanned by the
@@ -275,35 +277,31 @@ def _adapted_basis(A: GroupSpec, H: Subgroup, K: Subgroup):
     standard dualities of the cyclic factors <b>, which are pairwise
     orthogonal, so H and K annihilate each other.
 
-    Row i of P, the coordinates c_b < o_b of g_i, is read from the span,
-    and G = P M P^T mod m does not depend on them as M_rs o_r = 0 (mod m).
+    Row i of P, the coordinates c_b < o_b of g_i, is read from the span at
+    the packed unit row, and G = P M P^T mod m does not depend on them as
+    M_rs o_r = 0 (mod m).  The basis is returned in coordinates.
     """
-    orders, m, primes = A.orders, A.exponent, A.primes()
-    span: dict[tuple[int, ...], tuple[int, ...]] = {(0,) * A.rank: ()}
-    basis = []
-    inter = H.element_set().intersection(K.members)
-    for pool in (inter, H.members, K.members, _coords(A)):
+    m, P, table = A.exponent, _packing(A), _element_orders(A)
+    span, basis = {0: ()}, []
+    inter = set(H._packed).intersection(K._packed)
+    for pool in (inter, set(H._packed), set(K._packed), table):
         if len(span) == A.cardinality:
             break
-        for minus_o, x in sorted((-_order(orders, x), x) for x in pool):
-            o = -minus_o
-            if x in span or any(
-                tuple(o // p * c % d for c, d in zip(x, orders)) in span
-                for p in primes if o % p == 0
-            ):
+        for x in filter(pool.__contains__, table):
+            if x in span:
                 continue
-            steps = [tuple(k * c % d for c, d in zip(x, orders)) for k in range(o)]
-            span = {tuple(map(mod, map(add, y, kx), orders)): c + (k,)
-                    for y, c in span.items() for k, kx in enumerate(steps)}
-            basis.append(x)
+            steps = list(accumulate(repeat(x, table[x] - 1), P.add, initial=0))
+            if span.keys().isdisjoint(steps[1:]):
+                span = P.extend(span, steps)
+                basis.append(x)
     if len(span) != A.cardinality:
         raise AssertionError("basis does not decompose A")
     n, i = len(basis), len(inter.intersection(basis))
     sigma = [*range(n - i, n), *range(i, n - i), *range(i)]
-    w = [m // _order(orders, b) for b in basis]
+    w = [m // table[b] for b in basis]
     M = [[w_r * (s == t) for s in range(n)] for w_r, t in zip(w, sigma)]
-    P = [span[g] for g in _unit_rows(A.rank)]
-    return basis, _duality_from_gram(A, _conjugate_gram(M, P, m))
+    rows = [span[P.pack(g)] for g in _unit_rows(A.rank)]
+    return list(map(P.unpack, basis)), _duality_from_gram(A, _conjugate_gram(M, rows, m))
 
 
 def mult_by_p_filtration(
@@ -353,10 +351,12 @@ def _swapped_by_l0(A: GroupSpec, pairs: Sequence[tuple[Subgroup, Subgroup]]) -> 
     of it under every duality; conversely L_0 is injective on subgroups,
     so equal duals under every tau force H tau = H.  The (ker, im) levels
     are therefore mutual left/right duals under every duality exactly when
-    every level is characteristic and this holds."""
-    phi0 = canonical_duality(A)
+    every level is characteristic and this holds.  phi_0 has Gram matrix
+    diag(w), so no duality is built either."""
+    m, w = A.exponent, A.weights
     return all(
-        ker.order * im.order == A.cardinality and _orthogonal(phi0, ker.basis, im.basis)
+        ker.order * im.order == A.cardinality
+        and not any(sum(map(mul, w, map(mul, x, y))) % m for x in ker.basis for y in im.basis)
         for ker, im in pairs
     )
 
@@ -404,13 +404,18 @@ def _image_rows(
     L_phi(H) and R_phi(H), phi(a) = phi_0(a tau).  The parents, Aut(A)
     against the enumeration bound and each dual against the scan bound are
     checked at the call, in that order."""
-    auts = _check_subgroups(A, subgroups, limits, aut=True)
-    lattice = _lattice(A)
-    cols = lattice.columns([lattice.id_of(H) for H in subgroups])
+    auts, cols = _image_columns(A, subgroups, limits)
     return (
         (matrix, [(col[j], col[i]) for col in cols])
         for matrix, (i, j) in zip(map(_unpacker(A), auts), enumerate(_adjoints(A)))
     )
+
+
+def _image_columns(A: GroupSpec, subgroups: Sequence[Subgroup], limits: Limits | None):
+    """Aut(A) packed and the column of each H, after `_image_rows`'s checks."""
+    auts = _check_subgroups(A, subgroups, limits, aut=True)
+    lattice = _lattice(A)
+    return auts, lattice.columns([lattice.id_of(H) for H in subgroups])
 
 
 def _check_subgroups(A: GroupSpec, subgroups, limits: Limits | None, aut: bool = False):

@@ -111,17 +111,10 @@ def inner_product_value(phi: Duality, a: GroupElement, b: GroupElement) -> CycIn
 def _rows_from_gram(A: GroupSpec, G) -> tuple[tuple[int, ...], ...]:
     """The tau rows of the duality with Gram matrix G (see `_gram`): tau_ij
     = G_ij / w_j; each G_ij must be divisible by w_j modulo m."""
-    m = A.exponent
-    rows = []
-    for row in G:
-        out = []
-        for g, w_j in zip(row, A.weights):
-            e = g % m
-            if e % w_j != 0:
-                raise AssertionError("inner-product exponent has impossible order")
-            out.append(e // w_j)
-        rows.append(tuple(out))
-    return tuple(rows)
+    m, w = A.exponent, A.weights
+    if any(g % m % w_j for row in G for g, w_j in zip(row, w)):
+        raise AssertionError("inner-product exponent has impossible order")
+    return tuple(tuple([g % m // w_j for g, w_j in zip(row, w)]) for row in G)
 
 
 def _duality_from_gram(A: GroupSpec, G) -> Duality:

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import product, repeat
-from operator import add, lshift, mod, mul
+from operator import add, floordiv, lshift, mod, mul
 from typing import Iterable, Iterator, Sequence
 
 from .limits import Limits, check_enumeration
@@ -276,6 +276,16 @@ class _Packing:
                 step = s - corr - (dd & ((s & high) >> top) * full)
         return basis, span
 
+    def add(self, x: int, y: int) -> int:
+        """x + y, reduced in every slot."""
+        s = x + y + self.corr
+        return s - self.corr - (self.dd & ((s & self.high) >> (self.w - 1)) * self.full)
+
+    def extend(self, span: dict[int, tuple[int, ...]], steps: list[int]) -> dict:
+        """span (+) <g> from steps = [0, g, ..., (o - 1) g], when <g> meets
+        span only in 0: each y + k g keyed to y's coordinates and k."""
+        return {self.add(y, kg): c + (k,) for k, kg in enumerate(steps) for y, c in span.items()}
+
     def format(self, xs: Iterable[int]) -> list[str]:
         """`format_coords` of each element, digits by one translate each."""
         if self.digits:
@@ -329,6 +339,15 @@ def _order(orders: tuple[int, ...], coords: Sequence[int]) -> int:
     return math.lcm(*(d // math.gcd(c, d) for c, d in zip(coords, orders)))
 
 
+@lru_cache(maxsize=None)
+def _element_orders(A: GroupSpec) -> dict[int, int]:
+    """The order of each packed element of A, the lcm of d_i / gcd(c_i, d_i),
+    keyed in (-order, x) order: |A| entries, built once per group."""
+    factors = [[d // math.gcd(c, d) for c in range(d)] for d in A.orders]
+    elements = zip((-math.lcm(*t) for t in product(*factors)), map(_packing(A).pack, _coords(A)))
+    return {x: -o for o, x in sorted(elements)}
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) = s a + t b, for a, b >= 0."""
     s0, t0, s1, t1 = 1, 0, 0, 1
@@ -353,30 +372,36 @@ def _kernel_generators(
     z_j), a unimodular change that keeps the span and leaves z_j the value
     0.  On that span f . x = c v (mod m) for x = c z_p + y, so the zero set
     of f in it is spanned by the other generators and (m / gcd(v, m)) z_p
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
-    gens = list(_unit_rows(len(orders)))
-    for f in forms:
-        values = [sum(map(mul, f, z)) % m for z in gens]
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).  Each
+    z_j carries its values on the forms after its coordinates, through the
+    steps, the scaling and the drop of zero generators alike."""
+    k, forms = len(orders), list(forms)
+    mods = (*orders, *[m] * len(forms))
+    gens = [z + tuple([f[j] % m for f in forms]) for j, z in enumerate(_unit_rows(k))]
+    for f in range(k, len(mods)):
         p = None
-        for j, v in enumerate(values):
+        for j, zj in enumerate(gens):
+            v = zj[f]
             if not v:
                 continue
             if p is None:
                 p = j
                 continue
-            a = values[p]
+            zp = gens[p]
+            a = zp[f]
             g, s, t = _xgcd(a, v)
-            zp, zj = gens[p], gens[j]
-            # t = 0 makes g = a and s = 1: z_p stays.
-            if t:
-                gens[p] = tuple([(s * x + t * y) % d for x, y, d in zip(zp, zj, orders)])
-            gens[j] = tuple([(v // g * x - a // g * y) % d for x, y, d in zip(zp, zj, orders)])
-            values[p] = g
+            # t = 0 makes g = a and s = 1: z_p stays.  v | a makes g = v,
+            # s = 0 and t = 1: z_p becomes z_j.
+            if s and t:
+                gens[p] = tuple([(s * x + t * y) % d for x, y, d in zip(zp, zj, mods)])
+            elif t:
+                gens[p] = zj
+            gens[j] = tuple([(v // g * x - a // g * y) % d for x, y, d in zip(zp, zj, mods)])
         if p is not None:
-            c = m // math.gcd(values[p], m)
-            gens[p] = tuple(c * x % d for x, d in zip(gens[p], orders))
+            c = m // math.gcd(gens[p][f], m)
+            gens[p] = tuple([c * x % d for x, d in zip(gens[p], mods)])
             gens = [z for z in gens if any(z)]
-    return gens
+    return [z[:k] for z in gens]
 
 
 @lru_cache(maxsize=None)
@@ -516,23 +541,17 @@ class Homomorphism:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = []
         if len(self.matrix) != self.source.rank:
             raise ValueError("matrix row count does not match source rank")
-        for i, row in enumerate(self.matrix):
+        rows = []
+        for d_i, row in zip(self.source.orders, self.matrix):
             if len(row) != self.target.rank:
                 raise ValueError("matrix column count does not match target rank")
-            d_i = self.source.orders[i]
-            reduced = tuple(
-                t % d_j for t, d_j in zip(row, self.target.orders)
-            )
-            for t, d_j in zip(reduced, self.target.orders):
-                if (d_i * t) % d_j != 0:
-                    raise ValueError(
-                        f"entry {t} maps an order-{d_i} generator outside "
-                        f"its admissible image in Z/{d_j}"
-                    )
-            rows.append(reduced)
+            rows.append(tuple(map(mod, row, self.target.orders)))
+            for t, d_j in zip(rows[-1], self.target.orders):
+                if d_i * t % d_j:
+                    raise ValueError(f"entry {t} maps an order-{d_i} generator outside "
+                                     f"its admissible image in Z/{d_j}")
         object.__setattr__(self, "matrix", tuple(rows))
 
     def apply(self, a: GroupElement) -> GroupElement:
@@ -654,6 +673,14 @@ def _unpacker(A: GroupSpec):
     coords, N = _coords(A), A.cardinality
     powers = [N**e for e in reversed(range(A.rank))]
     return lambda v: tuple([coords[v // p % N] for p in powers])
+
+
+def _aut_rows(A: GroupSpec, lo: int, hi: int) -> list[list[int]]:
+    """Row j of each automorphism in Aut(A)[lo:hi] as the index of that
+    element in `_coords(A)`, one list per j.  Callers check the limits."""
+    auts, N = _automorphisms(A)[lo:hi], A.cardinality
+    powers = [N**e for e in reversed(range(A.rank))]
+    return [list(map(mod, map(floordiv, auts, repeat(p)), repeat(N))) for p in powers]
 
 
 def _aut_index(A: GroupSpec):
@@ -821,7 +848,8 @@ def stabilizer(
     return [_known_automorphism(A, unpack(v)) for v, i in zip(auts, col) if i == h]
 
 
-def _elementary_generators(A: GroupSpec) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=None)
+def _elementary_generators(A: GroupSpec) -> tuple[tuple[int, int, int], ...]:
     """Generators (i, j, c) of Aut(A), each the matrix I + c E_ij: every
     transvection g_i -> g_i + c g_j (i != j) with the least admissible c =
     d_j / gcd(d_i, d_j) != 0 mod d_j, and the scalings g_i -> (1 + c) g_i
@@ -831,7 +859,8 @@ def _elementary_generators(A: GroupSpec) -> list[tuple[int, int, int]]:
     block of equal-order factors is invertible mod p (Hillar and Rhea 2007),
     so elimination with unit pivots, by transvections and scalings, reduces
     an automorphism to 1; admissibility makes the other entries of a pivot
-    column multiples of the least c, which powers of transvections clear."""
+    column multiples of the least c, which powers of transvections clear.
+    Found once per group."""
     gens = []
     for i, d in enumerate(A.orders):
         gens += [(i, j, e // math.gcd(d, e)) for j, e in enumerate(A.orders)
@@ -841,21 +870,23 @@ def _elementary_generators(A: GroupSpec) -> list[tuple[int, int, int]]:
             if math.gcd(u, d) == 1 and u not in reached:
                 gens.append((i, i, u - 1))
                 reached = {h * pow(u, e, d) % d for h in reached for e in range(d)}
-    return gens
+    return tuple(gens)
 
 
 def is_characteristic(H: Subgroup, limits: Limits | None = None) -> bool:
     """Whether H tau = H for every tau: whether each elementary generator
-    I + c E_ij maps each element h of H's basis, to h + c h_i g_j, inside
-    H.  A generator that maps a generating set into H maps H into H, and
-    onto H as it is injective; the generators generate the finite group
-    Aut(A), so every automorphism then maps H onto H."""
-    check_enumeration(H.parent.cardinality, limits)
-    orders, inside = H.parent.orders, H.element_set()
+    I + c E_ij maps each packed h of a generating set of H, to h + c h_i in
+    slot j, inside H.  A generator that maps a generating set into H maps
+    H into H, and onto H as it is injective; the generators generate the
+    finite group Aut(A), so every automorphism then maps H onto H."""
+    A = H.parent
+    check_enumeration(A.cardinality, limits)
+    P, inside = _packing(A), set(H._packed)
+    gens, shifts = H._basis or H._gens or P.span(H._packed)[0], P.shifts
     return all(
-        h[:j] + ((h[j] + c * h[i]) % orders[j],) + h[j + 1 :] in inside
-        for i, j, c in _elementary_generators(H.parent)
-        for h in H.basis
+        P.add(h, c * (h >> shifts[i] & P.full) % A.orders[j] << shifts[j]) in inside
+        for i, j, c in _elementary_generators(A)
+        for h in gens
     )
 
 

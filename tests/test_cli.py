@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from groupdual import (
     all_dualities,
     all_subgroups,
+    aut_order,
     cli,
     congruence_classes,
     cwe,
@@ -26,6 +28,7 @@ from groupdual import (
     mw_complete_transform,
 )
 from groupdual.cli import run
+import census_oracle
 from span_oracle import _span
 from groupdual.tables import PAPER_TABLES, paper_table
 
@@ -422,6 +425,53 @@ def test_streamed_tables_match_the_in_memory_rendering(capsys, fmt, group, order
     assert _run(capsys, *argv) == (0, _duals_table_in_memory(A, subs, fmt), "")
     argv = ["dualities", "--group", group, "--list", "--format", fmt]
     assert _run(capsys, *argv) == (0, _dualities_list_in_memory(A, fmt), "")
+
+
+# (group, --order) with 1 row, fewer rows than a block, a whole number of
+# blocks (1,536 = 6 x 256) and a count that is not one (480, 336, 20,160).
+_BLOCK_CASES = [("2", None), ("3,3", None), ("2,2,2", 2), ("2,4,4", 4), ("5,5", None),
+                ("2,2,6", 2), ("2,2,2,2", None), ("2,2,2,2", 4)]
+
+
+def test_block_cases_cover_the_row_counts():
+    counts = {aut_order(make_group(map(int, g.split(",")))) for g, _ in _BLOCK_CASES}
+    assert 1 in counts and any(1 < c < cli._BLOCK for c in counts)
+    assert any(c % cli._BLOCK == 0 for c in counts)
+    assert any(c > cli._BLOCK and c % cli._BLOCK for c in counts)
+
+
+def _selected(A, order):
+    return [s for s in all_subgroups(A)
+            if (s.order == order if order is not None else 1 < s.order < A.cardinality)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("group,order", _BLOCK_CASES)
+def test_block_writer_matches_the_row_writer(capsys, fmt, group, order):
+    # The rows built a block at a time from per-id texts are the bytes the
+    # row-at-a-time writer with its (left, right) cell cache gave.
+    A = make_group([int(d) for d in group.split(",")])
+    argv = ["duals-table", "--group", group, "--format", fmt]
+    argv += ["--order", str(order)] if order is not None else []
+    want = census_oracle.duals_table_output(A, _selected(A, order), fmt)
+    assert _run(capsys, *argv) == (0, want, "")
+    argv = ["dualities", "--group", group, "--list", "--format", fmt]
+    assert _run(capsys, *argv) == (0, census_oracle.dualities_output(A, fmt), "")
+
+
+@pytest.mark.parametrize("block", [1, 5, 48])
+@pytest.mark.parametrize("group,order", [("2,2", None), ("3,3", 3), ("2,8", None)])
+def test_any_block_size_writes_the_same_bytes(capsys, monkeypatch, block, group, order):
+    # Blocks of 1 row, and blocks that do and do not divide the row count.
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    A = make_group([int(d) for d in group.split(",")])
+    for fmt in ("text", "json"):
+        argv = ["duals-table", "--group", group, "--format", fmt]
+        argv += ["--order", str(order)] if order is not None else []
+        want = census_oracle.duals_table_output(A, _selected(A, order), fmt)
+        assert _run(capsys, *argv) == (0, want, "")
+        argv = ["dualities", "--group", group, "--list", "--format", fmt]
+        assert _run(capsys, *argv) == (0, census_oracle.dualities_output(A, fmt), "")
 
 
 def test_duals_table_hashes_no_subgroup(capsys, monkeypatch):
@@ -903,6 +953,73 @@ def test_the_reader_takes_exact_options_and_their_values(argv):
 )
 def test_the_reader_leaves_help_errors_and_other_forms_to_argparse(argv):
     assert _check_reader(argv) is None
+
+
+def _takewhile_read(view, argv):
+    """Oracle: `cli._read` as it was, testing each token for a value with
+    `_is_value` through takewhile."""
+    i = 1 if tuple(argv[:1]) in view else 2
+    command = view.get(tuple(argv[:i]))
+    if command is None:
+        return None
+    flags, defaults, required = command
+    ns, seen = dict(defaults), set()
+    while i < len(argv):
+        option = flags.get(argv[i])
+        if option is None:
+            return None
+        dest, kwargs = option
+        seen.add(argv[i])
+        i += 1
+        if kwargs.get("action") == "store_true":
+            ns[dest] = True
+            continue
+        many = kwargs.get("nargs") == "+"
+        values = list(takewhile(cli._is_value, argv[i : len(argv) if many else i + 1]))
+        if not values:
+            return None
+        i += len(values)
+        if kwargs.get("type") is int:
+            try:
+                values = list(map(int, values))
+            except ValueError:
+                return None
+        choices = kwargs.get("choices")
+        if choices is not None and any(v not in choices for v in values):
+            return None
+        ns[dest] = values if many else values[0]
+    if not seen.issuperset(required):
+        return None
+    return ns
+
+
+# Tokens around a run of values: negative integers, '--', '-', non-ASCII
+# digits, '-x' and empty values.
+_RUN_TOKENS = ["01", "10", "-1", "-0", "-12", "--", "-", "-٣", "٣", "", "-x", "1-", "-1.5",
+               " -1", "--code-gens", "--side", "--n", "3", "left"]
+
+
+@given(
+    st.sampled_from(_readme_examples() + [_DUAL]),
+    st.integers(0, 40),
+    st.lists(st.sampled_from(_RUN_TOKENS), max_size=12),
+)
+@settings(max_examples=500, deadline=None)
+def test_the_reader_ends_runs_of_values_as_takewhile_did(base, at, tokens):
+    argv = list(base)
+    at = at % (len(argv) + 1)
+    argv[at:at] = tokens
+    assert cli._read(cli._reader(), argv) == _takewhile_read(cli._reader(), argv)
+
+
+@pytest.mark.parametrize("words", [
+    ["01"] * 128, ["01", "-1", "-0", "10"], ["-1"] * 5, ["01", "--", "10"], ["01", "-٣"],
+    ["٣", "01"], ["01", "-x"], ["", "01", ""], ["01", "-"], ["-05", "-1 2", "01"],
+])
+@pytest.mark.parametrize("after", [[], ["--side", "left"], ["--n", "-1"], ["--format"]])
+def test_the_reader_reads_long_and_odd_runs_as_takewhile_did(words, after):
+    argv = ["dual", "--group", "2", "--duality-index", "0", "--code-gens", *words, *after]
+    assert cli._read(cli._reader(), argv) == _takewhile_read(cli._reader(), argv)
 
 
 _FAST_EXAMPLES = [argv for argv in _readme_examples() if argv[0] != "paper-table"]

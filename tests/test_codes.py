@@ -42,6 +42,7 @@ from groupdual.codes import (
 )
 from groupdual.cyclotomic import CycInt
 from groupdual.groups import _order
+import census_oracle
 from span_oracle import _span
 from groupdual.dualities import inner_product_exponent, inner_product_value
 
@@ -1017,3 +1018,56 @@ def test_filtration_levels_keep_an_independent_basis(orders):
             assert len(span) == math.prod(_order(A.orders, b) for b in S.basis)
             assert span == S.element_set()
             assert [g.coords for g in S.generators] == _span(A.orders, S.members)[0]
+
+
+def _supported_pairs(A):
+    """The pairs construct-pair supports: the size condition in an
+    elementary abelian group, complementary direct summands otherwise."""
+    elementary = A.primes() == [A.exponent]
+    return [(H, K) for H, K in _size_pairs(A)
+            if elementary or H.element_set() & K.element_set() == {(0,) * A.rank}]
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS)
+def test_adapted_basis_matches_the_tuple_basis_on_the_census_pools(orders):
+    # The packed pass picks the basis and the duality of the tuple pass on
+    # every pair construct-pair supports.
+    A = make_group(orders)
+    pairs = _supported_pairs(A)
+    for H, K in pairs:
+        basis, phi = codes_module._adapted_basis(A, H, K)
+        want_basis, want_phi = census_oracle._adapted_basis(A, H, K)
+        assert (basis, phi.tau.matrix) == (want_basis, want_phi.tau.matrix)
+    assert pairs
+
+
+@pytest.mark.parametrize("orders,h_gens,k_gens", [
+    ((2, 4, 8, 16), ["1,1,1,1"], ["1,0,0,0", "0,1,0,0", "0,0,1,0"]),
+    ((4, 8, 8), ["122", "014"], ["001"]),
+    ((2, 2, 2, 2), ["1100", "0110"], ["1100", "0011"]),
+    ((2, 6), ["10", "03"], ["02"]),
+])
+def test_adapted_basis_matches_the_tuple_basis_on_the_ci_pairs(orders, h_gens, k_gens):
+    # The CI's construct-pair cases: a basis with more vectors than A has
+    # factors, and a swap with H cap K != 0.
+    A = make_group(orders)
+    H, K = (subgroup_closure(A, map(A.parse_element, gens)) for gens in (h_gens, k_gens))
+    basis, phi = codes_module._adapted_basis(A, H, K)
+    want_basis, want_phi = census_oracle._adapted_basis(A, H, K)
+    assert (basis, phi.tau.matrix) == (want_basis, want_phi.tau.matrix)
+    assert construct_duality_for_pair(H, K) == phi
+
+
+@pytest.mark.parametrize("orders", CENSUS_GROUPS + ([2, 4, 8], [3, 9], [4, 8], [9, 27]))
+def test_characteristic_test_matches_the_tuple_test(orders):
+    # Every subgroup as enumerated (no stored basis), as closed from a
+    # random generating set, and each filtration level (a stored basis).
+    A = make_group(orders)
+    rng = random.Random(str(orders))
+    subs = all_subgroups(A)
+    closed = [subgroup_closure(A, rng.sample(H.elements, min(3, H.order))) for H in subs]
+    levels = [S for p in A.primes() if len(A.primes()) == 1
+              for level in mult_by_p_filtration(A, p) for S in level]
+    for H in subs + closed + levels:
+        assert is_characteristic(H) == census_oracle.is_characteristic(H), H
+    assert all(map(is_characteristic, levels))

@@ -148,6 +148,57 @@ def test_kernel_generators_span_the_zero_set_of_any_characters(orders, data):
     assert sorted(_span(A.orders, gens)[1]) == _zero_set(A.orders, A.exponent, forms)
 
 
+def _recomputing_kernel_generators(orders, m, forms):
+    """Oracle: `_kernel_generators` as it was before the generators carried
+    their values, recomputing f . z_j for every generator on each form."""
+    gens = [tuple(int(i == j) for j in range(len(orders))) for i in range(len(orders))]
+    for f in forms:
+        values = [sum(map(mul, f, z)) % m for z in gens]
+        p = None
+        for j, v in enumerate(values):
+            if not v:
+                continue
+            if p is None:
+                p = j
+                continue
+            a = values[p]
+            g, s, t = groups._xgcd(a, v)
+            zp, zj = gens[p], gens[j]
+            if t:
+                gens[p] = tuple([(s * x + t * y) % d for x, y, d in zip(zp, zj, orders)])
+            gens[j] = tuple([(v // g * x - a // g * y) % d for x, y, d in zip(zp, zj, orders)])
+            values[p] = g
+        if p is not None:
+            c = m // math.gcd(values[p], m)
+            gens[p] = tuple(c * x % d for x, d in zip(gens[p], orders))
+            gens = [z for z in gens if any(z)]
+    return gens
+
+
+@given(
+    st.sampled_from([
+        [2], [12], [2, 4], [4, 6], [2, 2, 3], [3, 9], [2, 6, 4], [2] * 10, [2, 4] * 3,
+        [3] * 6, [4] * 5, [2, 2, 2, 4], [9, 27], [5, 25, 5],
+    ]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_carried_values_give_the_generators_of_the_recomputed_ones(orders, data):
+    # Admissible forms w_i e_i, shifted by multiples of m and negated at
+    # random, as `extend_character` sends them; with the orders of a
+    # character group, the extra factor Z/m of its pairs (e, t).
+    A = make_group(orders)
+    m = A.exponent
+    with_t = data.draw(st.booleans())
+    weights = A.weights + ((1,) if with_t else ())
+    etuple = st.tuples(*(st.integers(-3 * d, 3 * d) for d in orders + ([m] if with_t else [])))
+    forms = [tuple(w * e for w, e in zip(weights, es))
+             for es in data.draw(st.lists(etuple, max_size=2 * A.rank))]
+    ambient = tuple(orders) + ((m,) if with_t else ())
+    assert _kernel_generators(ambient, m, forms) == _recomputing_kernel_generators(
+        ambient, m, forms)
+
+
 def test_no_forms_and_zero_forms_give_the_whole_group():
     A = make_group([2, 4, 3])
     whole = _scanned(A, [])
