@@ -13,7 +13,7 @@ import os
 import sys
 from functools import cache
 from itertools import repeat
-from operator import eq, itemgetter
+from operator import eq
 from typing import Sequence
 
 from .codes import (
@@ -466,6 +466,23 @@ def _is_value(token: str) -> bool:
     return token[:1] != "-" or (token[1:].isdigit() and token[1:].isascii())
 
 
+def _run_end(argv: list[str], i: int) -> int:
+    """Where the run of values from argv[i] ends: at the first token
+    starting with '-' that is not a negative integer, else at the end.
+    Each token follows a NUL in `text`, so such a token starts at a '-'
+    after a NUL, and the NULs before it count the tokens; a NUL inside a
+    token, which no command line holds, is read as a blank."""
+    rest = argv[i:]
+    text = "\0" + "\0".join(rest)
+    if text.count("\0") != len(rest):
+        text = "\0" + "\0".join([token.replace("\0", " ") for token in rest])
+    q = 0
+    while (q := text.find("-", q + 1)) >= 0:
+        if text[q - 1] == "\0" and not _is_value(argv[end := i + text.count("\0", 0, q - 1)]):
+            return end
+    return len(argv)
+
+
 def _read(view, argv: list[str]) -> dict | None:
     """The attributes that argparse sets from argv, or None where the reader
     leaves argv to argparse: help, every error, and every form beyond the
@@ -476,9 +493,6 @@ def _read(view, argv: list[str]) -> dict | None:
         return None
     flags, defaults, required = command
     ns, seen = dict(defaults), set()
-    # A run of values ends at the first token starting with '-' that is not
-    # a negative integer, or at the "-" after the last token.
-    heads = [*map(itemgetter(slice(1)), argv), "-"]
     while i < len(argv):
         option = flags.get(argv[i])
         if option is None:
@@ -489,14 +503,12 @@ def _read(view, argv: list[str]) -> dict | None:
         if kwargs.get("action") == "store_true":
             ns[dest] = True
             continue
-        end = i
-        while (end := heads.index("-", end)) < len(argv) and _is_value(argv[end]):
-            end += 1
         many = kwargs.get("nargs") == "+"
-        values = argv[i : end if many else min(end, i + 1)]
+        end = _run_end(argv, i) if many else i + (i < len(argv) and _is_value(argv[i]))
+        values = argv[i:end]
         if not values:
             return None
-        i += len(values)
+        i = end
         if kwargs.get("type") is int:
             try:
                 values = list(map(int, values))

@@ -30,8 +30,12 @@ def _derived():
 class GroupSpec:
     """A finite abelian group prod Z/d_i with a fixed factor basis.
 
-    `rank`, `exponent`, `cardinality` and `weights` (w_i = exponent / d_i,
-    the pairing weight of each factor) are computed once per group."""
+    `rank`, `exponent`, `cardinality`, `weights` (w_i = exponent / d_i,
+    the pairing weight of each factor) and the hash of `orders` are
+    computed once per group.  `make_group` keeps one instance per order
+    tuple, so the per-group caches find a group by identity; a directly
+    built `GroupSpec` with the same orders still compares and hashes
+    equal, and reads the same cached tables."""
 
     orders: tuple[int, ...]
     rank: int = _derived()
@@ -40,6 +44,7 @@ class GroupSpec:
     weights: tuple[int, ...] = _derived()
     # Elements are written as digit strings unless some d_i > 10.
     _comma: bool = _derived()
+    _hash: int = _derived()
 
     def __post_init__(self) -> None:
         orders = tuple(int(d) for d in self.orders)
@@ -55,7 +60,18 @@ class GroupSpec:
             cardinality=math.prod(orders),
             weights=tuple(m // d for d in orders),
             _comma=any(d > 10 for d in orders),
+            _hash=hash(orders),
         )
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, GroupSpec):
+            return NotImplemented
+        return self.orders == other.orders
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
         return GroupElement(self, tuple(coords))
@@ -77,7 +93,11 @@ class GroupSpec:
             yield GroupElement(self, coords)
 
     def primes(self) -> list[int]:
-        return sorted(_prime_factors(self.cardinality))
+        return list(self._primes)
+
+    @cached_property
+    def _primes(self) -> tuple[int, ...]:
+        return tuple(sorted(_prime_factors(self.cardinality)))
 
     def format_element(self, a: "GroupElement") -> str:
         return self.format_coords(a.coords)
@@ -100,8 +120,20 @@ class GroupSpec:
         return tuple(map(mod, digits, self.orders))
 
 
-def make_group(orders: Sequence[int]) -> GroupSpec:
-    return GroupSpec(tuple(orders))
+# One GroupSpec per order tuple, kept for the process.
+_groups: dict[tuple[int, ...], GroupSpec] = {}
+
+
+def make_group(orders: Iterable[int]) -> GroupSpec:
+    """The group prod Z/d_i, interned by its orders: every call with the
+    same orders returns the same instance.  Bad orders raise ValueError
+    on every call, as no group is kept for them."""
+    key = tuple(orders)
+    A = _groups.get(key)
+    if A is None:
+        A = GroupSpec(key)
+        A = _groups.setdefault(A.orders, A)
+    return A
 
 
 @dataclass(frozen=True)
@@ -373,22 +405,26 @@ def _kernel_generators(
     0.  On that span f . x = c v (mod m) for x = c z_p + y, so the zero set
     of f in it is spanned by the other generators and (m / gcd(v, m)) z_p
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4).  Each
-    z_j carries its values on the forms after its coordinates, through the
-    steps, the scaling and the drop of zero generators alike."""
+    z_j carries its values on the forms after its coordinates, in reverse
+    order, so that the next form's values are the last column still
+    carried.  The steps leave every value on a form but the pivot's 0 and
+    the scaling zeroes the pivot's, so a form's column is 0 from its pass
+    on: the steps and the scaling, zipped with `mods`, build each z_j
+    without that column or the ones after it, and keep the pivot's value
+    in `a`."""
     k, forms = len(orders), list(forms)
-    mods = (*orders, *[m] * len(forms))
-    gens = [z + tuple([f[j] % m for f in forms]) for j, z in enumerate(_unit_rows(k))]
-    for f in range(k, len(mods)):
+    gens = [z + tuple([f[j] % m for f in reversed(forms)]) for j, z in enumerate(_unit_rows(k))]
+    for f in reversed(range(k, k + len(forms))):
+        mods = (*orders, *[m] * (f - k))
         p = None
         for j, zj in enumerate(gens):
             v = zj[f]
             if not v:
                 continue
             if p is None:
-                p = j
+                p, a = j, v
                 continue
             zp = gens[p]
-            a = zp[f]
             g, s, t = _xgcd(a, v)
             # t = 0 makes g = a and s = 1: z_p stays.  v | a makes g = v,
             # s = 0 and t = 1: z_p becomes z_j.
@@ -397,8 +433,9 @@ def _kernel_generators(
             elif t:
                 gens[p] = zj
             gens[j] = tuple([(v // g * x - a // g * y) % d for x, y, d in zip(zp, zj, mods)])
+            a = g
         if p is not None:
-            c = m // math.gcd(gens[p][f], m)
+            c = m // math.gcd(a, m)
             gens[p] = tuple([c * x % d for x, d in zip(gens[p], mods)])
             gens = [z for z in gens if any(z)]
     return [z[:k] for z in gens]
@@ -891,9 +928,16 @@ def is_characteristic(H: Subgroup, limits: Limits | None = None) -> bool:
 
 
 def primary_decomposition(A: GroupSpec) -> dict[int, GroupSpec]:
-    """The p-part presentations: p-power part of each order, 1s dropped."""
+    """The p-part presentations: p-power part of each order, 1s dropped.
+    A fresh dict of the interned parts, found once per group."""
+    return dict(_primary_parts(A))
+
+
+@lru_cache(maxsize=None)
+def _primary_parts(A: GroupSpec) -> dict[int, GroupSpec]:
+    """`primary_decomposition(A)`, kept per group; callers only read it."""
     parts: dict[int, GroupSpec] = {}
-    for p in A.primes():
+    for p in A._primes:
         orders = []
         for d in A.orders:
             q = 1
@@ -902,15 +946,17 @@ def primary_decomposition(A: GroupSpec) -> dict[int, GroupSpec]:
                 d //= p
             if q > 1:
                 orders.append(q)
-        parts[p] = GroupSpec(tuple(orders))
+        parts[p] = make_group(orders)
     return parts
 
 
+@lru_cache(maxsize=None)
 def _primary_blocks(A: GroupSpec) -> dict[int, dict[int, int]]:
     """{p: {e: n_e}} with A_p = (+)_e (Z/p^e)^(n_e), e increasing: the
-    p-valuation of each order of `primary_decomposition(A)`, counted."""
+    p-valuation of each order of `primary_decomposition(A)`, counted.
+    Found once per group; callers only read it."""
     blocks = {}
-    for p, part in primary_decomposition(A).items():
+    for p, part in _primary_parts(A).items():
         counts: dict[int, int] = {}
         for q in part.orders:
             e = 0

@@ -28,6 +28,7 @@ from groupdual import (
     mw_complete_transform,
 )
 from groupdual.cli import run
+from groupdual.groups import GroupSpec
 import census_oracle
 from span_oracle import _span
 from groupdual.tables import PAPER_TABLES, paper_table
@@ -1055,6 +1056,19 @@ def test_readme_examples_are_read_without_argparse(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     assert _run(capsys, *argv) == (code, want.out, want.err)
+
+
+@pytest.mark.parametrize(
+    "argv", _FAST_EXAMPLES + _DECK_SHAPES + [["paper-table", "4.4"]], ids=" ".join)
+def test_a_second_run_builds_no_group(capsys, monkeypatch, argv):
+    # Every group a command reads, A, A^n and the primary parts, is
+    # interned by make_group: a second run finds each one already built.
+    first = _run(capsys, *argv)
+    built = []
+    post_init = GroupSpec.__post_init__
+    monkeypatch.setattr(GroupSpec, "__post_init__", lambda A: built.append(A) or post_init(A))
+    assert _run(capsys, *argv) == first
+    assert built == []
 
 
 # The shape that build_parser() keeps, independent of the Python version's

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupdual import (
     Automorphism,
+    GroupSpec,
     Homomorphism,
     Limits,
     LimitExceededError,
@@ -31,6 +32,8 @@ from groupdual import (
     subgroup_closure,
     subgroup_from_elements,
 )
+from groupdual import groups
+from groupdual.codes import PowerGroup
 from groupdual.dualities import _elementary_generators
 from groupdual.groups import (
     _adjoints,
@@ -187,6 +190,60 @@ def test_primary_decomposition_against_order_census():
             d = math.lcm(o2.order, o3.order)
             combined[d] = combined.get(d, 0) + 1
     assert census == combined
+
+
+def test_make_group_interns_one_group_per_order_tuple():
+    A = make_group([2, 4])
+    assert make_group((2, 4)) is A
+    assert make_group(iter([2, 4])) is A
+    assert make_group([4, 2]) is not A
+
+
+def test_a_power_group_is_the_interned_group():
+    A = make_group([2, 4])
+    assert PowerGroup(A, 3).spec is make_group(A.orders * 3)
+    assert PowerGroup(A, 3).spec is PowerGroup(make_group((2, 4)), 3).spec
+
+
+@pytest.mark.parametrize("orders", [[12, 2], [2, 2, 6, 6], [27], [6, 10, 15]])
+def test_primary_parts_are_interned_and_returned_in_a_fresh_dict(orders):
+    A = make_group(orders)
+    parts = primary_decomposition(A)
+    assert all(part is make_group(part.orders) for part in parts.values())
+    first = dict(parts)
+    parts.clear()
+    parts[7] = make_group([7])
+    again = primary_decomposition(A)
+    assert again == first
+    assert all(again[p] is first[p] for p in first)
+
+
+def test_a_directly_built_group_equals_the_interned_one():
+    A, B = make_group((2, 4)), GroupSpec((2, 4))
+    assert B is not A and make_group((2, 4)) is A
+    assert B == A and A == B and not B != A
+    assert hash(B) == hash(A)
+    assert {A: 1}[B] == 1
+    assert _packing(B) is _packing(A)
+    assert B != make_group((4, 2)) and B != (2, 4)
+
+
+@pytest.mark.parametrize("orders", [[], [1], [2, 0], [4, -2], [2, 1, 3]])
+def test_bad_orders_raise_on_every_call_and_are_not_interned(orders):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make_group(orders)
+    assert tuple(orders) not in groups._groups
+
+
+def test_per_group_tables_are_found_without_comparing_groups(monkeypatch):
+    A = make_group([2, 2, 3])
+    assert (A.primes(), aut_order(A), count_symmetric_dualities(A)) == ([2, 3], 12, 8)
+    calls = []
+    monkeypatch.setattr(GroupSpec, "__eq__", lambda self, other: calls.append(other) or NotImplemented)
+    assert (A.primes(), aut_order(A), count_symmetric_dualities(A)) == ([2, 3], 12, 8)
+    assert _packing(make_group([2, 2, 3])) is _packing(A)
+    assert calls == []
 
 
 def test_homomorphism_rejects_order_violations():

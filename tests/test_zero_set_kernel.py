@@ -35,7 +35,25 @@ from groupdual import groups
 from groupdual.codes import PowerGroup, duals_table
 from groupdual.dualities import _pairing_forms
 from groupdual.groups import _kernel_generators, _zero_subgroup
+from kernel_oracle import _carrying_kernel_generators
 from span_oracle import _span
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _kernel_checked_by_the_carrying_oracle():
+    """Every `_kernel_generators` call that the tests of this module make
+    through the library returns what the oracle that carries every form's
+    values returns."""
+
+    def checked(orders, m, forms):
+        forms = list(forms)
+        got = _kernel_generators(orders, m, forms)
+        assert got == _carrying_kernel_generators(orders, m, forms), (orders, m, forms)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "_kernel_generators", checked)
+        yield
 
 
 def _zero_set(orders, m, forms):
@@ -289,3 +307,20 @@ def test_scan_bound_applies_to_the_order_of_the_dual():
     assert row["duals"][0]["left"].order == 2
     with pytest.raises(LimitExceededError, match="dual code of order 2 exceeds scan bound 1"):
         duals_table(A, [H], [phi], Limits(scan_bound=1))
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 16, 27]), min_size=1, max_size=8),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_matches_the_carrying_oracle_on_random_groups(orders, data):
+    # Admissible forms w_i e_i over a random group, shifted by multiples of
+    # m and negated at random; up to two more forms than factors.
+    A = make_group(orders)
+    m = A.exponent
+    etuple = st.tuples(*(st.integers(-2 * m, 2 * m) for _ in orders))
+    forms = [tuple(w * e for w, e in zip(A.weights, es))
+             for es in data.draw(st.lists(etuple, max_size=A.rank + 2))]
+    assert _kernel_generators(A.orders, m, forms) == _carrying_kernel_generators(
+        A.orders, m, forms)
