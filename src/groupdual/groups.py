@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 from operator import add, floordiv, lshift, mod, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -539,34 +539,28 @@ def all_subgroups(
 
 @lru_cache(maxsize=None)
 def _subgroups(A: GroupSpec) -> tuple[Subgroup, ...]:
-    """Breadth-first joins of one cyclic subgroup at a time, from {0}.
-
-    Every subgroup <x_1, ..., x_r> is reached along <x_1> < <x_1, x_2> <
-    ..., and joining <x> depends only on the cyclic subgroup, so one
-    generator per cyclic subgroup is tried against each subgroup found:
-    one span per (subgroup, cyclic subgroup outside it) pair, on packed
-    elements.  Only the distinct subgroups are wrapped as Subgroups."""
-    span_of = _packing(A).span
-    cyclic = {}
-    for x in map(_packing(A).pack, _coords(A)):
-        cyclic.setdefault(frozenset(span_of([x])[1]), x)
-    trivial = frozenset([0])
-    found = {trivial}
-    frontier = [([], trivial)]
-    while frontier:
-        next_frontier = []
-        for basis, inside in frontier:
-            for x in cyclic.values():
-                if x in inside:
-                    continue
-                grown, span = span_of(basis + [x])
-                key = frozenset(span)
-                if key not in found:
-                    found.add(key)
-                    next_frontier.append((grown, key))
-        frontier = next_frontier
-    members = sorted((tuple(sorted(key)) for key in found), key=lambda c: (len(c), c))
-    return tuple(Subgroup(A, c) for c in members)
+    """Each subgroup once, by its unique Hermite normal form (Cohen, GTM
+    138, 2.4): rows (0, ..., 0, h_i, H_i,i+1, ..., H_ik), h_i | d_i and
+    0 <= H_ij < h_j, chosen from the last up and kept when (d_i/h_i) row_i
+    lies in the span of the rows below; h_i = d_i forces row_i = d_i e_i,
+    0 in A.  The members, the sums of c_i row_i with 0 <= c_i < d_i/h_i,
+    are distinct."""
+    P = _packing(A)
+    forms = [((), [0])]  # (h_(i+1), ..., h_k), members of the rows below
+    for i, d in reversed(list(enumerate(A.orders))):
+        grown = []
+        for pivots, members in forms:
+            inside = set(members)
+            for h in (h for h in range(1, d) if d % h == 0):
+                for tail in product(*map(range, pivots)):
+                    row = P.pack((0,) * i + (h, *tail))
+                    steps = list(accumulate(repeat(row, d // h), P.add, initial=0))
+                    if steps.pop() in inside:
+                        grown.append(((h, *pivots), [P.add(x, s) for s in steps for x in members]))
+            grown.append(((d, *pivots), members))
+        forms = grown
+    subgroups = sorted((sorted(members) for _, members in forms), key=lambda c: (len(c), c))
+    return tuple(Subgroup(A, tuple(c)) for c in subgroups)
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def _subgroups_by_elements(A):
     [2, 2, 2, 2], [2, 2, 2, 2, 2], [2, 4, 8], [4, 4, 4], [2, 2, 4, 4], [6, 6], [3, 9], [12, 2],
 ))
 def test_all_subgroups_match_the_one_element_extensions(orders):
-    # Cyclic joins find the element sets that one-element extensions find,
+    # Hermite forms give the element sets that one-element extensions find,
     # each once, in (order, members) order.
     A = make_group(orders)
     subs = all_subgroups(A)
