@@ -8,10 +8,10 @@ group therefore carries the same order sequence as the group itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import add, mod, mul
-from typing import Sequence
 
+from ._value import Value
 from .cyclotomic import CycInt, root_power
 from .groups import (
     GroupElement,
@@ -24,16 +24,16 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class Character:
-    parent: GroupSpec
-    etuple: tuple[int, ...]
+class Character(Value):
+    def __init__(self, parent: GroupSpec, etuple: tuple[int, ...]) -> None:
+        self.__dict__.update(parent=parent, etuple=etuple)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.etuple) != self.parent.rank:
             raise ValueError("exponent tuple length does not match group rank")
         reduced = tuple(e % d for e, d in zip(self.etuple, self.parent.orders))
-        object.__setattr__(self, "etuple", reduced)
+        self.__dict__["etuple"] = reduced
 
     def __mul__(self, other: "Character") -> "Character":
         if self.parent != other.parent:

@@ -6,15 +6,15 @@ error.  Data goes to stdout, diagnostics to stderr.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
 import sys
+from collections.abc import Sequence
 from functools import cache
 from itertools import repeat
 from operator import eq
-from typing import Sequence
+from types import SimpleNamespace
 
 from .codes import (
     AdditiveCode,
@@ -414,7 +414,10 @@ _WORD_DESTS = ("subcommand", "action")
 
 def build_parser() -> argparse.ArgumentParser:
     """argparse's parser of `_COMMANDS`; a second command word, as in
-    `macwilliams verify`, is the one subcommand of the first word's parser."""
+    `macwilliams verify`, is the one subcommand of the first word's parser.
+    argparse is imported here, for help and usage errors only."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="groupdual",
         description="Exact dualities, dual codes, and MacWilliams identities "
@@ -537,12 +540,13 @@ def _check_least(args) -> None:
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one command line; argv defaults to sys.argv[1:].
 
-    Accepted argv is read from `_COMMANDS` by `_read`, which gives the
-    Namespace of parse_args; help and usage errors are argparse's."""
+    Accepted argv is read from `_COMMANDS` by `_read`, which gives a
+    SimpleNamespace with the attributes of parse_args; help and usage
+    errors are argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _read(_reader(), argv)
     if ns is not None:
-        args = argparse.Namespace(**ns)
+        args = SimpleNamespace(**ns)
     else:
         try:
             args = _parser().parse_args(argv)

@@ -21,12 +21,12 @@ instead of reaching a table.  Each question about duals has one route:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
 
+from ._value import Value
 from .dualities import (
     Duality,
     _conjugate_gram,
@@ -56,18 +56,18 @@ from .groups import (
 from .limits import Limits, check_enumeration, check_scan
 
 
-@dataclass(frozen=True)
-class PowerGroup:
-    """A^n, realized as the GroupSpec with the base orders repeated n times."""
+class PowerGroup(Value):
+    """A^n, realized as the GroupSpec `spec` with the base orders repeated
+    n times; equality, hashing and repr read only `base` and `n`."""
 
-    base: GroupSpec
-    n: int
-    spec: GroupSpec = field(init=False, repr=False, compare=False)
+    def __init__(self, base: GroupSpec, n: int) -> None:
+        self.__dict__.update(base=base, n=n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("length must be at least 1")
-        object.__setattr__(self, "spec", make_group(self.base.orders * self.n))
+        self.__dict__["spec"] = make_group(self.base.orders * self.n)
 
     def word(self, blocks: Sequence[GroupElement]) -> GroupElement:
         if len(blocks) != self.n:
@@ -80,10 +80,10 @@ class PowerGroup:
         return self.spec.element(coords)
 
 
-@dataclass(frozen=True, eq=False)
-class AdditiveCode:
-    power: PowerGroup
-    subgroup: Subgroup
+class AdditiveCode(Value):
+    def __init__(self, power: PowerGroup, subgroup: Subgroup) -> None:
+        self.__dict__.update(power=power, subgroup=subgroup)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.subgroup.parent != self.power.spec:
@@ -228,7 +228,7 @@ def construct_duality_for_pair(
 
 def search_duality_for_pair(
     H: Subgroup, K: Subgroup, limits: Limits | None = None
-) -> Optional[Duality]:
+) -> Duality | None:
     """Exhaustive fallback: the first duality, in Aut(A) order, under which
     both duals of H, L_0 of two images of H, are K.  L_0 is injective and
     swaps K and L_0(K), as phi_0 is symmetric and perfect, so both images
@@ -361,14 +361,14 @@ def _swapped_by_l0(A: GroupSpec, pairs: Sequence[tuple[Subgroup, Subgroup]]) -> 
     )
 
 
-@dataclass(frozen=True)
-class DependenceReport:
-    """How the duals of a fixed subgroup vary with the duality."""
+class DependenceReport(Value):
+    """How the duals of a fixed subgroup vary with the duality: each class
+    is a (dual subgroup, duality indices) pair."""
 
-    subgroup: Subgroup
-    left_classes: tuple[tuple[Subgroup, tuple[int, ...]], ...]
-    right_classes: tuple[tuple[Subgroup, tuple[int, ...]], ...]
-    characteristic: bool
+    def __init__(self, subgroup: Subgroup, left_classes: tuple, right_classes: tuple,
+                 characteristic: bool) -> None:
+        self.__dict__.update(subgroup=subgroup, left_classes=left_classes,
+                             right_classes=right_classes, characteristic=characteristic)
 
 
 def duality_dependence(

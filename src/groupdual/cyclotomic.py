@@ -7,22 +7,24 @@ are Python ints; nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
+
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class CycPoly:
+class CycPoly(Value):
     """Integer polynomial, coefficients ascending by degree."""
 
-    coeffs: tuple[int, ...]
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        self.__dict__["coeffs"] = coeffs
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         trimmed = list(self.coeffs)
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
+        self.__dict__["coeffs"] = tuple(trimmed)
 
     @property
     def degree(self) -> int:
@@ -105,15 +107,15 @@ def _reduce(m: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(rem[:deg])
 
 
-@dataclass(frozen=True)
-class CycInt:
+class CycInt(Value):
     """An element of Z[zeta_m] in canonical reduced form."""
 
-    modulus: int
-    coeffs: tuple[int, ...]
+    def __init__(self, modulus: int, coeffs: tuple[int, ...]) -> None:
+        self.__dict__.update(modulus=modulus, coeffs=coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _reduce(self.modulus, self.coeffs))
+        self.__dict__["coeffs"] = _reduce(self.modulus, self.coeffs)
 
     @staticmethod
     def zero(m: int) -> "CycInt":

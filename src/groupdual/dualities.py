@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Optional
 
+from ._value import Value
 from .cyclotomic import CycInt, root_power
 from .groups import (
     Automorphism,
@@ -35,9 +34,9 @@ from .groups import (
 from .limits import Limits, check_enumeration
 
 
-@dataclass(frozen=True)
-class Duality:
-    tau: Automorphism
+class Duality(Value):
+    def __init__(self, tau: Automorphism) -> None:
+        self.__dict__["tau"] = tau
 
     @property
     def parent(self) -> GroupSpec:
@@ -195,7 +194,7 @@ def _walk(A: GroupSpec, t: tuple[int, ...]):
 
 def congruent(
     phi1: Duality, phi2: Duality, limits: Limits | None = None
-) -> Optional[Automorphism]:
+) -> Automorphism | None:
     """A witness tau with phi2 = tau* o phi1 o tau, or None when the walk of
     phi1's orbit ends first.  For each u met it carries the S with u = S
     tau_1 S*, one row operation (mod d_j) on the parent's S a step."""
@@ -259,7 +258,7 @@ def power_duality(phi: Duality, mexp: int) -> Duality:
 
 def power_witness(
     phi1: Duality, phi2: Duality
-) -> Optional[int]:
+) -> int | None:
     """Smallest m coprime to p with phi2 = phi1^m, or None."""
     if phi1.parent != phi2.parent:
         raise ValueError("dualities of different groups")
@@ -332,4 +331,6 @@ def count_symmetric_dualities(A: GroupSpec) -> int:
 
 
 def symmetric_ratio(n: int, q: int) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(count_symmetric_invertible(n, q), gl_order(n, q))

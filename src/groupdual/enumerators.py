@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections.abc import Mapping
 from operator import mul
-from typing import Mapping
 
+from ._value import Value
 from .cyclotomic import CycInt, cyclotomic_poly, power_height
 from .characters import annihilator
 from .codes import AdditiveCode, PowerGroup
@@ -23,12 +23,12 @@ from .dualities import Duality, _pairing_forms
 from .groups import GroupElement, GroupSpec, Subgroup, _block_letters, _coords
 
 
-@dataclass(frozen=True)
-class HammingEnumerator:
+class HammingEnumerator(Value):
     """hwe = sum_w coeffs[w] X^(n-w) Y^w."""
 
-    n: int
-    coeffs: tuple[int, ...]
+    def __init__(self, n: int, coeffs: tuple[int, ...]) -> None:
+        self.__dict__.update(n=n, coeffs=coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.n + 1:
@@ -39,14 +39,13 @@ class HammingEnumerator:
         return sum(self.coeffs)
 
 
-@dataclass(frozen=True)
-class CompleteEnumerator:
+class CompleteEnumerator(Value):
     """Monomials keyed by count vectors over the base group's elements,
     listed in canonical element order."""
 
-    base: GroupSpec
-    n: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    def __init__(self, base: GroupSpec, n: int,
+                 terms: tuple[tuple[tuple[int, ...], int], ...]) -> None:
+        self.__dict__.update(base=base, n=n, terms=terms)
 
     @property
     def total(self) -> int:

@@ -11,23 +11,16 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, product, repeat
-from operator import add, floordiv, lshift, mod, mul
-from typing import Iterable, Iterator, Sequence
+from operator import add, floordiv, index, lshift, mod, mul
 
+from ._value import Value
 from .limits import Limits, check_enumeration
 
 
-def _derived():
-    """A field computed once from `orders` in `__post_init__`; equality,
-    hashing and repr stay on `orders`."""
-    return field(init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Value):
     """A finite abelian group prod Z/d_i with a fixed factor basis.
 
     `rank`, `exponent`, `cardinality`, `weights` (w_i = exponent / d_i,
@@ -37,17 +30,12 @@ class GroupSpec:
     built `GroupSpec` with the same orders still compares and hashes
     equal, and reads the same cached tables."""
 
-    orders: tuple[int, ...]
-    rank: int = _derived()
-    exponent: int = _derived()
-    cardinality: int = _derived()
-    weights: tuple[int, ...] = _derived()
-    # Elements are written as digit strings unless some d_i > 10.
-    _comma: bool = _derived()
-    _hash: int = _derived()
+    def __init__(self, orders: tuple[int, ...]) -> None:
+        self.__dict__["orders"] = orders
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        orders = tuple(int(d) for d in self.orders)
+        orders = _int_orders(self.orders)
         if not orders:
             raise ValueError("a group needs at least one cyclic factor")
         if any(d < 2 for d in orders):
@@ -59,6 +47,7 @@ class GroupSpec:
             exponent=m,
             cardinality=math.prod(orders),
             weights=tuple(m // d for d in orders),
+            # Elements are written as digit strings unless some d_i > 10.
             _comma=any(d > 10 for d in orders),
             _hash=hash(orders),
         )
@@ -120,6 +109,16 @@ class GroupSpec:
         return tuple(map(mod, digits, self.orders))
 
 
+def _int_orders(orders: Iterable[int]) -> tuple[int, ...]:
+    """The orders as ints; an order such as 2.5, 4.0 or "3" raises ValueError."""
+    orders = tuple(orders)
+    try:
+        return tuple(map(index, orders))
+    except TypeError:
+        bad = next(d for d in orders if not hasattr(type(d), "__index__"))
+        raise ValueError(f"cyclic order {bad!r} is not an integer") from None
+
+
 # One GroupSpec per order tuple, kept for the process.
 _groups: dict[tuple[int, ...], GroupSpec] = {}
 
@@ -128,24 +127,22 @@ def make_group(orders: Iterable[int]) -> GroupSpec:
     """The group prod Z/d_i, interned by its orders: every call with the
     same orders returns the same instance.  Bad orders raise ValueError
     on every call, as no group is kept for them."""
-    key = tuple(orders)
+    key = _int_orders(orders)
     A = _groups.get(key)
     if A is None:
-        A = GroupSpec(key)
-        A = _groups.setdefault(A.orders, A)
+        A = _groups.setdefault(key, GroupSpec(key))
     return A
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    parent: GroupSpec
-    coords: tuple[int, ...]
+class GroupElement(Value):
+    def __init__(self, parent: GroupSpec, coords: tuple[int, ...]) -> None:
+        self.__dict__.update(parent=parent, coords=coords)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.coords) != self.parent.rank:
             raise ValueError("coordinate count does not match group rank")
-        reduced = tuple(map(mod, self.coords, self.parent.orders))
-        object.__setattr__(self, "coords", reduced)
+        self.__dict__["coords"] = tuple(map(mod, self.coords, self.parent.orders))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check_parent(other)
@@ -180,8 +177,7 @@ class GroupElement:
         return self.parent.format_element(self)
 
 
-@dataclass(frozen=True, eq=False)
-class Subgroup:
+class Subgroup(Value):
     """A subgroup stored once, as the sorted packed ints of its members
     (`_Packing`), with two packed generating sets.  `gens`, which
     `generators` and `extend_character` read, is the one it was built from,
@@ -191,10 +187,10 @@ class Subgroup:
     `basis` are decoded to coordinate tuples, `elements` and `generators`
     to `GroupElement`s, only when read."""
 
-    parent: GroupSpec
-    _packed: tuple[int, ...]
-    _gens: tuple[int, ...] | None = None
-    _basis: tuple[int, ...] | None = None
+    def __init__(self, parent: GroupSpec, _packed: tuple[int, ...],
+                 _gens: tuple[int, ...] | None = None,
+                 _basis: tuple[int, ...] | None = None) -> None:
+        self.__dict__.update(parent=parent, _packed=_packed, _gens=_gens, _basis=_basis)
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
@@ -563,13 +559,13 @@ def _subgroups(A: GroupSpec) -> tuple[Subgroup, ...]:
     return tuple(Subgroup(A, tuple(c)) for c in subgroups)
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Value):
     """Matrix of a homomorphism: row i is the image of source generator g_i."""
 
-    source: GroupSpec
-    target: GroupSpec
-    matrix: tuple[tuple[int, ...], ...]
+    def __init__(self, source: GroupSpec, target: GroupSpec,
+                 matrix: tuple[tuple[int, ...], ...]) -> None:
+        self.__dict__.update(source=source, target=target, matrix=matrix)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.matrix) != self.source.rank:
@@ -583,7 +579,7 @@ class Homomorphism:
                 if d_i * t % d_j:
                     raise ValueError(f"entry {t} maps an order-{d_i} generator outside "
                                      f"its admissible image in Z/{d_j}")
-        object.__setattr__(self, "matrix", tuple(rows))
+        self.__dict__["matrix"] = tuple(rows)
 
     def apply(self, a: GroupElement) -> GroupElement:
         if a.parent != self.source:
@@ -620,7 +616,6 @@ class Homomorphism:
         return not any(map(any, _kernel_generators(self.source.orders, m, forms)))
 
 
-@dataclass(frozen=True)
 class Automorphism(Homomorphism):
     """A bijective endomorphism; bijectivity checked at construction."""
 

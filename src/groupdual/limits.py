@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+
+from ._value import Value
 
 
 class LimitExceededError(RuntimeError):
     """A group or ambient space is too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class Limits:
-    # Largest |A| for which subgroup/automorphism enumeration is attempted.
-    enumeration_bound: int = 4096
-    # Largest dual code |A^n| / |C| whose members are enumerated; the
-    # dual's generators are found without enumerating A^n.
-    scan_bound: int = 10**7
+class Limits(Value):
+    """enumeration_bound is the largest |A| for which subgroup/automorphism
+    enumeration is attempted.  scan_bound is the largest dual code
+    |A^n| / |C| whose members are enumerated; the dual's generators are
+    found without enumerating A^n."""
+
+    def __init__(self, enumeration_bound: int = 4096, scan_bound: int = 10**7) -> None:
+        self.__dict__.update(enumeration_bound=enumeration_bound, scan_bound=scan_bound)
 
     @staticmethod
     def from_env() -> "Limits":

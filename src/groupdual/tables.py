@@ -6,7 +6,7 @@ by the library, and the tests diff these tables against frozen goldens.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .codes import duals_table
 from .dualities import adjoint, duality_from_matrix
