@@ -7,7 +7,6 @@ error.  Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -103,11 +102,23 @@ def _write_blocks(A: GroupSpec, count: int, json_out: bool, block) -> None:
         sys.stdout.write("]\n" if count else "[]\n")
 
 
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True).  The first call imports json and
+    rebinds this global to the `encode` of the encoder that such a dumps
+    call builds, so a text command never loads json and a later call costs
+    one global lookup."""
+    global _dumps
+    import json
+
+    _dumps = json.JSONEncoder(sort_keys=True).encode
+    return _dumps(obj)
+
+
 def _emit(args, text, body) -> None:
     """Print body() as JSON under `--format json`, else text(): only the
     output asked for is built."""
     if args.format == "json":
-        print(json.dumps(body(), sort_keys=True))
+        print(_dumps(body()))
     else:
         sys.stdout.write(text())
 
@@ -125,7 +136,7 @@ def _cmd_group(args) -> int:
                     str(p): list(part.orders) for p, part in primary_decomposition(A).items()}}
         if subs is not None:
             info["subgroups"] = [_sub_json(s) for s in subs]
-        print(json.dumps(info, sort_keys=True))
+        print(_dumps(info))
         return 0
     sys.stdout.write(
         f"group Z/{' x Z/'.join(str(d) for d in A.orders)}\n"
@@ -199,7 +210,7 @@ def _cmd_dual(args) -> int:
     words = D.subgroup.words()
     if args.format == "json":
         json_out = {"side": args.side, "order": D.order, "elements": words}
-        print(json.dumps(json_out, sort_keys=True))
+        print(_dumps(json_out))
     else:
         sys.stdout.write(f"{args.side} dual ({D.order} elements): {' '.join(words)}\n")
     return 0
@@ -220,7 +231,7 @@ def _cmd_duals_table(args) -> int:
     l0, star, json_out = _lattice(A).l0, _adjoints(A), args.format == "json"
     names = {i: str(l0(i)) for i in set().union(*cols)}
     if json_out:
-        names = {i: json.dumps(name) for i, name in names.items()}
+        names = {i: _dumps(name) for i, name in names.items()}
         left = {i: f'{{"left": {name}, "right": ' for i, name in names.items()}
         right = {i: name + "}" for i, name in names.items()}
         cell_sep, ends = ", ", lambda t: ((repeat('{"duals": ['),), (repeat('], "tau": '), t, repeat("}")))
@@ -305,7 +316,7 @@ def _cmd_macwilliams(args) -> int:
     if args.format == "json":
         json_out = {"enumerator": args.enumerator, "transformed": transformed,
                     "direct": direct, "match": ok}
-        print(json.dumps(json_out, sort_keys=True))
+        print(_dumps(json_out))
         return 0 if ok else 1
     if args.enumerator == "hamming":
         lines = [
@@ -443,22 +454,24 @@ def _parser() -> argparse.ArgumentParser:
 @cache
 def _reader():
     """The argv reader's view of `_COMMANDS`, built on first use: words ->
-    (flags, defaults, required).  flags maps each flag to (dest, kwargs);
-    defaults are the attributes that argparse sets before reading any
-    option, the command words and fn among them; required lists the
-    required flags.  A command with a positional is left to argparse."""
+    (flags, defaults, required, positional).  flags maps each flag to
+    (dest, kwargs); defaults are the attributes that argparse sets before
+    reading any option, the command words and fn among them; positional is
+    the dest of the command's one positional, or None; required lists the
+    required flags and the positional, which argparse requires."""
     view = {}
     for words, (_, options, fn) in _COMMANDS.items():
-        if any(flag[0] != "-" for flag, _ in options):
-            continue
-        flags, defaults = {}, dict(zip(_WORD_DESTS, words), fn=fn)
+        flags, defaults, positional = {}, dict(zip(_WORD_DESTS, words), fn=fn), None
         for flag, kwargs in options:
+            if flag[0] != "-":
+                positional = flag
+                continue
             dest = flag[2:].replace("-", "_")
             flags[flag] = dest, kwargs
             store_true = kwargs.get("action") == "store_true"
             defaults[dest] = False if store_true else kwargs.get("default")
-        required = [flag for flag, kwargs in options if kwargs.get("required")]
-        view[words] = flags, defaults, required
+        required = [flag for flag, kwargs in options if kwargs.get("required") or flag == positional]
+        view[words] = flags, defaults, required, positional
     return view
 
 
@@ -489,17 +502,23 @@ def _run_end(argv: list[str], i: int) -> int:
 def _read(view, argv: list[str]) -> dict | None:
     """The attributes that argparse sets from argv, or None where the reader
     leaves argv to argparse: help, every error, and every form beyond the
-    exact command words and flags with their values."""
+    exact command words, flags with their values and one positional."""
     i = 1 if tuple(argv[:1]) in view else 2
     command = view.get(tuple(argv[:i]))
     if command is None:
         return None
-    flags, defaults, required = command
+    flags, defaults, required, positional = command
     ns, seen = dict(defaults), set()
     while i < len(argv):
         option = flags.get(argv[i])
         if option is None:
-            return None
+            # The one positional, which argparse reads where a value stands.
+            if positional is None or positional in seen or not _is_value(argv[i]):
+                return None
+            ns[positional] = argv[i]
+            seen.add(positional)
+            i += 1
+            continue
         dest, kwargs = option
         seen.add(argv[i])
         i += 1

@@ -907,6 +907,10 @@ _DUAL = ["dual", "--group", "2,4", "--code-gens", "01", "--duality-index", "3", 
         ["congruence", "--group", "3,3", "--format", "json", "--format", "text"],
         ["macwilliams", "verify", *_DUAL[1:], "--enumerator", "complete", "--n", "1"],
         ["construct-pair", "--group", "2,2", "--h-gens", "10", "--k-gens", "01", "--search"],
+        ["paper-table", "4.4"],
+        ["paper-table", "--format", "json", "example-4.11"],
+        ["paper-table", "-5", "--format", "text"],
+        ["paper-table", ""],
     ],
 )
 def test_the_reader_takes_exact_options_and_their_values(argv):
@@ -939,7 +943,7 @@ def test_the_reader_takes_exact_options_and_their_values(argv):
         [*_DUAL, "--side", "up"],
         [*_DUAL, "--n", "x"],
         _DUAL[:-2],
-        ["paper-table", "4.4"],
+        ["paper-table"],
         ["no-such-command"],
         ["dualitie", "--group", "2,2"],
         ["--group", "2,2", "dualities"],
@@ -950,6 +954,13 @@ def test_the_reader_takes_exact_options_and_their_values(argv):
         ["dualities", "--group", "2,2", "--limit", "1e3"],
         ["dualities"],
         ["dualities", "--group"],
+        ["paper-table", "4.4", "4.5"],
+        ["paper-table", "--", "4.4"],
+        ["paper-table", "-x"],
+        ["paper-table", "-1.5"],
+        ["paper-table", "--format", "json"],
+        ["paper-table", "4.4", "--format"],
+        ["paper-table", "-h"],
     ],
 )
 def test_the_reader_leaves_help_errors_and_other_forms_to_argparse(argv):
@@ -963,12 +974,17 @@ def _takewhile_read(view, argv):
     command = view.get(tuple(argv[:i]))
     if command is None:
         return None
-    flags, defaults, required = command
+    flags, defaults, required, positional = command
     ns, seen = dict(defaults), set()
     while i < len(argv):
         option = flags.get(argv[i])
         if option is None:
-            return None
+            if positional is None or positional in seen or not cli._is_value(argv[i]):
+                return None
+            ns[positional] = argv[i]
+            seen.add(positional)
+            i += 1
+            continue
         dest, kwargs = option
         seen.add(argv[i])
         i += 1
@@ -1023,7 +1039,7 @@ def test_the_reader_reads_long_and_odd_runs_as_takewhile_did(words, after):
     assert cli._read(cli._reader(), argv) == _takewhile_read(cli._reader(), argv)
 
 
-_FAST_EXAMPLES = [argv for argv in _readme_examples() if argv[0] != "paper-table"]
+_FAST_EXAMPLES = _readme_examples()
 # One argv of each shape that the benchmark decks send (perfbench/workloads.py).
 _DECK_SHAPES = [
     ["dualities", "--group", "2,4", "--list", "--format", "json"],
@@ -1045,7 +1061,16 @@ def test_the_readme_has_an_example_of_every_subcommand():
     assert {argv[0] for argv in _readme_examples()} == set(_SUBCOMMANDS)
 
 
-@pytest.mark.parametrize("argv", _FAST_EXAMPLES + _DECK_SHAPES, ids=" ".join)
+# Each paper table by its id, and one alias, beyond the README's.
+_TABLES = [
+    argv
+    for argv in [["paper-table", table_id] for table_id in PAPER_TABLES]
+    + [["paper-table", "example-6.3", "--format", "json"]]
+    if argv not in _FAST_EXAMPLES
+]
+
+
+@pytest.mark.parametrize("argv", _FAST_EXAMPLES + _DECK_SHAPES + _TABLES, ids=" ".join)
 def test_readme_examples_are_read_without_argparse(capsys, monkeypatch, argv):
     args = cli.build_parser().parse_args(argv)
     code = args.fn(args)

@@ -34,6 +34,7 @@ from groupdual import (
 )
 from groupdual.codes import DependenceReport
 from groupdual.cyclotomic import CycPoly
+from groupdual.tables import paper_table
 
 M = ((1, 2), (0, 1))
 
@@ -219,24 +220,37 @@ IMPORT_GUARD = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import groupdual, groupdual.cli
-loaded = sorted({"dataclasses", "inspect", "argparse", "fractions", "typing"} & set(sys.modules))
-print("loaded:", *loaded)
+GUARDED = {"json", "dataclasses", "inspect", "argparse", "fractions", "typing"}
+def loaded():
+    print("loaded:", *sorted(GUARDED & set(sys.modules)))
+loaded()
 from groupdual import cli
+print("text exit", cli.run(["dualities", "--group", "2,4", "--count-only"]))
+print("table exit", cli.run(["paper-table", "4.4"]))
+loaded()
+print("json exit", cli.run(["dualities", "--group", "2,4", "--count-only", "--format", "json"]))
+loaded()
 print("help exit", cli.run(["--help"]))
 print("unknown exit", cli.run(["dualities", "--group", "2,4", "--no-such-flag"]))
 print("ratio", groupdual.symmetric_ratio(2, 2))
 """
 
 
-def test_import_loads_no_dataclasses_argparse_fractions_or_typing():
+def test_import_loads_no_json_dataclasses_argparse_fractions_or_typing():
+    # A text command and a paper table load neither json nor argparse; the
+    # first JSON output loads json.
     src = os.path.dirname(os.path.dirname(groupdual.__file__))
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", IMPORT_GUARD, src],
         capture_output=True, text=True, timeout=60,
     )
     lines = proc.stdout.splitlines()
-    assert lines[0] == "loaded:"
-    assert lines[1].startswith("usage: groupdual ")
+    head = [
+        "loaded:", "8 total, 4 symmetric", "text exit 0", *paper_table("4.4").splitlines(),
+        "table exit 0", "loaded:", '{"symmetric": 4, "total": 8}', "json exit 0", "loaded: json",
+    ]
+    assert lines[: len(head)] == head
+    assert lines[len(head)].startswith("usage: groupdual ")
     assert "positional arguments:" in proc.stdout
     assert lines[-3:] == ["help exit 0", "unknown exit 2", "ratio 2/3"]
     assert proc.stderr.startswith("usage: groupdual ")
