@@ -3,18 +3,26 @@
 run in a fresh process on a parent checkout and this working tree in turn.
 
 Usage: python3 scripts/cli_walls.py --parent REV_OR_DIR [--rounds 5]
-           ROW [ROW ...] > walls.json
+           [--repeat 1] ROW [ROW ...] > walls.json
 
 Each ROW is one groupdual command line without the program name, as
 "dualities --group 2,4,4 --count-only"; a first token "timeout=S" gives the
-row its own timeout in seconds, else it has 20 s.  --parent is a checkout directory or a git
-revision of this repository, whose src/ is exported to a temporary
-directory.  Each child runs `python -m groupdual.cli ROW` from its side's
-checkout with PYTHONPATH=<checkout>/src and PYTHONDONTWRITEBYTECODE unset.
-One unmeasured `paper-table 3.3` per side writes the bytecode caches; then each round runs every row once on
-each side, the parent first in even rounds.  A child still running at its
-row's timeout is killed and recorded as killed.  The result is one JSON
+row its own timeout in seconds, else it has 20 s.  --parent is a checkout
+directory or a git revision of this repository, whose src/ is exported to a
+temporary directory.  Each child runs `python -m groupdual.cli ROW` from its
+side's checkout with PYTHONPATH=<checkout>/src and PYTHONDONTWRITEBYTECODE
+unset.  One unmeasured `paper-table 3.3` per side writes the bytecode
+caches.  Each round runs every row --repeat times on each side, the sides
+alternating and the parent first in even rounds.  A child still running at
+its row's timeout is killed and recorded as killed.  The result is one JSON
 object on stdout.  Linux only (pidfd_open, wait4).
+
+Each round is one pair of a row.  A side's figure in a pair is the fastest
+wall of its runs in that round, or null if one of them was killed: load
+from other processes on a shared machine only ever slows a run.  The
+change gains on a row when it is faster in at least nine tenths of all
+pairs and its median figure is below the parent's by more than the
+distance between the parent's quartiles.
 
 Children start by vfork, and exec carries the parent's RSS high-water mark
 into the child's ru_maxrss.  So each child's parent is a fresh bare
@@ -76,7 +84,8 @@ def _parent_checkout(ref, tmp):
     subprocess.run(["git", "-C", str(REPO), "archive", "--output", str(archive), commit, "src"],
                    check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(tmp, filter="data")
+        # The archive is this repository's own; filter= needs 3.10.12 or 3.11.4.
+        tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     return Path(tmp), commit
 
 
@@ -133,30 +142,57 @@ def _hardware():
     return f"{os.cpu_count()} CPU ({model}), {platform.system()} {platform.release()}"
 
 
-def measure(checkouts, rows, rounds):
+def pairs(row_runs, rounds, repeat):
+    """Each side's figure per pair, who was faster in how many pairs, the
+    parent's and the change's quartiles, and whether the change gains."""
+    figures = {}
+    for side in SIDES:
+        figures[side] = []
+        for r in range(rounds):
+            runs = row_runs[side][r * repeat:(r + 1) * repeat]
+            exited = all(run["state"] == "exited" for run in runs)
+            figures[side].append(min(run["wall_s"] for run in runs) if exited else None)
+    both = [(p, c) for p, c in zip(figures["parent"], figures["change"]) if None not in (p, c)]
+    result = {f"{side}_s": figures[side] for side in SIDES}
+    result["change_faster"] = sum(c < p for p, c in both)
+    result["parent_faster"] = sum(p < c for p, c in both)
+    result["change_gains"] = False
+    if len(both) == rounds >= 2:
+        for side in SIDES:
+            result[f"{side}_quartiles_s"] = [
+                round(q, 5) for q in statistics.quantiles(figures[side], n=4, method="inclusive")]
+        q1, median, q3 = result["parent_quartiles_s"]
+        result["change_gains"] = (result["change_faster"] >= 0.9 * rounds
+                                  and median - result["change_quartiles_s"][1] > q3 - q1)
+    return result
+
+
+def measure(checkouts, rows, rounds, repeat=1):
     """The result rows: for each row, each side's runs, the best and the
-    median wall time of the runs that exited, and whether those runs on
-    both sides printed the same stdout."""
+    median wall time of the runs that exited, whether every run on both
+    sides exited and printed the same stdout, and the pairs."""
     for side in SIDES:
         run_child(checkouts[side], WARM_UP, 60)
     runs = [{side: [] for side in SIDES} for _ in rows]
     for r in range(rounds):
         for (argv, timeout), row_runs in zip(rows, runs):
-            for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                row_runs[side].append(run_child(checkouts[side], argv, timeout))
+            for i in range(repeat):
+                for side in SIDES if (r + i) % 2 == 0 else SIDES[::-1]:
+                    row_runs[side].append(run_child(checkouts[side], argv, timeout))
     result = []
     for (argv, timeout), row_runs in zip(rows, runs):
         entry = {"command": "groupdual " + shlex.join(argv), "timeout_s": timeout}
-        hashes = set()
         for side in SIDES:
             walls = [run["wall_s"] for run in row_runs[side] if run["state"] == "exited"]
-            hashes.update(run["stdout_sha256"] for run in row_runs[side] if run["state"] == "exited")
             entry[side] = {
                 "runs": row_runs[side],
                 "best_wall_s": min(walls, default=None),
                 "median_wall_s": statistics.median(walls) if walls else None,
             }
-        entry["same_stdout"] = len(hashes) == 1
+        # A killed run has no hash, so a row killed on either side never matches.
+        hashes = {run["stdout_sha256"] for side in SIDES for run in row_runs[side]}
+        entry["same_stdout"] = len(hashes) == 1 and None not in hashes
+        entry["pairs"] = pairs(row_runs, rounds, repeat)
         result.append(entry)
     return result
 
@@ -165,10 +201,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout directory or git revision")
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--repeat", type=int, default=1, help="runs per side in each round")
     parser.add_argument("rows", nargs="+", metavar="ROW")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
+    if args.rounds < 1 or args.repeat < 1:
+        parser.error("--rounds and --repeat must be at least 1")
     rows = [parse_row(row) for row in args.rows]
     with tempfile.TemporaryDirectory() as tmp:
         parent, parent_commit = _parent_checkout(args.parent, tmp)
@@ -180,10 +217,13 @@ def main(argv=None):
             "change": {"source": str(REPO), "commit": _git("rev-parse", "HEAD"),
                        "uncommitted_changes": bool(dirty)},
             "rounds": args.rounds,
+            "repeat": args.repeat,
             "method": "one fresh `python -m groupdual.cli` child per run under a fresh bare "
                       "interpreter, wall time from spawn to wait4, peak RSS from wait4, stdout "
-                      "sha256 read in chunks; rounds alternate which side runs first",
-            "rows": measure({"parent": parent, "change": REPO}, rows, args.rounds),
+                      "sha256 read in chunks; the sides alternate run by run, the parent first in "
+                      "even rounds; a pair is one round, each side's figure the fastest of its "
+                      "runs in it",
+            "rows": measure({"parent": parent, "change": REPO}, rows, args.rounds, args.repeat),
         }
     sys.stdout.write(json.dumps(report, indent=1) + "\n")
     return 0
